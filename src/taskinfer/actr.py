@@ -28,8 +28,9 @@ prediction is flagged degenerate.  Family probability is the retained
 probability mass of the family's chunks; task probability sums the mass of
 every family performing the task, thresholded at task_threshold.
 
-The rule-based model (RB) compresses the corpus into per-(attribute, label)
-rules.  With add-`smoothing` counts,
+The rule-based model (RB) compresses the corpus into per-(label, attribute)
+rules, the smoothed presence rates naive Bayes also reads.  With
+add-`smoothing` counts,
 
     p(a|f)  = (count(a, f) + sm) / (|f| + 2 sm)
     p(a|~f) = (count(a, M-f) + sm) / (|M| - |f| + 2 sm)
@@ -41,6 +42,9 @@ temperature (no tau filtering; every label competes).  In direct-task mode
 each task gets a binary rule table (samples with the task vs without); the
 complement label's association is the exact negation, so the pairwise
 softmax reduces to a sigmoid.
+
+Both models take their labels, and build their Predictions, through
+`core.label_space`, like the baselines.
 """
 
 from __future__ import annotations
@@ -54,12 +58,12 @@ import numpy as np
 from .core import (
     ActrParams,
     Corpus,
+    LabelSpace,
     Prediction,
     attribute_matrix,
-    make_prediction,
+    label_space,
+    query_cols,
 )
-
-_MODES = ("family", "direct")
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,11 @@ class IbModel:
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
                  mode: str = "family"):
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        self.space = label_space(corpus, mode)
         if corpus.size == 0:
             raise ValueError("cannot build memory from an empty corpus")
         self.corpus = corpus
         self.params = params or ActrParams()
-        self.mode = mode
         vocab, col, x = attribute_matrix(corpus)
         self._col = col
         self._x = x
@@ -169,52 +171,24 @@ class IbModel:
         fan = np.array([corpus.fan[a] for a in vocab], dtype=float)
         self._log_hit = np.log(m / fan)
         self._log_miss = math.log(1.0 / m)
-        if mode == "family":
-            self._labels = sorted(corpus.families)
-            self._label_tasks = dict(corpus.families)
-            self._groups = [np.array(corpus.members(f), dtype=int) for f in self._labels]
-        else:
-            self._labels = sorted(corpus.tasks)
-            self._label_tasks = None
-            self._groups = [
-                np.array([i for i, s in enumerate(corpus.samples) if t in s.tasks],
-                         dtype=int)
-                for t in self._labels
-            ]
 
     def activations(self, query) -> np.ndarray:
         """Total activation of every memory chunk for the query."""
-        query = frozenset(query)
-        if not query:
-            raise ValueError("query attribute set is empty")
-        cols = [self._col[a] for a in query if a in self._col]
-        nq = len(query)
-        if cols:
-            xq = self._x[:, cols]
-            shared = xq.sum(axis=1)
-            hits = xq @ self._log_hit[cols]
-        else:
-            shared = np.zeros(self.corpus.size)
-            hits = np.zeros(self.corpus.size)
+        cols, n_unseen = query_cols(self._col, query)
+        nq = cols.size + n_unseen
+        xq = self._x[:, cols]
+        shared = xq.sum(axis=1)
+        hits = xq @ self._log_hit[cols]
         spread = (hits + (nq - shared) * self._log_miss) / nq
         overlap = shared / np.sqrt(nq * self._sizes)
-        if self.params.partial_matching == "deficit":
-            partial = self.params.mp * (overlap - 1.0)
-        else:
-            partial = self.params.mp * overlap
-        return self.params.beta + spread + partial
+        return self.params.beta + spread + _partial_term(overlap, self.params)
 
     def predict(self, query) -> Prediction:
         acts = self.activations(query)
         probs, retained, degenerate = _softmax_retained(acts, self.params, True)
-        class_probs = {
-            label: float(probs[g].sum()) for label, g in zip(self._labels, self._groups)
-        }
-        return make_prediction(
-            class_probs,
-            self._label_tasks,
-            mode=self.mode,
-            task_threshold=self.params.task_threshold,
+        return self.space.prediction(
+            [probs[g].sum() for g in self.space.groups],
+            self.params.task_threshold,
             retained_chunks=retained,
             degenerate=degenerate,
         )
@@ -226,145 +200,67 @@ def ib_predict(corpus: Corpus, params: ActrParams | None, query,
     return IbModel(corpus, params, mode).predict(query)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuleTable:
-    """Per-(attribute, label) presence rules compressed from a corpus.
+    """Per-(label, attribute) presence rules compressed from a corpus.
 
-    given[a][f] is the smoothed p(attribute a present | label f) and
-    not_given[a][f] the smoothed p(a present | not f).  priors hold label
-    base rates (family mode: sums to 1; direct mode: per-task incidence).
+    given[i, col[a]] is the smoothed p(attribute a present | space.labels[i])
+    and not_given[i, col[a]] the smoothed p(a present | not that label).
+    priors hold label base rates (family mode: sums to 1; direct mode:
+    per-task incidence).
     """
 
-    mode: str
-    labels: tuple
+    space: LabelSpace
+    col: Mapping[str, int]
     priors: Mapping[str, float]
-    given: Mapping[str, Mapping[str, float]]
-    not_given: Mapping[str, Mapping[str, float]]
-    label_tasks: Mapping[str, frozenset]
+    given: np.ndarray
+    not_given: np.ndarray
     smoothing: float
+    _prior: np.ndarray              # priors, aligned with space.labels
+    _log_ratio: np.ndarray          # log(given / not_given)
 
 
 def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> RuleTable:
     """Compress a corpus into smoothed presence rules per label."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
+    space = label_space(corpus, mode)
     if corpus.size == 0:
         raise ValueError("cannot build rules from an empty corpus")
-    m = corpus.size
-    if mode == "family":
-        labels = sorted(corpus.families)
-        label_sets = {
-            f: frozenset(corpus.members(f)) for f in labels
-        }
-        for f, ix in label_sets.items():
-            if not ix:
-                raise ValueError(f"family {f!r} has no samples")
-        label_tasks = {f: corpus.families[f] for f in labels}
-    else:
-        labels = sorted(corpus.tasks)
-        label_sets = {
-            t: frozenset(i for i, s in enumerate(corpus.samples) if t in s.tasks)
-            for t in labels
-        }
-        for t, ix in label_sets.items():
-            if not ix:
-                raise ValueError(f"task {t!r} has no samples")
-        label_tasks = {t: frozenset((t,)) for t in labels}
-
-    counts: dict[str, dict[str, int]] = {}
-    for s in corpus.samples:
-        s_labels = (s.family,) if mode == "family" else s.tasks
-        for a in s.attribs:
-            row = counts.setdefault(a, {})
-            for label in s_labels:
-                row[label] = row.get(label, 0) + 1
-
-    sm = smoothing
-    priors = {label: len(label_sets[label]) / m for label in labels}
-    given: dict[str, dict[str, float]] = {}
-    not_given: dict[str, dict[str, float]] = {}
-    for a in sorted(counts):
-        row = counts[a]
-        total = corpus.fan[a]
-        given[a] = {}
-        not_given[a] = {}
-        for label in labels:
-            n_label = len(label_sets[label])
-            inside = row.get(label, 0)
-            given[a][label] = (inside + sm) / (n_label + 2 * sm)
-            not_given[a][label] = ((total - inside) + sm) / ((m - n_label) + 2 * sm)
+    kind = "family" if mode == "family" else "task"
+    for label, g in zip(space.labels, space.groups):
+        if not g.size:
+            raise ValueError(f"{kind} {label!r} has no samples")
+    _, col, x = attribute_matrix(corpus)
+    given, not_given = space.presence_rates(x, smoothing)
+    prior = np.array([g.size for g in space.groups]) / corpus.size
     return RuleTable(
-        mode=mode,
-        labels=tuple(labels),
-        priors=priors,
+        space=space,
+        col=col,
+        priors={label: float(p) for label, p in zip(space.labels, prior)},
         given=given,
         not_given=not_given,
-        label_tasks=label_tasks,
-        smoothing=sm,
+        smoothing=smoothing,
+        _prior=prior,
+        _log_ratio=np.log(given / not_given),
     )
-
-
-def _rb_association(rules: RuleTable, query: frozenset, label: str) -> float:
-    """Summed log-likelihood-ratio association of the query with a label.
-
-    Attributes without a rule row (never seen in training) are skipped; the
-    normalization still divides by the full query size.
-    """
-    s_sum = 0.0
-    for a in query:
-        row = rules.given.get(a)
-        if row is None:
-            continue
-        s_sum += math.log(row[label] / rules.not_given[a][label])
-    return s_sum / len(query)
-
-
-def _pair_prob(a_pos: float, a_neg: float, s: float) -> float:
-    """Two-way Boltzmann probability of the positive alternative."""
-    top = max(a_pos, a_neg)
-    wp = math.exp((a_pos - top) / s)
-    wn = math.exp((a_neg - top) / s)
-    return wp / (wp + wn)
 
 
 def rb_predict(rules: RuleTable, params: ActrParams, query) -> Prediction:
-    """Score a query against a rule table."""
-    query = frozenset(query)
-    if not query:
-        raise ValueError("query attribute set is empty")
+    """Score a query against a rule table.
+
+    Attributes without a rule column (never seen in training) are skipped;
+    the association still divides by the full query size.
+    """
+    cols, n_unseen = query_cols(rules.col, query)
     params = params or ActrParams()
-    if rules.mode == "family":
-        acts = []
-        for f in rules.labels:
-            assoc = _rb_association(rules, query, f)
-            acts.append(math.log(rules.priors[f]) + params.w * assoc)
-        probs, _ = retrieval_probs(acts, params, apply_threshold=False)
-        class_probs = dict(zip(rules.labels, probs))
-        return make_prediction(
-            class_probs,
-            dict(rules.label_tasks),
-            mode="family",
-            task_threshold=params.task_threshold,
-            retained_chunks=len(rules.labels),
-            degenerate=False,
-        )
-    class_probs = {}
-    for t in rules.labels:
-        prior = rules.priors[t]
-        if prior <= 0.0 or prior >= 1.0:
-            class_probs[t] = float(prior)
-            continue
-        assoc = params.w * _rb_association(rules, query, t)
-        a_pos = math.log(prior) + assoc
-        a_neg = math.log(1.0 - prior) - assoc
-        class_probs[t] = _pair_prob(a_pos, a_neg, params.s)
-    return make_prediction(
-        class_probs,
-        None,
-        mode="direct",
-        task_threshold=params.task_threshold,
-        retained_chunks=len(rules.labels),
-        degenerate=False,
-    )
+    assoc = params.w * (rules._log_ratio[:, cols].sum(axis=1) / (cols.size + n_unseen))
+    if rules.space.mode == "family":
+        probs, _, _ = _softmax_retained(np.log(rules._prior) + assoc, params, False)
+    else:
+        # A two-way softmax of each task against its complement.  A task every
+        # sample performs has log(1 - 1) = -inf there, so it keeps its prior 1.
+        with np.errstate(divide="ignore"):
+            acts = np.stack([np.log(rules._prior) + assoc,
+                             np.log(1.0 - rules._prior) - assoc])
+        w = np.exp((acts - acts.max(axis=0)) / params.s)
+        probs = w[0] / w.sum(axis=0)
+    return rules.space.prediction(probs, params.task_threshold)

@@ -4,8 +4,9 @@ Bernoulli naive Bayes, an information-gain decision tree, a random forest
 over those trees, and multinomial logistic regression, each trainable in
 family mode (one multiclass model) or direct-task mode (one binary model per
 task, binary relevance).  All of them consume the same boolean design matrix
-(`core.attribute_matrix`) and produce Predictions through the same
-task-thresholding path as the activation models.
+(`core.attribute_matrix`), take their labels from `core.label_space`, and
+produce Predictions through it, the same task-thresholding path as the
+activation models.
 
 Conventions shared across the baselines:
   - attribute absence is informative for NB (the Bernoulli event model);
@@ -26,48 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .core import ActrParams, Corpus, Prediction, attribute_matrix, make_prediction
-
-_MODES = ("family", "direct")
+from .core import Corpus, LabelSpace, Prediction, attribute_matrix, label_space, query_cols
 
 
 class TrainingError(RuntimeError):
     """Optimization produced a non-finite objective."""
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _labels_and_targets(corpus: Corpus, mode: str) -> tuple:
-    """Sorted label list plus, per label, the sample indices carrying it."""
-    if mode == "family":
-        labels = sorted(corpus.families)
-        groups = {f: np.array(corpus.members(f), dtype=int) for f in labels}
-        label_tasks = dict(corpus.families)
-    else:
-        labels = sorted(corpus.tasks)
-        groups = {
-            t: np.array([i for i, s in enumerate(corpus.samples) if t in s.tasks],
-                        dtype=int)
-            for t in labels
-        }
-        label_tasks = None
-    return labels, groups, label_tasks
-
-
-def _query_cols(col: Mapping[str, int], query) -> tuple:
-    """(known column indices, number of unseen attributes) for a query."""
-    query = frozenset(query)
-    if not query:
-        raise ValueError("query attribute set is empty")
-    cols = sorted(col[a] for a in query if a in col)
-    return np.array(cols, dtype=int), len(query) - len(cols)
 
 
 # ---------------------------------------------------------------- naive Bayes
@@ -76,27 +44,25 @@ def _query_cols(col: Mapping[str, int], query) -> tuple:
 class NbModel:
     """Bernoulli naive Bayes, family-multiclass or per-task binary."""
 
-    mode: str
-    labels: tuple
+    space: LabelSpace
     vocab: tuple
     smoothing: float
-    label_tasks: Mapping[str, frozenset] | None
     _col: Mapping[str, int]
-    _class_counts: np.ndarray       # family: (K,); direct: positives per task (T,)
-    _cond: np.ndarray               # family: p(a|f) (K,d); direct: p(a|t) (T,d)
-    _cond_neg: np.ndarray | None    # direct only: p(a|~t) (T,d)
+    _class_counts: np.ndarray       # samples per label (L,)
+    _cond: np.ndarray               # p(a|label) (L,d)
+    _cond_neg: np.ndarray           # p(a|~label) (L,d), read in direct mode
     _n_train: int
 
     @property
     def priors(self) -> dict:
         return {
             label: float(self._class_counts[i]) / self._n_train
-            for i, label in enumerate(self.labels)
+            for i, label in enumerate(self.space.labels)
         }
 
     def cond_prob(self, attribute: str, label: str) -> float:
         """Smoothed p(attribute present | label)."""
-        i = self.labels.index(label)
+        i = self.space.labels.index(label)
         j = self._col.get(attribute)
         if j is None:
             sm = self.smoothing
@@ -104,45 +70,28 @@ class NbModel:
         return float(self._cond[i, j])
 
 
-def _presence_counts(x: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([x[g].sum(axis=0) for g in groups]).astype(float)
-
-
 def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> NbModel:
-    _check_mode(mode)
-    if smoothing <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
+    space = label_space(corpus, mode)
     vocab, col, x = attribute_matrix(corpus)
-    labels, groups, label_tasks = _labels_and_targets(corpus, mode)
-    m = corpus.size
-    sm = smoothing
-    counts = np.array([groups[label].size for label in labels], dtype=float)
-    present = _presence_counts(x, [groups[label] for label in labels])
-    cond = (present + sm) / (counts[:, None] + 2 * sm)
-    cond_neg = None
-    if mode == "direct":
-        absent_present = x.sum(axis=0)[None, :] - present
-        cond_neg = (absent_present + sm) / ((m - counts)[:, None] + 2 * sm)
+    cond, cond_neg = space.presence_rates(x, smoothing)
     return NbModel(
-        mode=mode,
-        labels=tuple(labels),
+        space=space,
         vocab=tuple(vocab),
-        smoothing=sm,
-        label_tasks=label_tasks,
+        smoothing=smoothing,
         _col=col,
-        _class_counts=counts,
+        _class_counts=np.array([g.size for g in space.groups], dtype=float),
         _cond=cond,
         _cond_neg=cond_neg,
-        _n_train=m,
+        _n_train=corpus.size,
     )
 
 
 def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction:
-    cols, n_unseen = _query_cols(model._col, query)
+    cols, n_unseen = query_cols(model._col, query)
     sm = model.smoothing
     log_cond = np.log(model._cond)
     log_not = np.log1p(-model._cond)
-    if model.mode == "family":
+    if model.space.mode == "family":
         floor = math.log(sm) - np.log(model._class_counts + 2 * sm)
         scores = (
             np.log(model._class_counts / model._n_train)
@@ -151,12 +100,7 @@ def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction
             + n_unseen * floor
         )
         shifted = np.exp(scores - scores.max())
-        post = shifted / shifted.sum()
-        class_probs = {label: float(p) for label, p in zip(model.labels, post)}
-        return make_prediction(
-            class_probs, dict(model.label_tasks), mode="family",
-            task_threshold=task_threshold, retained_chunks=len(model.labels),
-        )
+        return model.space.prediction(shifted / shifted.sum(), task_threshold)
     pos_counts = model._class_counts
     neg_counts = model._n_train - pos_counts
     log_cond_n = np.log(model._cond_neg)
@@ -175,11 +119,7 @@ def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction
         pos_counts == 0, 0.0,
         np.where(neg_counts == 0, 1.0, 1.0 / (1.0 + np.exp(-delta))),
     )
-    class_probs = {label: float(v) for label, v in zip(model.labels, p)}
-    return make_prediction(
-        class_probs, None, mode="direct",
-        task_threshold=task_threshold, retained_chunks=len(model.labels),
-    )
+    return model.space.prediction(p, task_threshold)
 
 
 # ---------------------------------------------------------------- decision tree
@@ -255,12 +195,14 @@ def _walk(node: TreeNode, qcols: set) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DtModel:
-    mode: str
-    labels: tuple
+    space: LabelSpace
     vocab: tuple
-    label_tasks: Mapping[str, frozenset] | None
     _col: Mapping[str, int]
     _roots: tuple                   # family: (root,); direct: one root per task
+
+    @property
+    def labels(self) -> tuple:
+        return self.space.labels
 
     def depth(self) -> int:
         def d(node):
@@ -273,26 +215,23 @@ class DtModel:
 _MIN_LEAF_FRAC = 0.05
 
 
-def _fit_targets(corpus: Corpus, mode: str, fit_one) -> tuple:
-    """Run a binary/multiclass fitter per the mode; returns (labels, label_tasks, fits)."""
-    labels, groups, label_tasks = _labels_and_targets(corpus, mode)
-    if mode == "family":
-        y = np.empty(corpus.size, dtype=int)
-        for i, label in enumerate(labels):
-            y[groups[label]] = i
-        fits = (fit_one(y, len(labels)),)
-    else:
-        fits = []
-        for label in labels:
-            y = np.zeros(corpus.size, dtype=int)
-            y[groups[label]] = 1
-            fits.append(fit_one(y, 2))
-        fits = tuple(fits)
-    return labels, label_tasks, fits
+def _fit_targets(space: LabelSpace, n: int, fit_one) -> tuple:
+    """fit_one(y, k) once over all labels (family) or once per label (direct)."""
+    if space.mode == "family":
+        y = np.empty(n, dtype=int)
+        for i, g in enumerate(space.groups):
+            y[g] = i
+        return (fit_one(y, len(space.labels)),)
+    fits = []
+    for g in space.groups:
+        y = np.zeros(n, dtype=int)
+        y[g] = 1
+        fits.append(fit_one(y, 2))
+    return tuple(fits)
 
 
 def dt_train(corpus: Corpus, mode: str = "family") -> DtModel:
-    _check_mode(mode)
+    space = label_space(corpus, mode)
     vocab, col, x = attribute_matrix(corpus)
     min_count = _MIN_LEAF_FRAC * corpus.size
     idx = np.arange(corpus.size)
@@ -301,42 +240,34 @@ def dt_train(corpus: Corpus, mode: str = "family") -> DtModel:
         return _grow_tree(x, y, k, idx, np.ones(len(vocab), dtype=bool),
                           min_count, None, None)
 
-    labels, label_tasks, roots = _fit_targets(corpus, mode, fit_one)
-    return DtModel(mode=mode, labels=tuple(labels), vocab=tuple(vocab),
-                   label_tasks=label_tasks, _col=col, _roots=roots)
+    roots = _fit_targets(space, corpus.size, fit_one)
+    return DtModel(space=space, vocab=tuple(vocab), _col=col, _roots=roots)
 
 
-def _tree_class_probs(model, query) -> dict:
-    query = frozenset(query)
-    if not query:
-        raise ValueError("query attribute set is empty")
-    qcols = {model._col[a] for a in query if a in model._col}
-    if model.mode == "family":
-        dist = _walk(model._roots[0], qcols)
-        return {label: float(p) for label, p in zip(model.labels, dist)}
-    return {
-        label: float(_walk(root, qcols)[1])
-        for label, root in zip(model.labels, model._roots)
-    }
+def _forest_prediction(space: LabelSpace, col: Mapping[str, int], forests,
+                       query, task_threshold: float) -> Prediction:
+    """Mean leaf distribution of one forest over all labels (family mode), or
+    of one binary forest per label at its positive class (direct mode)."""
+    cols, _ = query_cols(col, query)
+    qcols = set(cols.tolist())
+    if space.mode == "family":
+        probs = np.mean([_walk(t, qcols) for t in forests[0]], axis=0)
+    else:
+        probs = [np.mean([_walk(t, qcols)[1] for t in forest]) for forest in forests]
+    return space.prediction(probs, task_threshold)
 
 
 def dt_predict(model: DtModel, query, task_threshold: float = 0.5) -> Prediction:
-    class_probs = _tree_class_probs(model, query)
-    label_tasks = dict(model.label_tasks) if model.mode == "family" else None
-    return make_prediction(
-        class_probs, label_tasks, mode=model.mode,
-        task_threshold=task_threshold, retained_chunks=len(model.labels),
-    )
+    forests = [(root,) for root in model._roots]
+    return _forest_prediction(model.space, model._col, forests, query, task_threshold)
 
 
 # ---------------------------------------------------------------- random forest
 
 @dataclass(frozen=True)
 class RfModel:
-    mode: str
-    labels: tuple
+    space: LabelSpace
     vocab: tuple
-    label_tasks: Mapping[str, frozenset] | None
     n_trees: int
     _col: Mapping[str, int]
     _forests: tuple                 # family: (trees,); direct: one tuple per task
@@ -350,7 +281,7 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     max_features=None draws ceil(sqrt(|vocab|)) candidates per node; pass the
     vocabulary size (and bootstrap=False) to reproduce the plain tree.
     """
-    _check_mode(mode)
+    space = label_space(corpus, mode)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     vocab, col, x = attribute_matrix(corpus)
@@ -368,41 +299,22 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
                                     min_count, rng, mf))
         return tuple(trees)
 
-    labels, label_tasks, forests = _fit_targets(corpus, mode, fit_one)
-    return RfModel(mode=mode, labels=tuple(labels), vocab=tuple(vocab),
-                   label_tasks=label_tasks, n_trees=n_trees, _col=col,
+    forests = _fit_targets(space, m, fit_one)
+    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, _col=col,
                    _forests=forests)
 
 
 def rf_predict(model: RfModel, query, task_threshold: float = 0.5) -> Prediction:
-    query = frozenset(query)
-    if not query:
-        raise ValueError("query attribute set is empty")
-    qcols = {model._col[a] for a in query if a in model._col}
-    if model.mode == "family":
-        dist = np.mean([_walk(t, qcols) for t in model._forests[0]], axis=0)
-        class_probs = {label: float(p) for label, p in zip(model.labels, dist)}
-        label_tasks = dict(model.label_tasks)
-    else:
-        class_probs = {
-            label: float(np.mean([_walk(t, qcols)[1] for t in forest]))
-            for label, forest in zip(model.labels, model._forests)
-        }
-        label_tasks = None
-    return make_prediction(
-        class_probs, label_tasks, mode=model.mode,
-        task_threshold=task_threshold, retained_chunks=len(model.labels),
-    )
+    return _forest_prediction(model.space, model._col, model._forests, query,
+                              task_threshold)
 
 
 # ------------------------------------------------------- logistic regression
 
 @dataclass(frozen=True)
 class LogRegModel:
-    mode: str
-    labels: tuple
+    space: LabelSpace
     vocab: tuple
-    label_tasks: Mapping[str, frozenset] | None
     epochs: int
     grad_norm: float                # gradient norm at the last epoch
     _col: Mapping[str, int]
@@ -453,48 +365,30 @@ def _fit_logreg(x: np.ndarray, y: np.ndarray, k: int, lr: float, l2: float,
 
 
 def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
-                 epochs: int = 500, seed: int = 0, mode: str = "family") -> LogRegModel:
-    _check_mode(mode)
+                 epochs: int = 500, mode: str = "family") -> LogRegModel:
+    """Full-batch ascent from zero weights; deterministic, so it takes no seed."""
+    space = label_space(corpus, mode)
     if learning_rate <= 0 or epochs < 1 or l2 < 0:
         raise ValueError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
-    del seed  # full-batch from zero init is deterministic; kept for API symmetry
     vocab, col, x = attribute_matrix(corpus)
-
-    worst = 0.0
-    results = []
-
-    def fit_one(y, k):
-        nonlocal worst
-        w, b, gn = _fit_logreg(x, y, k, learning_rate, l2, epochs)
-        worst = max(worst, gn)
-        results.append((w, b))
-        return len(results) - 1
-
-    labels, label_tasks, handles = _fit_targets(corpus, mode, fit_one)
-    if mode == "family":
-        w, b = results[handles[0]]
+    fits = _fit_targets(space, corpus.size,
+                        lambda y, k: _fit_logreg(x, y, k, learning_rate, l2, epochs))
+    if space.mode == "family":
+        w, b, _ = fits[0]
     else:
-        w = np.stack([results[h][0][1] - results[h][0][0] for h in handles])
-        b = np.array([results[h][1][1] - results[h][1][0] for h in handles])
-    return LogRegModel(mode=mode, labels=tuple(labels), vocab=tuple(vocab),
-                       label_tasks=label_tasks, epochs=epochs, grad_norm=worst,
-                       _col=col, _w=w, _b=b)
+        w = np.stack([fw[1] - fw[0] for fw, _, _ in fits])
+        b = np.array([fb[1] - fb[0] for _, fb, _ in fits])
+    return LogRegModel(space=space, vocab=tuple(vocab), epochs=epochs,
+                       grad_norm=max(gn for _, _, gn in fits), _col=col, _w=w, _b=b)
 
 
 def logreg_predict(model: LogRegModel, query, task_threshold: float = 0.5) -> Prediction:
-    cols, _ = _query_cols(model._col, query)
+    cols, _ = query_cols(model._col, query)
     qvec = np.zeros(len(model.vocab))
     qvec[cols] = 1.0
     z = model._w @ qvec + model._b
-    if model.mode == "family":
+    if model.space.mode == "family":
         p = _softmax_rows(z[None, :])[0]
-        class_probs = {label: float(v) for label, v in zip(model.labels, p)}
-        label_tasks = dict(model.label_tasks)
     else:
         p = 1.0 / (1.0 + np.exp(-z))
-        class_probs = {label: float(v) for label, v in zip(model.labels, p)}
-        label_tasks = None
-    return make_prediction(
-        class_probs, label_tasks, mode=model.mode,
-        task_threshold=task_threshold, retained_chunks=len(model.labels),
-    )
+    return model.space.prediction(p, task_threshold)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import evaluation, ingest, synthgen
 from .core import (
+    MODES,
     ActrParams,
     CorpusError,
     canonical_json,
@@ -55,7 +56,7 @@ def _params_from_args(args: argparse.Namespace) -> ActrParams:
 
 def _add_eval_flags(parser: argparse.ArgumentParser, with_protocol: bool) -> None:
     parser.add_argument("--corpus", required=True, help="training corpus file")
-    parser.add_argument("--mode", choices=("family", "direct"), default="family",
+    parser.add_argument("--mode", choices=MODES, default="family",
                         help="classify via families or tasks directly")
     parser.add_argument("--seed", type=int, default=0)
     if with_protocol:
@@ -132,19 +133,24 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     config = None
     if args.report_config:
         config = ingest.load_extraction_config(args.report_config)
-    samples = []
-    failures = []
+    samples = {}
+    failures = 0
     for name in args.reports:
         try:
             with open(name, "rb") as fh:
                 data = fh.read()
-            samples.append(ingest.parse_report(data, config, location=name))
+            sample = ingest.parse_report(data, config, location=name)
+            if sample.id in samples:  # a corpus file holds each id once
+                raise ingest.ReportError(
+                    f"sample id {sample.id!r} repeats an earlier report; "
+                    f"kept the first", name)
+            samples[sample.id] = sample
         except (OSError, ingest.ReportError) as e:
-            failures.append((name, str(e)))
+            failures += 1
             print(f"error: {e}", file=sys.stderr)
-    write_corpus_records(args.out, samples, {})
+    write_corpus_records(args.out, samples.values(), {})
     print(f"ingested {len(samples)} of {len(args.reports)} report(s) "
-          f"into {args.out} ({len(failures)} failed)")
+          f"into {args.out} ({failures} failed)")
     return 1 if failures else 0
 
 

@@ -11,6 +11,11 @@ the family -> task-set map and a fan index (for each attribute, the number
 of samples containing it).  The fan index is what the activation models read
 at prediction time, so it is computed once at construction.
 
+Models score in one of two modes: "family" (one label per family, whose
+tasks follow) or "direct" (one label per task).  `label_space` alone checks
+the mode and enumerates its labels; its LabelSpace turns label probabilities
+into Predictions through `make_prediction`, the one task-derivation path.
+
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
 
@@ -41,7 +46,7 @@ FamilyId = str
 TaskId = str
 AttributeSet = frozenset
 
-_MODES = ("family", "direct")
+MODES = ("family", "direct")
 
 
 class CorpusError(ValueError):
@@ -95,6 +100,10 @@ class ActrParams:
     partial_matching: str = "overlap"
 
     def __post_init__(self):
+        for name in ("beta", "s", "tau", "mp", "w", "task_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.s <= 0:
             raise ValueError(f"temperature s must be positive, got {self.s}")
         if self.mp < 0:
@@ -245,6 +254,16 @@ def attribute_matrix(corpus: Corpus) -> tuple:
     return vocab, col, x
 
 
+def query_cols(col: Mapping[str, int], query) -> tuple:
+    """(sorted columns of the known attributes, count of unseen ones) for a
+    non-empty query; `col` maps each training attribute to its column."""
+    query = frozenset(query)
+    if not query:
+        raise ValueError("query attribute set is empty")
+    cols = sorted(col[a] for a in query if a in col)
+    return np.array(cols, dtype=int), len(query) - len(cols)
+
+
 def derive_tasks(class_probs: Mapping[str, float], label_tasks: Mapping[str, Iterable[TaskId]],
                  threshold: float) -> frozenset:
     """Tasks whose summed label probability mass reaches the threshold.
@@ -270,8 +289,8 @@ def make_prediction(class_probs: Mapping[str, float],
     family -> tasks map, direct mode passes label_tasks=None and each label
     is its own task.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     family = None
     if mode == "family":
         if label_tasks is None:
@@ -291,6 +310,73 @@ def make_prediction(class_probs: Mapping[str, float],
         retained_chunks=retained_chunks,
         degenerate=degenerate,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class LabelSpace:
+    """The labels a model scores over a corpus, in one mode.
+
+    family  one label per family; groups[i] holds the members of labels[i]
+            and label_tasks maps each family to the tasks it performs
+    direct  one label per task; groups[i] holds the samples performing
+            labels[i] and label_tasks is None (each label is its own task)
+
+    Labels are sorted; groups are sorted sample-index arrays.
+    """
+
+    mode: str
+    labels: tuple
+    groups: tuple
+    label_tasks: Mapping[str, frozenset] | None
+
+    def presence_rates(self, x: np.ndarray, smoothing: float) -> tuple:
+        """Smoothed (labels x vocab) presence rates over the design matrix x.
+
+            p(a|l)  = (count(a, l) + sm) / (|l| + 2 sm)
+            p(a|~l) = (count(a) - count(a, l) + sm) / (|M| - |l| + 2 sm)
+
+        Returns (p(a|l), p(a|~l)).
+        """
+        if smoothing <= 0:
+            raise ValueError(f"smoothing must be positive, got {smoothing}")
+        sm = smoothing
+        sizes = np.array([g.size for g in self.groups], dtype=float)
+        present = np.stack([x[g].sum(axis=0) for g in self.groups]).astype(float)
+        given = (present + sm) / (sizes[:, None] + 2 * sm)
+        not_given = ((x.sum(axis=0)[None, :] - present + sm)
+                     / ((x.shape[0] - sizes)[:, None] + 2 * sm))
+        return given, not_given
+
+    def prediction(self, probs, task_threshold: float,
+                   retained_chunks: int | None = None,
+                   degenerate: bool = False) -> Prediction:
+        """Prediction from probabilities aligned with `labels`; retained_chunks
+        defaults to the label count, for models in which every label competes."""
+        return make_prediction(
+            {label: float(p) for label, p in zip(self.labels, probs)},
+            self.label_tasks,
+            mode=self.mode,
+            task_threshold=task_threshold,
+            retained_chunks=len(self.labels) if retained_chunks is None else retained_chunks,
+            degenerate=degenerate,
+        )
+
+
+def label_space(corpus: Corpus, mode: str) -> LabelSpace:
+    """The family or direct-task label space of a corpus."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "family":
+        labels = sorted(corpus.families)
+        groups = [corpus.members(f) for f in labels]
+        label_tasks = dict(corpus.families)
+    else:
+        labels = sorted(corpus.tasks)
+        groups = [[i for i, s in enumerate(corpus.samples) if t in s.tasks]
+                  for t in labels]
+        label_tasks = None
+    return LabelSpace(mode, tuple(labels),
+                      tuple(np.array(g, dtype=int) for g in groups), label_tasks)
 
 
 def canonical_json(obj) -> str:

@@ -166,14 +166,26 @@ def _string_entries(summary: dict, field_name: str) -> Iterable:
             yield entry
 
 
+def _section(parent: dict, path: str, location: str) -> dict:
+    """The member of `parent` named by the last key of dotted `path`.
+
+    Absent, null or empty members read as {}; any other non-object raises a
+    ReportError naming `path`.
+    """
+    value = parent.get(path.rsplit(".", 1)[-1]) or {}
+    if not isinstance(value, dict):
+        raise ReportError(f"{path} is not a JSON object", location)
+    return value
+
+
 def parse_report(data, config: ExtractionConfig | None = None,
                  location: str = "") -> Sample:
     """Parse one sandbox report into an unlabeled Sample.
 
     `data` is the report JSON as bytes or str; `location` (usually the file
     name) prefixes error messages.  Raises ReportError for malformed
-    documents, missing identity, missing behavior section, or an empty
-    extraction result.
+    documents, a section of the wrong JSON type, a non-string hash, missing
+    identity, missing behavior section, or an empty extraction result.
     """
     config = config or ExtractionConfig()
     if isinstance(data, bytes):
@@ -188,8 +200,11 @@ def parse_report(data, config: ExtractionConfig | None = None,
     if not isinstance(doc, dict):
         raise ReportError("report is not a JSON object", location)
 
-    target_file = (doc.get("target") or {}).get("file") or {}
-    info = doc.get("info") or {}
+    target_file = _section(_section(doc, "target", location), "target.file", location)
+    info = _section(doc, "info", location)
+    for key in ("sha256", "md5"):
+        if target_file.get(key) is not None and not isinstance(target_file[key], str):
+            raise ReportError(f"target.file.{key} is not a string", location)
     sample_id = target_file.get("sha256") or target_file.get("md5")
     if not sample_id and info.get("id") is not None:
         sample_id = str(info["id"])
@@ -201,7 +216,7 @@ def parse_report(data, config: ExtractionConfig | None = None,
     behavior = doc.get("behavior")
     if not isinstance(behavior, dict) or not behavior:
         raise ReportError("missing behavior section; no attributes", location)
-    summary = behavior.get("summary") or {}
+    summary = _section(behavior, "behavior.summary", location)
 
     tokens: set = set()
     if config.use_dlls:
@@ -222,7 +237,7 @@ def parse_report(data, config: ExtractionConfig | None = None,
         if isinstance(processes, list) and processes:
             tokens.add("proAct")
     if config.use_static:
-        imports = (doc.get("static") or {}).get("pe_imports") or []
+        imports = _section(doc, "static", location).get("pe_imports") or []
         if isinstance(imports, list):
             for imp in imports:
                 if isinstance(imp, dict) and isinstance(imp.get("dll"), str):

@@ -13,9 +13,48 @@ from typing import Callable
 from . import actr, baselines
 from .core import ActrParams, Corpus, Prediction
 
-METHODS = ("actr-ib", "actr-r", "nb", "dt", "rf", "logreg")
-
 Predictor = Callable[[frozenset], Prediction]
+
+# method -> (train(corpus, mode, params, seed, **hyper), default hyperparameters
+# (the only keys `hyper` may set), predict(model, params, query)).  Model
+# functions are looked up at call time, so wrappers installed on their modules
+# (the benchmark tracer's) take effect.
+_REGISTRY = {
+    "actr-ib": (
+        lambda corpus, mode, params, seed: actr.IbModel(corpus, params, mode),
+        {},
+        lambda model, params, q: model.predict(q),
+    ),
+    "actr-r": (
+        lambda corpus, mode, params, seed, **h: actr.rb_train(corpus, mode=mode, **h),
+        {"smoothing": 1.0},
+        lambda model, params, q: actr.rb_predict(model, params, q),
+    ),
+    "nb": (
+        lambda corpus, mode, params, seed, **h: baselines.nb_train(corpus, mode=mode, **h),
+        {"smoothing": 1.0},
+        lambda model, params, q: baselines.nb_predict(model, q, params.task_threshold),
+    ),
+    "dt": (
+        lambda corpus, mode, params, seed: baselines.dt_train(corpus, mode=mode),
+        {},
+        lambda model, params, q: baselines.dt_predict(model, q, params.task_threshold),
+    ),
+    "rf": (
+        lambda corpus, mode, params, seed, **h: baselines.rf_train(
+            corpus, seed=seed, mode=mode, **h),
+        {"n_trees": 100, "bootstrap": True, "max_features": None},
+        lambda model, params, q: baselines.rf_predict(model, q, params.task_threshold),
+    ),
+    "logreg": (
+        lambda corpus, mode, params, seed, **h: baselines.logreg_train(
+            corpus, mode=mode, **h),
+        {"learning_rate": 0.1, "l2": 1e-3, "epochs": 500},
+        lambda model, params, q: baselines.logreg_predict(model, q, params.task_threshold),
+    ),
+}
+
+METHODS = tuple(_REGISTRY)
 
 
 def train_method(method: str, corpus: Corpus, mode: str = "family",
@@ -26,52 +65,15 @@ def train_method(method: str, corpus: Corpus, mode: str = "family",
     `params` carries the activation parameters and the shared task
     threshold; `hyper` overrides method-specific training knobs (rb/nb
     `smoothing`, rf `n_trees`/`bootstrap`/`max_features`, logreg
-    `learning_rate`/`l2`/`epochs`).
+    `learning_rate`/`l2`/`epochs`); any other key is rejected.
     """
-    if method not in METHODS:
+    if method not in _REGISTRY:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    train, defaults, predict = _REGISTRY[method]
+    hyper = hyper or {}
+    unknown = sorted(set(hyper) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown hyperparameters for {method}: {unknown}")
     params = params or ActrParams()
-    hyper = dict(hyper or {})
-    threshold = params.task_threshold
-
-    if method == "actr-ib":
-        model = actr.IbModel(corpus, params, mode=mode)
-        return model.predict
-    if method == "actr-r":
-        table = actr.rb_train(corpus, smoothing=hyper.pop("smoothing", 1.0), mode=mode)
-        _check_unused(method, hyper)
-        return lambda q: actr.rb_predict(table, params, q)
-    if method == "nb":
-        nb = baselines.nb_train(corpus, smoothing=hyper.pop("smoothing", 1.0), mode=mode)
-        _check_unused(method, hyper)
-        return lambda q: baselines.nb_predict(nb, q, task_threshold=threshold)
-    if method == "dt":
-        _check_unused(method, hyper)
-        dt = baselines.dt_train(corpus, mode=mode)
-        return lambda q: baselines.dt_predict(dt, q, task_threshold=threshold)
-    if method == "rf":
-        rf = baselines.rf_train(
-            corpus,
-            n_trees=hyper.pop("n_trees", 100),
-            seed=seed,
-            mode=mode,
-            bootstrap=hyper.pop("bootstrap", True),
-            max_features=hyper.pop("max_features", None),
-        )
-        _check_unused(method, hyper)
-        return lambda q: baselines.rf_predict(rf, q, task_threshold=threshold)
-    lr = baselines.logreg_train(
-        corpus,
-        learning_rate=hyper.pop("learning_rate", 0.1),
-        l2=hyper.pop("l2", 1e-3),
-        epochs=hyper.pop("epochs", 500),
-        seed=seed,
-        mode=mode,
-    )
-    _check_unused(method, hyper)
-    return lambda q: baselines.logreg_predict(lr, q, task_threshold=threshold)
-
-
-def _check_unused(method: str, leftover: dict) -> None:
-    if leftover:
-        raise ValueError(f"unknown hyperparameters for {method}: {sorted(leftover)}")
+    model = train(corpus, mode, params, seed, **{**defaults, **hyper})
+    return lambda q: predict(model, params, q)

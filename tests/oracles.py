@@ -82,6 +82,53 @@ def reference_ib_tasks(corpus: Corpus, params: ActrParams, query):
     return {t for t, p in tasks.items() if p >= params.task_threshold}
 
 
+def reference_rb_probs(corpus: Corpus, params: ActrParams, query, mode: str,
+                       smoothing: float = 1.0):
+    """Transcribed rule-model scoring: per-label counting loops, no arrays.
+
+    Family mode softmaxes log prior + w * mean association over all
+    families; direct mode gives each task a two-way softmax against its
+    complement (a task carried by every sample keeps its prior of 1).
+    """
+    query = set(query)
+    m = len(corpus.samples)
+    sm = smoothing
+    if mode == "family":
+        labels = sorted(corpus.families)
+        members = {f: [s for s in corpus.samples if s.family == f] for f in labels}
+    else:
+        labels = sorted(corpus.tasks)
+        members = {t: [s for s in corpus.samples if t in s.tasks] for t in labels}
+
+    def association(label):
+        group = members[label]
+        total = 0.0
+        for a in query:
+            fan = sum(1 for s in corpus.samples if a in s.attribs)
+            if fan == 0:
+                continue
+            inside = sum(1 for s in group if a in s.attribs)
+            given = (inside + sm) / (len(group) + 2 * sm)
+            not_given = (fan - inside + sm) / (m - len(group) + 2 * sm)
+            total += math.log(given / not_given)
+        return total / len(query)
+
+    if mode == "family":
+        acts = [math.log(len(members[f]) / m) + params.w * association(f)
+                for f in labels]
+        return dict(zip(labels, softmax_probs(acts, params.s)))
+    out = {}
+    for t in labels:
+        prior = len(members[t]) / m
+        if prior == 1.0:
+            out[t] = 1.0
+            continue
+        assoc = params.w * association(t)
+        out[t] = softmax_probs(
+            [math.log(prior) + assoc, math.log(1.0 - prior) - assoc], params.s)[0]
+    return out
+
+
 def reference_nb_posterior(corpus: Corpus, smoothing: float, query):
     """Brute-force Bernoulli Bayes over the attribute union, direct products."""
     query = set(query)

@@ -17,6 +17,7 @@ from oracles import (
     random_params,
     reference_ib_probs,
     reference_ib_tasks,
+    reference_rb_probs,
 )
 from taskinfer.actr import (
     IbModel,
@@ -269,20 +270,23 @@ class TestRuleTable:
 
     def test_smoothed_rule_values(self, two_family_corpus):
         rules = rb_train(two_family_corpus)
-        assert rules.given["a"]["F1"] == pytest.approx(0.75)
-        assert rules.not_given["a"]["F1"] == pytest.approx(0.25)
-        assert rules.given["a"]["F2"] == pytest.approx(0.25)
-        assert rules.not_given["a"]["F2"] == pytest.approx(0.75)
-        assert rules.given["b"]["F1"] == pytest.approx(0.5)
-        assert rules.given["b"]["F2"] == pytest.approx(0.5)
+        f1, f2 = rules.space.labels.index("F1"), rules.space.labels.index("F2")
+        a, b = rules.col["a"], rules.col["b"]
+        assert rules.given[f1, a] == pytest.approx(0.75)
+        assert rules.not_given[f1, a] == pytest.approx(0.25)
+        assert rules.given[f2, a] == pytest.approx(0.25)
+        assert rules.not_given[f2, a] == pytest.approx(0.75)
+        assert rules.given[f1, b] == pytest.approx(0.5)
+        assert rules.given[f2, b] == pytest.approx(0.5)
         assert rules.priors == {"F1": 0.5, "F2": 0.5}
 
     def test_rules_converge_to_empirical_rates_as_smoothing_vanishes(
         self, two_family_corpus
     ):
         rules = rb_train(two_family_corpus, smoothing=1e-9)
-        assert rules.given["a"]["F1"] == pytest.approx(1.0, abs=1e-8)
-        assert rules.not_given["a"]["F1"] == pytest.approx(0.0, abs=1e-8)
+        f1, a = rules.space.labels.index("F1"), rules.col["a"]
+        assert rules.given[f1, a] == pytest.approx(1.0, abs=1e-8)
+        assert rules.not_given[f1, a] == pytest.approx(0.0, abs=1e-8)
 
     def test_discriminative_attribute_worked_example(self, two_family_corpus):
         # w = 1, s = 1, query {a}:
@@ -362,6 +366,23 @@ class TestRuleTable:
                     assert sum(pred.class_probs.values()) == pytest.approx(
                         1.0, abs=1e-9
                     )
+
+    def test_matches_reference_transcription(self):
+        rng = random.Random(33)
+        for _ in range(30):
+            c = random_corpus(rng)
+            params = random_params(rng)
+            smoothing = rng.uniform(0.1, 2.0)
+            vocab = sorted(c.fan)
+            q = set(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
+            if rng.random() < 0.3:
+                q.add("novel")
+            for mode in ("family", "direct"):
+                ref = reference_rb_probs(c, params, q, mode, smoothing)
+                got = rb_predict(rb_train(c, smoothing=smoothing, mode=mode), params, q)
+                assert got.class_probs.keys() == ref.keys()
+                for label, p in ref.items():
+                    assert got.class_probs[label] == pytest.approx(p, abs=1e-12)
 
     def test_rejects_empty_family_bad_smoothing_bad_mode(self, two_family_corpus):
         from taskinfer.core import build_corpus, Sample

@@ -113,6 +113,22 @@ class TestIngest:
         _, samples = read_corpus_records(out)
         assert len(samples) == 1
 
+    def test_repeated_sample_id_keeps_the_first_report(self, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(GOOD_REPORT))
+        again = tmp_path / "again.json"
+        resubmitted = dict(GOOD_REPORT, behavior={"summary": {"dll_loaded": ["z.dll"]}})
+        again.write_text(json.dumps(resubmitted))
+        out = tmp_path / "ingested.jsonl"
+        rc = main(["ingest", str(first), str(again), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "again.json" in captured.err and "aa11" in captured.err
+        assert "ingested 1 of 2" in captured.out
+        _, samples = read_corpus_records(out)
+        assert [s.id for s in samples] == ["aa11"]
+        assert "usesDLL:z.dll" not in samples[0].attribs
+
     def test_report_config_is_honored(self, tmp_path):
         report = tmp_path / "r.json"
         report.write_text(json.dumps(GOOD_REPORT))

@@ -1,5 +1,6 @@
 """Domain types, corpus construction, the task-derivation path, file format."""
 
+import math
 import random
 
 import pytest
@@ -65,6 +66,12 @@ class TestActrParams:
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             ActrParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["beta", "s", "tau", "mp", "w", "task_threshold"])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ActrParams(**{field: value})
 
 
 class TestBuildCorpus:

@@ -190,6 +190,30 @@ class TestParseReportErrors:
         with pytest.raises(ReportError, match="missing behavior section"):
             parse_report(doc)
 
+    def test_non_object_summary_is_an_error(self):
+        doc = json.dumps({
+            "target": {"file": {"sha256": "S"}},
+            "behavior": {"summary": ["a.dll"]},
+        })
+        with pytest.raises(ReportError, match="r.json: behavior.summary is not a JSON object"):
+            parse_report(doc, location="r.json")
+
+    def test_non_object_target_file_is_an_error(self):
+        doc = json.dumps({
+            "target": {"file": "C:\\samples\\sample.exe"},
+            "behavior": {"summary": {"dll_loaded": ["a.dll"]}},
+        })
+        with pytest.raises(ReportError, match="target.file is not a JSON object"):
+            parse_report(doc)
+
+    def test_non_string_hash_is_an_error(self):
+        doc = json.dumps({
+            "target": {"file": {"sha256": 123456789}},
+            "behavior": {"summary": {"dll_loaded": ["a.dll"]}},
+        })
+        with pytest.raises(ReportError, match="target.file.sha256 is not a string"):
+            parse_report(doc)
+
     def test_empty_extraction_is_an_error(self):
         doc = json.dumps({
             "target": {"file": {"sha256": "S"}},
