@@ -63,6 +63,7 @@ from .core import (
     attribute_matrix,
     label_space,
     query_cols,
+    softmax,
 )
 
 
@@ -124,20 +125,13 @@ def _softmax_retained(acts: np.ndarray, params: ActrParams,
     """
     if acts.size == 0:
         raise ValueError("no activations to retrieve over")
-    if apply_threshold:
-        mask = acts >= params.tau
-    else:
-        mask = np.ones(acts.shape, dtype=bool)
-    retained = int(mask.sum()) if apply_threshold else int(acts.size)
-    degenerate = False
-    if not mask.any():
-        mask = np.ones(acts.shape, dtype=bool)
-        degenerate = True
-        retained = 0
-    sub = acts[mask]
-    w = np.exp((sub - sub.max()) / params.s)
+    mask = acts >= params.tau if apply_threshold else np.ones(acts.shape, dtype=bool)
+    retained = int(mask.sum())
+    degenerate = retained == 0
+    if degenerate:
+        mask[:] = True
     probs = np.zeros(acts.shape)
-    probs[mask] = w / w.sum()
+    probs[mask] = softmax(acts[mask], params.s)
     return probs, retained, degenerate
 
 
@@ -225,10 +219,6 @@ def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> Ru
     space = label_space(corpus, mode)
     if corpus.size == 0:
         raise ValueError("cannot build rules from an empty corpus")
-    kind = "family" if mode == "family" else "task"
-    for label, g in zip(space.labels, space.groups):
-        if not g.size:
-            raise ValueError(f"{kind} {label!r} has no samples")
     _, col, x = attribute_matrix(corpus)
     given, not_given = space.presence_rates(x, smoothing)
     prior = np.array([g.size for g in space.groups]) / corpus.size
@@ -254,13 +244,12 @@ def rb_predict(rules: RuleTable, params: ActrParams, query) -> Prediction:
     params = params or ActrParams()
     assoc = params.w * (rules._log_ratio[:, cols].sum(axis=1) / (cols.size + n_unseen))
     if rules.space.mode == "family":
-        probs, _, _ = _softmax_retained(np.log(rules._prior) + assoc, params, False)
+        probs = softmax(np.log(rules._prior) + assoc, params.s)
     else:
         # A two-way softmax of each task against its complement.  A task every
         # sample performs has log(1 - 1) = -inf there, so it keeps its prior 1.
         with np.errstate(divide="ignore"):
             acts = np.stack([np.log(rules._prior) + assoc,
                              np.log(1.0 - rules._prior) - assoc])
-        w = np.exp((acts - acts.max(axis=0)) / params.s)
-        probs = w[0] / w.sum(axis=0)
+        probs = softmax(acts, params.s, axis=0)[0]
     return rules.space.prediction(probs, params.task_threshold)

@@ -31,7 +31,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Corpus, LabelSpace, Prediction, attribute_matrix, label_space, query_cols
+from .core import (Corpus, LabelSpace, Prediction, attribute_matrix, label_space,
+                   query_cols, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -42,7 +43,9 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class NbModel:
-    """Bernoulli naive Bayes, family-multiclass or per-task binary."""
+    """Bernoulli naive Bayes, family-multiclass or per-task binary.  A query
+    scores the log joint of each family, or the log odds of each task against
+    its complement."""
 
     space: LabelSpace
     vocab: tuple
@@ -50,8 +53,10 @@ class NbModel:
     _col: Mapping[str, int]
     _class_counts: np.ndarray       # samples per label (L,)
     _cond: np.ndarray               # p(a|label) (L,d)
-    _cond_neg: np.ndarray           # p(a|~label) (L,d), read in direct mode
     _n_train: int
+    _bias: np.ndarray               # score of a query with no attributes (L,)
+    _weight: np.ndarray             # score added by a present attribute (L,d)
+    _floor: np.ndarray              # score added by an unseen attribute (L,)
 
     @property
     def priors(self) -> dict:
@@ -74,50 +79,44 @@ def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> Nb
     space = label_space(corpus, mode)
     vocab, col, x = attribute_matrix(corpus)
     cond, cond_neg = space.presence_rates(x, smoothing)
+    pos = np.array([g.size for g in space.groups], dtype=float)
+    log_cond = np.log(cond)
+    log_not = np.log1p(-cond)
+    if space.mode == "family":
+        bias = np.log(pos / corpus.size) + log_not.sum(axis=1)
+        weight = log_cond - log_not
+        floor = math.log(smoothing) - np.log(pos + 2 * smoothing)
+    else:
+        neg = corpus.size - pos
+        log_cond_n = np.log(cond_neg)
+        log_not_n = np.log1p(-cond_neg)
+        with np.errstate(divide="ignore"):      # a task every sample performs
+            bias = np.log(pos) - np.log(neg) + (log_not - log_not_n).sum(axis=1)
+        weight = (log_cond - log_not) - (log_cond_n - log_not_n)
+        floor = np.log(neg + 2 * smoothing) - np.log(pos + 2 * smoothing)
     return NbModel(
         space=space,
         vocab=tuple(vocab),
         smoothing=smoothing,
         _col=col,
-        _class_counts=np.array([g.size for g in space.groups], dtype=float),
+        _class_counts=pos,
         _cond=cond,
-        _cond_neg=cond_neg,
         _n_train=corpus.size,
+        _bias=bias,
+        _weight=weight,
+        _floor=floor,
     )
 
 
 def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction:
     cols, n_unseen = query_cols(model._col, query)
-    sm = model.smoothing
-    log_cond = np.log(model._cond)
-    log_not = np.log1p(-model._cond)
+    scores = model._bias + model._weight[:, cols].sum(axis=1) + n_unseen * model._floor
     if model.space.mode == "family":
-        floor = math.log(sm) - np.log(model._class_counts + 2 * sm)
-        scores = (
-            np.log(model._class_counts / model._n_train)
-            + log_not.sum(axis=1)
-            + (log_cond[:, cols] - log_not[:, cols]).sum(axis=1)
-            + n_unseen * floor
-        )
-        shifted = np.exp(scores - scores.max())
-        return model.space.prediction(shifted / shifted.sum(), task_threshold)
-    pos_counts = model._class_counts
-    neg_counts = model._n_train - pos_counts
-    log_cond_n = np.log(model._cond_neg)
-    log_not_n = np.log1p(-model._cond_neg)
-    floor_delta = np.log(neg_counts + 2 * sm) - np.log(pos_counts + 2 * sm)
-    with np.errstate(divide="ignore"):
-        log_odds_prior = np.log(pos_counts) - np.log(neg_counts)
-    delta = (
-        log_odds_prior
-        + (log_not - log_not_n).sum(axis=1)
-        + ((log_cond[:, cols] - log_not[:, cols])
-           - (log_cond_n[:, cols] - log_not_n[:, cols])).sum(axis=1)
-        + n_unseen * floor_delta
-    )
+        return model.space.prediction(softmax(scores), task_threshold)
+    pos = model._class_counts
     p = np.where(
-        pos_counts == 0, 0.0,
-        np.where(neg_counts == 0, 1.0, 1.0 / (1.0 + np.exp(-delta))),
+        pos == 0, 0.0,
+        np.where(pos == model._n_train, 1.0, 1.0 / (1.0 + np.exp(-scores))),
     )
     return model.space.prediction(p, task_threshold)
 
@@ -322,11 +321,6 @@ class LogRegModel:
     _b: np.ndarray                  # family: (K,); direct: (T,)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - z.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
-
-
 def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
                      y_onehot: np.ndarray, l2: float) -> tuple:
     """Mean log-likelihood minus L2 penalty, with analytic gradients.
@@ -336,7 +330,7 @@ def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
     """
     n = x.shape[0]
     z = x @ w.T + b
-    p = _softmax_rows(z)
+    p = softmax(z)
     eps = np.finfo(float).tiny
     ll = float(np.sum(y_onehot * np.log(p + eps)) / n)
     obj = ll - 0.5 * l2 * float((w * w).sum())
@@ -388,7 +382,7 @@ def logreg_predict(model: LogRegModel, query, task_threshold: float = 0.5) -> Pr
     qvec[cols] = 1.0
     z = model._w @ qvec + model._b
     if model.space.mode == "family":
-        p = _softmax_rows(z[None, :])[0]
+        p = softmax(z)
     else:
         p = 1.0 / (1.0 + np.exp(-z))
     return model.space.prediction(p, task_threshold)

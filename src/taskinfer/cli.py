@@ -203,8 +203,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     _, records = read_corpus_records(args.records)
     lines = []
     for s in records:
-        if not s.attribs:
-            continue
         pred = predictor(s.attribs)
         lines.append(canonical_json({
             "id": s.id,

@@ -13,8 +13,9 @@ at prediction time, so it is computed once at construction.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
-the mode and enumerates its labels; its LabelSpace turns label probabilities
-into Predictions through `make_prediction`, the one task-derivation path.
+the mode and enumerates its labels (each carried by some sample); its
+LabelSpace turns label probabilities into Predictions through
+`make_prediction`, the one task-derivation path.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -264,6 +265,12 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
     return np.array(cols, dtype=int), len(query) - len(cols)
 
 
+def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
+    """exp(z / s) normalized along `axis`, shifted by the maximum for stability."""
+    w = np.exp((z - z.max(axis=axis, keepdims=True)) / s)
+    return w / w.sum(axis=axis, keepdims=True)
+
+
 def derive_tasks(class_probs: Mapping[str, float], label_tasks: Mapping[str, Iterable[TaskId]],
                  threshold: float) -> frozenset:
     """Tasks whose summed label probability mass reaches the threshold.
@@ -363,7 +370,8 @@ class LabelSpace:
 
 
 def label_space(corpus: Corpus, mode: str) -> LabelSpace:
-    """The family or direct-task label space of a corpus."""
+    """The family or direct-task label space of a corpus; a label no sample
+    carries raises ValueError naming it."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "family":
@@ -375,6 +383,10 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
         groups = [[i for i, s in enumerate(corpus.samples) if t in s.tasks]
                   for t in labels]
         label_tasks = None
+    kind = "family" if mode == "family" else "task"
+    for label, g in zip(labels, groups):
+        if not g:
+            raise ValueError(f"{kind} {label!r} has no samples")
     return LabelSpace(mode, tuple(labels),
                       tuple(np.array(g, dtype=int) for g in groups), label_tasks)
 

@@ -8,10 +8,11 @@ protocol makes it meaningless (leave-one-family-out) or the mode never
 predicts a family (direct).
 
 Three protocols: leave-one-out cross-validation over samples, repeated
-stratified train/test splits, and leave-one-family-out.  Splits stratify per
-family and draw their randomness positionally from a master seed stream, so
-two methods evaluated with the same seed see byte-for-byte identical folds
-and their per-sample scores align for paired significance testing.
+stratified train/test splits, and leave-one-family-out; each picks its folds
+and one fold runner trains and scores them.  Splits stratify per family and
+draw their randomness positionally from a master seed stream, so two methods
+evaluated with the same seed see byte-for-byte identical folds and their
+per-sample scores align for paired significance testing.
 
 Reports serialize as one canonical JSON object per line, like the corpus
 format.  Wall-clock timings are kept out of the file by default (they are
@@ -25,11 +26,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .core import ActrParams, Corpus, Sample, build_corpus, canonical_json
+from .core import ActrParams, Corpus, build_corpus, canonical_json
 from .methods import train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
@@ -108,20 +109,32 @@ class TrialReport:
         return [s.f1 for s in self.scores]
 
 
-def _score_one(predictor, sample: Sample, mode: str, track_family: bool) -> tuple:
+def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
+          method: str, mode: str, params: ActrParams | None, seed: int,
+          train_seed: int, protocol: str, label: str = "") -> TrialReport:
+    """Train on the rows train_ix, keeping as labels only the families present
+    there, and score the rows test_ix in order.  Family accuracy is tracked
+    in family mode, except under lofo, where the held-out family is no label."""
+    train = [corpus.samples[i] for i in train_ix]
+    present = {s.family for s in train}
+    sub = build_corpus(train, {f: t for f, t in corpus.families.items() if f in present})
     t0 = time.perf_counter()
-    pred = predictor(sample.attribs)
-    dt = time.perf_counter() - t0
-    sc = score_sample(pred.predicted_tasks, sample.tasks)
-    fam = None
-    if track_family and mode == "family":
-        fam = pred.predicted_family == sample.family
-    return replace(sc, family_correct=fam, sample_id=sample.id), dt
-
-
-def _subcorpus(samples: Sequence[Sample], families: Mapping[str, frozenset]) -> Corpus:
-    present = {s.family for s in samples}
-    return build_corpus(samples, {f: t for f, t in families.items() if f in present})
+    predictor = train_method(method, sub, mode=mode, params=params, seed=train_seed)
+    train_time = time.perf_counter() - t0
+    track_family = mode == "family" and protocol != "lofo"
+    scores = []
+    predict_time = 0.0
+    for i in test_ix:
+        held = corpus.samples[i]
+        t0 = time.perf_counter()
+        pred = predictor(held.attribs)
+        predict_time += time.perf_counter() - t0
+        sc = score_sample(pred.predicted_tasks, held.tasks)
+        fam = pred.predicted_family == held.family if track_family else None
+        scores.append(replace(sc, family_correct=fam, sample_id=held.id))
+    return TrialReport(method=method, protocol=protocol, mode=mode, seed=seed,
+                       scores=tuple(scores), train_time=train_time,
+                       predict_time=predict_time, label=label)
 
 
 def loocv(corpus: Corpus, method: str, mode: str = "family",
@@ -129,22 +142,11 @@ def loocv(corpus: Corpus, method: str, mode: str = "family",
     """Leave-one-out: train on all but one sample, predict it, rotate."""
     if corpus.size < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
-    scores = []
-    train_time = 0.0
-    predict_time = 0.0
-    all_samples = corpus.samples
-    for i, held in enumerate(all_samples):
-        rest = all_samples[:i] + all_samples[i + 1:]
-        sub = _subcorpus(rest, corpus.families)
-        t0 = time.perf_counter()
-        predictor = train_method(method, sub, mode=mode, params=params, seed=seed)
-        train_time += time.perf_counter() - t0
-        sc, dt = _score_one(predictor, held, mode, track_family=True)
-        predict_time += dt
-        scores.append(sc)
-    return TrialReport(method=method, protocol="loocv", mode=mode, seed=seed,
-                       scores=tuple(scores), train_time=train_time,
-                       predict_time=predict_time)
+    n = corpus.size
+    folds = [_fold(corpus, [*range(i), *range(i + 1, n)], [i], method, mode,
+                   params, seed, seed, "loocv")
+             for i in range(n)]
+    return replace(combine(folds, label=""), trials=())
 
 
 def stratified_split(corpus: Corpus, train_frac: float,
@@ -207,23 +209,9 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     trial_seeds = [master.getrandbits(63) for _ in range(n_trials)]
     reports = []
     for t, tseed in enumerate(trial_seeds):
-        rng = random.Random(tseed)
-        train_ix, test_ix = stratified_split(corpus, train_frac, rng)
-        sub = _subcorpus([corpus.samples[i] for i in train_ix], corpus.families)
-        t0 = time.perf_counter()
-        predictor = train_method(method, sub, mode=mode, params=params, seed=tseed)
-        train_time = time.perf_counter() - t0
-        scores = []
-        predict_time = 0.0
-        for i in test_ix:
-            sc, dt = _score_one(predictor, corpus.samples[i], mode, track_family=True)
-            predict_time += dt
-            scores.append(sc)
-        reports.append(TrialReport(
-            method=method, protocol="split", mode=mode, seed=seed,
-            scores=tuple(scores), train_time=train_time,
-            predict_time=predict_time, label=f"trial{t}",
-        ))
+        train_ix, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
+        reports.append(_fold(corpus, train_ix, test_ix, method, mode, params,
+                             seed, tseed, "split", f"trial{t}"))
     return combine(reports)
 
 
@@ -240,25 +228,10 @@ def leave_one_family_out(corpus: Corpus, method: str, mode: str = "family",
         raise ValueError("leave-one-family-out needs at least 2 families")
     reports = []
     for f in sorted(corpus.families):
-        held_ix = set(corpus.members(f))
-        rest = [s for i, s in enumerate(corpus.samples) if i not in held_ix]
-        families = {g: t for g, t in corpus.families.items() if g != f}
-        sub = _subcorpus(rest, families)
-        t0 = time.perf_counter()
-        predictor = train_method(method, sub, mode=mode, params=params, seed=seed)
-        train_time = time.perf_counter() - t0
-        scores = []
-        predict_time = 0.0
-        for i in sorted(held_ix):
-            sc, dt = _score_one(predictor, corpus.samples[i], mode,
-                                track_family=False)
-            predict_time += dt
-            scores.append(sc)
-        reports.append(TrialReport(
-            method=method, protocol="lofo", mode=mode, seed=seed,
-            scores=tuple(scores), train_time=train_time,
-            predict_time=predict_time, label=f,
-        ))
+        held = set(corpus.members(f))
+        train_ix = [i for i in range(corpus.size) if i not in held]
+        reports.append(_fold(corpus, train_ix, sorted(held), method, mode, params,
+                             seed, seed, "lofo", f))
     return reports
 
 
@@ -306,8 +279,7 @@ def _score_dict(s: SampleScore) -> dict:
     }
 
 
-def report_to_dict(report: TrialReport, include_timing: bool = False,
-                   include_scores: bool = True) -> dict:
+def report_to_dict(report: TrialReport, include_timing: bool = False) -> dict:
     out = {
         "method": report.method,
         "protocol": report.protocol,
@@ -323,14 +295,9 @@ def report_to_dict(report: TrialReport, include_timing: bool = False,
     if include_timing:
         out["train_time"] = report.train_time
         out["predict_time"] = report.predict_time
-    if include_scores:
-        out["scores"] = [_score_dict(s) for s in report.scores]
+    out["scores"] = [_score_dict(s) for s in report.scores]
     if report.trials:
-        out["trials"] = [
-            report_to_dict(t, include_timing=include_timing,
-                           include_scores=include_scores)
-            for t in report.trials
-        ]
+        out["trials"] = [report_to_dict(t, include_timing) for t in report.trials]
     return out
 
 

@@ -70,6 +70,12 @@ class ExtractionConfig:
     max_attributes: int | None = None
 
     def __post_init__(self):
+        for json_key, attr in self._JSON_KEYS:
+            value = getattr(self, attr)
+            if attr == "max_attributes" and not (value is None or type(value) is int):
+                raise ValueError(f"{json_key} must be null or an integer, got {value!r}")
+            if attr != "max_attributes" and type(value) is not bool:
+                raise ValueError(f"{json_key} must be true or false, got {value!r}")
         if not (self.use_dlls or self.use_registry or self.use_files
                 or self.use_process):
             raise ValueError("at least one attribute kind must be enabled")

@@ -89,17 +89,17 @@ class TestNaiveBayes:
         assert pred.predicted_tasks == frozenset({"t1"})
 
     def test_direct_mode_degenerate_priors_short_circuit(self):
-        # Task t is in every sample (prior 1); task u has no carrier (prior 0).
+        # Task t is in every sample (prior 1).  A task no sample performs
+        # (prior 0) is rejected by label_space (see test_methods.py).
         from taskinfer.core import Sample, build_corpus
 
         c = build_corpus(
             [Sample(id="s1", attribs={"a"}, family="F"),
-             Sample(id="s2", attribs={"b"}, family="F")],
-            {"F": frozenset({"t"}), "G": frozenset({"u"})},
+             Sample(id="s2", attribs={"b"}, family="G")],
+            {"F": frozenset({"t", "v"}), "G": frozenset({"t"})},
         )
-        pred = nb_predict(nb_train(c, mode="direct"), {"a"})
+        pred = nb_predict(nb_train(c, mode="direct"), {"b"})
         assert pred.class_probs["t"] == 1.0
-        assert pred.class_probs["u"] == 0.0
         assert pred.predicted_tasks == frozenset({"t"})
 
     def test_rejects_bad_smoothing_mode_and_empty_query(self, two_family_corpus):

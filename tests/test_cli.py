@@ -143,6 +143,23 @@ class TestIngest:
             {"fileAct:c:\\users\\<user>\\x.exe"}
         )
 
+    @pytest.mark.parametrize("config_obj", [
+        {"max_attributes": "5"},
+        {"max_attributes": 2.5},
+        {"usesDLL": "false"},
+    ], ids=["string-cap", "float-cap", "string-toggle"])
+    def test_mistyped_report_config_exits_1(self, tmp_path, capsys, config_obj):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(GOOD_REPORT))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj))
+        rc = main(["ingest", str(report), "--report-config", str(config),
+                   "--out", str(tmp_path / "ingested.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        (key,) = config_obj
+        assert err.startswith("error:") and key in err
+
 
 class TestPredict:
     def test_labels_unseen_records(self, tmp_path, capsys):

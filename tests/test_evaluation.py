@@ -5,6 +5,7 @@ The paired-t reference numbers are frozen from an independent computation
 p via the regularized incomplete beta in arbitrary precision).
 """
 
+import hashlib
 import json
 import random
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer.core import ActrParams
+from taskinfer import synthgen
+from taskinfer.core import ActrParams, Sample, build_corpus
 from taskinfer.evaluation import (
     PROTOCOLS,
     TrialReport,
@@ -203,6 +205,44 @@ class TestLeaveOneFamilyOut:
                         {"F1": {"t1"}})
         with pytest.raises(ValueError, match="at least 2 families"):
             leave_one_family_out(c, "nb")
+
+
+# sha256 of the save_reports file holding [loocv, split_trials(n_trials=2),
+# *leave_one_family_out] on the corpus below.  Pins fold membership, order and
+# scores: a change to any of them has to update these digests on purpose.
+_FROZEN_PROTOCOL_SHA256 = {
+    ("nb", "family"): "4d77a65befd6d899df1e45edfb6c68f354e1663fdf708267ad372ced5b31ea06",
+    ("nb", "direct"): "9bdac1ab250739abd46924dea9c95f2017e34103e73108fa18524dfb77a5792b",
+    ("actr-ib", "family"): "dfb1c0397f2cdd40954178fb9f347bef10fa7cf77e33c6719f4750d6d682d090",
+    ("actr-ib", "direct"): "188e636f060af4e13ccb41b4ce3d13b5f2ecd7b499eb2ec92ea992415e505091",
+}
+
+
+class TestFrozenProtocols:
+    @staticmethod
+    def _corpus():
+        # Three encrypted synthgen families relabeled so each pair shares a
+        # task: lofo can then transfer, and scores are neither all 0 nor all 1.
+        spec = synthgen.GenSpec(n_carriers=3, tasks_per_carrier=2,
+                                samples_per_family=5, carrier_attr_pool=12,
+                                payload_attrs_per_task=3, overlap_target=0.3,
+                                seed=7)
+        corpus, _ = synthgen.generate(spec)
+        corpus = synthgen.encrypt_variant(corpus, 0.5, seed=7)
+        families = {"c0": {"x", "y"}, "c1": {"y", "z"}, "c2": {"z", "x"}}
+        return build_corpus([Sample(s.id, s.attribs, s.family) for s in corpus],
+                            families)
+
+    @pytest.mark.parametrize("method,mode", sorted(_FROZEN_PROTOCOL_SHA256))
+    def test_report_files_match_frozen_digests(self, tmp_path, method, mode):
+        corpus = self._corpus()
+        reports = [loocv(corpus, method, mode),
+                   split_trials(corpus, method, mode, n_trials=2),
+                   *leave_one_family_out(corpus, method, mode)]
+        path = tmp_path / "reports.jsonl"
+        save_reports(reports, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _FROZEN_PROTOCOL_SHA256[(method, mode)]
 
 
 class TestCombine:
