@@ -113,12 +113,8 @@ def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction
     scores = model._bias + model._weight[:, cols].sum(axis=1) + n_unseen * model._floor
     if model.space.mode == "family":
         return model.space.prediction(softmax(scores), task_threshold)
-    pos = model._class_counts
-    p = np.where(
-        pos == 0, 0.0,
-        np.where(pos == model._n_train, 1.0, 1.0 / (1.0 + np.exp(-scores))),
-    )
-    return model.space.prediction(p, task_threshold)
+    # A task every sample performs scores +inf, so its sigmoid is exactly 1.
+    return model.space.prediction(1.0 / (1.0 + np.exp(-scores)), task_threshold)
 
 
 # ---------------------------------------------------------------- decision tree

@@ -171,14 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if single:
         if args.carriers not in (None, 1):
             raise synthgen.GenerationError("single-task regime uses one carrier")
-        corpus = synthgen.generate_single_task(spec)
-        within, cross = synthgen.measure_overlap(corpus)
-        report = synthgen.GenReport(
-            overlap_target=spec.overlap_target,
-            within_family_overlap=within,
-            cross_family_overlap=cross,
-            family_sizes={f: len(corpus.members(f)) for f in corpus.families},
-        )
+        corpus, report = synthgen.generate_single_task(spec)
     else:
         corpus, report = synthgen.generate(spec)
     if args.encrypted:

@@ -13,9 +13,9 @@ at prediction time, so it is computed once at construction.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
-the mode and enumerates its labels (each carried by some sample); its
-LabelSpace turns label probabilities into Predictions through
-`make_prediction`, the one task-derivation path.
+the mode and enumerates its labels (each carried by some sample) and their
+tasks; `LabelSpace.prediction` is the one path from label probabilities to a
+Prediction (the family, and each task's summed label mass thresholded).
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -38,6 +38,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -271,70 +272,24 @@ def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
     return w / w.sum(axis=axis, keepdims=True)
 
 
-def derive_tasks(class_probs: Mapping[str, float], label_tasks: Mapping[str, Iterable[TaskId]],
-                 threshold: float) -> frozenset:
-    """Tasks whose summed label probability mass reaches the threshold.
-
-    In family mode each family contributes its probability to every task it
-    performs; in direct mode the label map is the identity and this reduces
-    to thresholding each task's own probability.
-    """
-    mass: dict[str, float] = {}
-    for label, p in class_probs.items():
-        for t in label_tasks[label]:
-            mass[t] = mass.get(t, 0.0) + p
-    return frozenset(t for t, m in mass.items() if m >= threshold)
-
-
-def make_prediction(class_probs: Mapping[str, float],
-                    label_tasks: Mapping[str, frozenset] | None,
-                    *, mode: str, task_threshold: float,
-                    retained_chunks: int, degenerate: bool = False) -> Prediction:
-    """Assemble a Prediction from label probabilities.
-
-    The single task-derivation path for all models: family mode needs the
-    family -> tasks map, direct mode passes label_tasks=None and each label
-    is its own task.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    family = None
-    if mode == "family":
-        if label_tasks is None:
-            raise ValueError("family mode requires the family -> tasks map")
-        best = -math.inf
-        for label in sorted(class_probs):
-            if class_probs[label] > best:
-                best = class_probs[label]
-                family = label
-    else:
-        label_tasks = {t: frozenset((t,)) for t in class_probs}
-    tasks = derive_tasks(class_probs, label_tasks, task_threshold)
-    return Prediction(
-        class_probs=dict(class_probs),
-        predicted_tasks=tasks,
-        predicted_family=family,
-        retained_chunks=retained_chunks,
-        degenerate=degenerate,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class LabelSpace:
-    """The labels a model scores over a corpus, in one mode.
+    """The labels a model scores over a corpus, in one mode, and the tasks
+    those labels predict.
 
     family  one label per family; groups[i] holds the members of labels[i]
-            and label_tasks maps each family to the tasks it performs
+            and incidence[i, k] is 1 when labels[i] performs tasks[k]
     direct  one label per task; groups[i] holds the samples performing
-            labels[i] and label_tasks is None (each label is its own task)
+            labels[i], tasks equals labels and incidence is None
 
-    Labels are sorted; groups are sorted sample-index arrays.
+    Labels and tasks are sorted; groups are sorted sample-index arrays.
     """
 
     mode: str
     labels: tuple
     groups: tuple
-    label_tasks: Mapping[str, frozenset] | None
+    tasks: tuple
+    incidence: np.ndarray | None
 
     def presence_rates(self, x: np.ndarray, smoothing: float) -> tuple:
         """Smoothed (labels x vocab) presence rates over the design matrix x.
@@ -357,13 +312,29 @@ class LabelSpace:
     def prediction(self, probs, task_threshold: float,
                    retained_chunks: int | None = None,
                    degenerate: bool = False) -> Prediction:
-        """Prediction from probabilities aligned with `labels`; retained_chunks
-        defaults to the label count, for models in which every label competes."""
-        return make_prediction(
-            {label: float(p) for label, p in zip(self.labels, probs)},
-            self.label_tasks,
-            mode=self.mode,
-            task_threshold=task_threshold,
+        """Prediction from probabilities aligned with `labels`.
+
+        A task's mass is the summed probability of the labels performing it
+        (direct mode: its own probability), added in label order; the tasks
+        whose mass reaches task_threshold are predicted.  In family mode the
+        family is the first most probable label.  retained_chunks defaults to
+        the label count, for models in which every label competes.  A
+        non-finite probability raises ValueError naming its label.
+        """
+        probs = np.asarray(probs, dtype=float)
+        if not np.isfinite(probs).all():
+            i = int(np.flatnonzero(~np.isfinite(probs))[0])
+            kind = "family" if self.mode == "family" else "task"
+            raise ValueError(f"probability of {kind} {self.labels[i]!r} "
+                             f"is {probs[i]}, not a finite number")
+        family, mass = None, probs
+        if self.mode == "family":
+            family = self.labels[int(np.argmax(probs))]
+            mass = (probs[:, None] * self.incidence).sum(axis=0)
+        return Prediction(
+            class_probs=dict(zip(self.labels, probs.tolist())),
+            predicted_tasks=frozenset(compress(self.tasks, mass >= task_threshold)),
+            predicted_family=family,
             retained_chunks=len(self.labels) if retained_chunks is None else retained_chunks,
             degenerate=degenerate,
         )
@@ -374,26 +345,29 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
     carries raises ValueError naming it."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    tasks = tuple(sorted(corpus.tasks))
     if mode == "family":
-        labels = sorted(corpus.families)
+        labels = tuple(sorted(corpus.families))
         groups = [corpus.members(f) for f in labels]
-        label_tasks = dict(corpus.families)
+        incidence = np.array([[t in corpus.families[f] for t in tasks] for f in labels],
+                             dtype=float)
     else:
-        labels = sorted(corpus.tasks)
+        labels = tasks
         groups = [[i for i, s in enumerate(corpus.samples) if t in s.tasks]
                   for t in labels]
-        label_tasks = None
+        incidence = None
     kind = "family" if mode == "family" else "task"
     for label, g in zip(labels, groups):
         if not g:
             raise ValueError(f"{kind} {label!r} has no samples")
-    return LabelSpace(mode, tuple(labels),
-                      tuple(np.array(g, dtype=int) for g in groups), label_tasks)
+    return LabelSpace(mode, labels, tuple(np.array(g, dtype=int) for g in groups),
+                      tasks, incidence)
 
 
 def canonical_json(obj) -> str:
-    """One-line canonical JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """One-line canonical JSON: sorted keys, no whitespace; NaN and infinities
+    raise ValueError, since they are not JSON."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _sample_record(s: Sample) -> dict:

@@ -15,13 +15,15 @@ evaluated with the same seed see byte-for-byte identical folds and their
 per-sample scores align for paired significance testing.
 
 Reports serialize as one canonical JSON object per line, like the corpus
-format.  Wall-clock timings are kept out of the file by default (they are
-the one nondeterministic field; the stdout table shows them), so identical
+format.  Wall-clock timings are kept out of the file (they are the one
+nondeterministic field; the stdout table shows them), so identical
 invocations produce byte-identical report files.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import time
@@ -279,7 +281,7 @@ def _score_dict(s: SampleScore) -> dict:
     }
 
 
-def report_to_dict(report: TrialReport, include_timing: bool = False) -> dict:
+def report_to_dict(report: TrialReport) -> dict:
     out = {
         "method": report.method,
         "protocol": report.protocol,
@@ -292,21 +294,17 @@ def report_to_dict(report: TrialReport, include_timing: bool = False) -> dict:
         "mean_f1": report.mean_f1,
         "family_accuracy": report.family_accuracy,
     }
-    if include_timing:
-        out["train_time"] = report.train_time
-        out["predict_time"] = report.predict_time
     out["scores"] = [_score_dict(s) for s in report.scores]
     if report.trials:
-        out["trials"] = [report_to_dict(t, include_timing) for t in report.trials]
+        out["trials"] = [report_to_dict(t) for t in report.trials]
     return out
 
 
-def save_reports(reports: Iterable[TrialReport], path,
-                 include_timing: bool = False) -> None:
+def save_reports(reports: Iterable[TrialReport], path) -> None:
     """One canonical JSON object per report line (trials nested inside)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for r in reports:
-            fh.write(canonical_json(report_to_dict(r, include_timing)) + "\n")
+            fh.write(canonical_json(report_to_dict(r)) + "\n")
 
 
 _METRICS = ("mean_precision", "mean_recall", "mean_f1", "family_accuracy")
@@ -314,13 +312,15 @@ _METRICS = ("mean_precision", "mean_recall", "mean_f1", "family_accuracy")
 
 def metrics_table(reports: Sequence[TrialReport]) -> str:
     """Plot-ready CSV: one row per report x metric."""
-    lines = ["method,mode,protocol,label,metric,value"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("method", "mode", "protocol", "label", "metric", "value"))
     for r in reports:
         for metric in _METRICS:
             v = getattr(r, metric)
-            value = "" if v is None else f"{v:.6f}"
-            lines.append(f"{r.method},{r.mode},{r.protocol},{r.label},{metric},{value}")
-    return "\n".join(lines) + "\n"
+            writer.writerow((r.method, r.mode, r.protocol, r.label, metric,
+                             "" if v is None else f"{v:.6f}"))
+    return out.getvalue()
 
 
 def format_table(reports: Sequence[TrialReport]) -> str:

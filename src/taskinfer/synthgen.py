@@ -253,12 +253,13 @@ def generate(spec: GenSpec) -> tuple:
     return _finish(spec, samples, families)
 
 
-def generate_single_task(spec: GenSpec) -> Corpus:
+def generate_single_task(spec: GenSpec) -> tuple:
     """Single-task regime: one shared carrier pool, one family per task.
 
-    Requires spec.n_carriers == 1; tasks_per_carrier counts the single-task
-    families.  Families differ only in their payload bundle, so the payload
-    is the entire discriminative signal.
+    Returns (corpus, report), like `generate`.  Requires spec.n_carriers ==
+    1; tasks_per_carrier counts the single-task families.  Families differ
+    only in their payload bundle, so the payload is the entire
+    discriminative signal.
     """
     if spec.n_carriers != 1:
         raise GenerationError(
@@ -287,8 +288,7 @@ def generate_single_task(spec: GenSpec) -> Corpus:
             payload_attrs, carrier_attrs, k, q, families[family],
             carrier_core=carrier_core,
         ))
-    corpus, _ = _finish(spec, samples, families)
-    return corpus
+    return _finish(spec, samples, families)
 
 
 def encrypt_variant(corpus: Corpus, fraction: float = DEFAULT_ENCRYPT_FRACTION,

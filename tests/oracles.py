@@ -13,7 +13,7 @@ import random
 
 import mpmath
 
-from taskinfer.core import ActrParams, Corpus, Sample, build_corpus
+from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus
 
 
 def softmax_probs(values, temperature):
@@ -150,6 +150,38 @@ def reference_nb_posterior(corpus: Corpus, smoothing: float, query):
         score[f] = p
     total = sum(score.values())
     return {f: v / total for f, v in score.items()}
+
+
+def reference_prediction(corpus: Corpus, mode: str, class_probs: dict,
+                         task_threshold: float, retained_chunks: int,
+                         degenerate: bool = False) -> Prediction:
+    """Transcribed task derivation from a label -> probability map.
+
+    Family mode picks the lexicographically first most probable family and
+    adds each family's probability to every task it performs; in direct mode
+    each label is its own task.  A task is predicted when its summed mass
+    reaches the threshold.
+    """
+    family = None
+    if mode == "family":
+        best = -math.inf
+        for label in sorted(class_probs):
+            if class_probs[label] > best:
+                best, family = class_probs[label], label
+        label_tasks = corpus.families
+    else:
+        label_tasks = {t: {t} for t in class_probs}
+    mass = {}
+    for label, p in class_probs.items():
+        for t in label_tasks[label]:
+            mass[t] = mass.get(t, 0.0) + p
+    return Prediction(
+        class_probs=dict(class_probs),
+        predicted_tasks=frozenset(t for t, m in mass.items() if m >= task_threshold),
+        predicted_family=family,
+        retained_chunks=retained_chunks,
+        degenerate=degenerate,
+    )
 
 
 def random_corpus(rng: random.Random, max_samples: int = 20, max_attrs: int = 10,

@@ -94,8 +94,8 @@ def test_03_encrypted_payload_degrades_but_survives():
     """
     base = dict(n_carriers=1, tasks_per_carrier=17, samples_per_family=100,
                 payload_attrs_per_task=12, overlap_target=0.6)
-    train = generate_single_task(GenSpec(**base, seed=31))
-    held_out = generate_single_task(GenSpec(**base, seed=32))
+    train, _ = generate_single_task(GenSpec(**base, seed=31))
+    held_out, _ = generate_single_task(GenSpec(**base, seed=32))
     encrypted = encrypt_variant(held_out, DEFAULT_ENCRYPT_FRACTION, seed=33)
     predictor = train_method("actr-ib", train)
     mean_f1 = {}

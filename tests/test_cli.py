@@ -197,6 +197,21 @@ class TestPredict:
                             "--out", str(p2)]) == 0
         assert p1.read_bytes() != p2.read_bytes()
 
+    def test_non_finite_probabilities_exit_1_without_output(self, tmp_path):
+        # Activations overflow to inf and the retrieval softmax yields NaN.
+        # A child process keeps numpy's overflow warning out of this run.
+        corpus_path = run_gen(tmp_path)
+        out = tmp_path / "preds.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taskinfer", "predict", "--method", "actr-ib",
+             "--beta", "1e308", "--mp", "1e308", "--corpus", corpus_path,
+             "--in", corpus_path, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error: probability of family" in proc.stderr
+        assert not out.exists()
+
     def test_missing_corpus_exits_1(self, tmp_path, capsys):
         rc = main(["predict", "--method", "nb",
                    "--corpus", str(tmp_path / "nope.jsonl"),

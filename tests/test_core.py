@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_corpus
+from oracles import random_corpus, reference_prediction
 from taskinfer.core import (
     ActrParams,
     Corpus,
@@ -17,9 +17,8 @@ from taskinfer.core import (
     attribute_matrix,
     build_corpus,
     canonical_json,
-    derive_tasks,
+    label_space,
     load_corpus,
-    make_prediction,
     read_corpus_records,
     save_corpus,
     write_corpus_records,
@@ -158,53 +157,79 @@ class TestAttributeMatrix:
             assert all(col[a] == j for j, a in enumerate(vocab))
 
 
+def _space(families, mode="family"):
+    """Label space of a corpus holding one sample per family."""
+    rows = [(f"s{i}", {"a"}, f) for i, f in enumerate(sorted(families))]
+    return label_space(make_corpus(rows, families), mode)
+
+
 class TestDeriveTasks:
     def test_sums_mass_across_labels(self):
-        probs = {"F1": 0.3, "F2": 0.3, "F3": 0.4}
-        label_tasks = {"F1": {"t1"}, "F2": {"t1", "t2"}, "F3": {"t2"}}
-        assert derive_tasks(probs, label_tasks, 0.5) == frozenset({"t1", "t2"})
-        assert derive_tasks(probs, label_tasks, 0.7) == frozenset({"t2"})
-        assert derive_tasks(probs, label_tasks, 0.71) == frozenset()
+        space = _space({"F1": {"t1"}, "F2": {"t1", "t2"}, "F3": {"t2"}})
+        probs = [0.3, 0.3, 0.4]
+        assert space.prediction(probs, 0.5).predicted_tasks == frozenset({"t1", "t2"})
+        assert space.prediction(probs, 0.7).predicted_tasks == frozenset({"t2"})
+        assert space.prediction(probs, 0.71).predicted_tasks == frozenset()
 
     def test_threshold_is_inclusive(self):
-        assert derive_tasks({"F": 0.5}, {"F": {"t"}}, 0.5) == frozenset({"t"})
+        space = _space({"F": {"t"}})
+        assert space.prediction([0.5], 0.5).predicted_tasks == frozenset({"t"})
 
 
 class TestMakePrediction:
     def test_family_mode_breaks_probability_ties_lexicographically(self):
-        p = make_prediction(
-            {"b": 0.5, "a": 0.5},
-            {"a": frozenset({"t1"}), "b": frozenset({"t2"})},
-            mode="family",
-            task_threshold=0.5,
-            retained_chunks=3,
-        )
+        space = _space({"a": {"t1"}, "b": {"t2"}})
+        p = space.prediction([0.5, 0.5], 0.5, retained_chunks=3)
         assert p.predicted_family == "a"
         assert p.predicted_tasks == frozenset({"t1", "t2"})
         assert p.retained_chunks == 3 and not p.degenerate
 
     def test_direct_mode_thresholds_each_task_independently(self):
-        p = make_prediction(
-            {"t1": 0.9, "t2": 0.49},
-            None,
-            mode="direct",
-            task_threshold=0.5,
-            retained_chunks=0,
-            degenerate=True,
-        )
+        space = _space({"F1": {"t1"}, "F2": {"t2"}}, mode="direct")
+        p = space.prediction([0.9, 0.49], 0.5, retained_chunks=0, degenerate=True)
         assert p.predicted_family is None
         assert p.predicted_tasks == frozenset({"t1"})
+        assert p.class_probs == {"t1": 0.9, "t2": 0.49}
         assert p.degenerate
-
-    def test_family_mode_requires_label_map(self):
-        with pytest.raises(ValueError, match="family mode requires"):
-            make_prediction({"F": 1.0}, None, mode="family",
-                            task_threshold=0.5, retained_chunks=1)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be one of"):
-            make_prediction({"F": 1.0}, {"F": frozenset()}, mode="both",
-                            task_threshold=0.5, retained_chunks=1)
+            label_space(make_corpus([("s", {"a"}, "F")], {"F": {"t"}}), "both")
+
+    @pytest.mark.parametrize("mode", ["family", "direct"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_probabilities(self, mode, bad):
+        space = _space({"F1": {"t1"}, "F2": {"t2"}}, mode)
+        with pytest.raises(ValueError, match=f"'{space.labels[1]}' is .*not a finite"):
+            space.prediction([0.5, bad], 0.5)
+
+    def test_mass_on_the_threshold_from_several_labels(self):
+        # s: 0.25 + 0.25 lands exactly on 0.5; x: 0.25 stays below it.
+        space = _space({"f0": {"s", "x"}, "f1": {"s"}, "f2": {"y"}})
+        p = space.prediction([0.25, 0.25, 0.5], 0.5)
+        assert p.predicted_tasks == frozenset({"s", "y"})
+        assert p.predicted_family == "f2"
+
+    def test_matches_the_reference_derivation(self):
+        rng = random.Random(5)
+        grid = (0.0, 0.125, 0.25, 0.5, 1 / 3)   # ties and exact threshold sums
+        shared = {f"f{i}": {"t0", f"t{i + 1}"} for i in range(4)}
+        corpora = [random_corpus(rng) for _ in range(150)]
+        corpora.append(make_corpus([(f"s{i}", {"a"}, f) for i, f in enumerate(shared)],
+                                   shared))
+        for c in corpora:
+            for mode in ("family", "direct"):
+                space = label_space(c, mode)
+                for _ in range(4):
+                    probs = [rng.choice(grid) if rng.random() < 0.7 else rng.random()
+                             for _ in space.labels]
+                    thr = rng.choice((0.25, 0.5, rng.uniform(0.05, 1.0)))
+                    retained = rng.randint(0, 5)
+                    got = space.prediction(probs, thr, retained, retained == 0)
+                    want = reference_prediction(
+                        c, mode, dict(zip(space.labels, probs)), thr, retained,
+                        retained == 0)
+                    assert got == want
 
 
 class TestCorpusFiles:
@@ -283,6 +308,11 @@ class TestCorpusFiles:
 class TestCanonicalJson:
     def test_sorted_keys_no_whitespace(self):
         assert canonical_json({"b": 1, "a": [2, 1]}) == '{"a":[2,1],"b":1}'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_floats(self, bad):
+        with pytest.raises(ValueError):
+            canonical_json({"p": bad})
 
     @given(st.dictionaries(st.text(max_size=8), st.integers(), max_size=6))
     @settings(max_examples=50, deadline=None)

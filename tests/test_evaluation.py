@@ -5,7 +5,9 @@ The paired-t reference numbers are frozen from an independent computation
 p via the regularized incomplete beta in arbitrary precision).
 """
 
+import csv
 import hashlib
+import io
 import json
 import random
 
@@ -321,15 +323,6 @@ class TestReports:
                                    train_frac=0.5)], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_timing_opt_in_adds_the_nondeterministic_fields(
-        self, tmp_path, shared_task_corpus
-    ):
-        report = loocv(shared_task_corpus, "nb")
-        path = tmp_path / "timed.jsonl"
-        save_reports([report], path, include_timing=True)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        assert "train_time" in obj and "predict_time" in obj
-
     def test_metrics_table_layout(self, shared_task_corpus):
         reports = leave_one_family_out(shared_task_corpus, "nb")
         table = metrics_table(reports)
@@ -339,6 +332,19 @@ class TestReports:
         # lofo family accuracy is None -> empty value field.
         fam_rows = [l for l in lines if ",family_accuracy," in l]
         assert all(row.endswith(",") for row in fam_rows)
+
+    def test_metrics_table_quotes_labels_with_commas_and_quotes(self):
+        families = {"zeus,v2": {"t1"}, 'say "hi"': {"t2"}, "plain": {"t1", "t2"}}
+        corpus = make_corpus(
+            [("s1", {"a", "b"}, "zeus,v2"), ("s2", {"a", "c"}, "zeus,v2"),
+             ("s3", {"d", "e"}, 'say "hi"'), ("s4", {"d", "f"}, 'say "hi"'),
+             ("s5", {"a", "d"}, "plain"), ("s6", {"b", "e"}, "plain")],
+            families,
+        )
+        reports = leave_one_family_out(corpus, "nb")
+        rows = list(csv.reader(io.StringIO(metrics_table(reports))))
+        assert all(len(row) == 6 for row in rows)
+        assert {row[3] for row in rows[1:]} == set(families)
 
     def test_format_table_mentions_every_report(self, shared_task_corpus):
         reports = leave_one_family_out(shared_task_corpus, "nb")

@@ -150,7 +150,7 @@ def _always_present_carrier_attrs(corpus, family):
 
 class TestGenerateSingleTask:
     def test_shape_one_family_per_task(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         assert len(corpus) == 5 * 20
         assert sorted(corpus.families) == [f"f{t:02d}" for t in range(5)]
         for t in range(5):
@@ -159,7 +159,7 @@ class TestGenerateSingleTask:
     def test_families_share_one_carrier_core(self):
         # Single carrier: the always-present carrier signature is identical
         # across families, so only payload separates them.
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         cores = {_always_present_carrier_attrs(corpus, f) for f in corpus.families}
         assert len(cores) == 1
         (core,) = cores
@@ -170,7 +170,7 @@ class TestGenerateSingleTask:
         assert len(core) == k - SINGLE.payload_attrs_per_task
 
     def test_cross_family_overlap_is_high(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         within, cross = measure_overlap(corpus)
         assert abs(within - 0.6) <= OVERLAP_TOLERANCE
         assert cross > 0.25  # shared carrier; payloads disjoint
@@ -185,13 +185,13 @@ class TestGenerateSingleTask:
 
 class TestEncryptVariant:
     def test_full_fraction_leaves_no_payload_tokens(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         enc = encrypt_variant(corpus, 1.0, seed=9)
         for s in enc.samples:
             assert not any(a.startswith(PAYLOAD_PREFIX) for a in s.attribs)
 
     def test_replacements_preserve_counts_labels_and_ids(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         enc = encrypt_variant(corpus, 1.0, seed=9)
         assert enc.families == corpus.families
         for before, after in zip(corpus.samples, enc.samples):
@@ -204,14 +204,14 @@ class TestEncryptVariant:
             assert all(a.startswith(f"enc:{before.id}.") for a in fresh)
 
     def test_carrier_attributes_are_untouched(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         enc = encrypt_variant(corpus, 1.0, seed=9)
         for before, after in zip(corpus.samples, enc.samples):
             carrier = {a for a in before.attribs if a.startswith(CARRIER_PREFIX)}
             assert carrier <= after.attribs
 
     def test_half_fraction_survival_rate(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         total = sum(1 for s in corpus.samples for a in s.attribs
                     if a.startswith(PAYLOAD_PREFIX))
         enc = encrypt_variant(corpus, 0.5, seed=9)
@@ -221,11 +221,11 @@ class TestEncryptVariant:
         assert survived / total == pytest.approx(0.5, abs=0.05)
 
     def test_negligible_fraction_is_an_identity(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         assert encrypt_variant(corpus, 1e-15, seed=9) == corpus
 
     def test_deterministic_per_seed(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         assert encrypt_variant(corpus, 0.5, seed=4) == encrypt_variant(
             corpus, 0.5, seed=4
         )
@@ -235,14 +235,14 @@ class TestEncryptVariant:
 
     def test_default_fraction_is_partial(self):
         assert 0.0 < DEFAULT_ENCRYPT_FRACTION < 1.0
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         enc = encrypt_variant(corpus, DEFAULT_ENCRYPT_FRACTION, seed=2)
         kept = sum(1 for s in enc.samples for a in s.attribs
                    if a.startswith(PAYLOAD_PREFIX))
         assert kept > 0  # partial, not total, obfuscation
 
     def test_rejects_out_of_range_fractions(self):
-        corpus = generate_single_task(SINGLE)
+        corpus, _ = generate_single_task(SINGLE)
         for frac in (0.0, -0.1, 1.1):
             with pytest.raises(ValueError, match="fraction"):
                 encrypt_variant(corpus, frac)
