@@ -180,8 +180,9 @@ class IbModel:
     def predict(self, query) -> Prediction:
         acts = self.activations(query)
         probs, retained, degenerate = _softmax_retained(acts, self.params, True)
-        return self.space.prediction(
-            [probs[g].sum() for g in self.space.groups],
+        space = self.space
+        return space.prediction(
+            np.array([probs[c].sum() for c in space.columns])[space.column_of],
             self.params.task_threshold,
             retained_chunks=retained,
             degenerate=degenerate,

@@ -2,8 +2,10 @@
 
 Bernoulli naive Bayes, an information-gain decision tree, a random forest
 over those trees, and multinomial logistic regression, each trainable in
-family mode (one multiclass model) or direct-task mode (one binary model per
-task, binary relevance).  All of them consume the same boolean design matrix
+family mode (one multiclass model) or direct-task mode (binary relevance:
+one binary model per distinct task column, the samples performing a task,
+so tasks a family always performs together share one model and equal
+probabilities).  All of them consume the same boolean design matrix
 (`core.attribute_matrix`), take their labels from `core.label_space`, and
 produce Predictions through it, the same task-thresholding path as the
 activation models.
@@ -193,7 +195,7 @@ class DtModel:
     space: LabelSpace
     vocab: tuple
     _col: Mapping[str, int]
-    _roots: tuple                   # family: (root,); direct: one root per task
+    _roots: tuple                   # family: (root,); direct: one root per column
 
     @property
     def labels(self) -> tuple:
@@ -211,14 +213,15 @@ _MIN_LEAF_FRAC = 0.05
 
 
 def _fit_targets(space: LabelSpace, n: int, fit_one) -> tuple:
-    """fit_one(y, k) once over all labels (family) or once per label (direct)."""
+    """fit_one(y, k) once over all labels (family) or once per column of
+    space.columns (direct)."""
     if space.mode == "family":
         y = np.empty(n, dtype=int)
         for i, g in enumerate(space.groups):
             y[g] = i
         return (fit_one(y, len(space.labels)),)
     fits = []
-    for g in space.groups:
+    for g in space.columns:
         y = np.zeros(n, dtype=int)
         y[g] = 1
         fits.append(fit_one(y, 2))
@@ -242,13 +245,15 @@ def dt_train(corpus: Corpus, mode: str = "family") -> DtModel:
 def _forest_prediction(space: LabelSpace, col: Mapping[str, int], forests,
                        query, task_threshold: float) -> Prediction:
     """Mean leaf distribution of one forest over all labels (family mode), or
-    of one binary forest per label at its positive class (direct mode)."""
+    of one binary forest per column at its positive class, read by every
+    label of that column (direct mode)."""
     cols, _ = query_cols(col, query)
     qcols = set(cols.tolist())
     if space.mode == "family":
         probs = np.mean([_walk(t, qcols) for t in forests[0]], axis=0)
     else:
-        probs = [np.mean([_walk(t, qcols)[1] for t in forest]) for forest in forests]
+        probs = np.array([np.mean([_walk(t, qcols)[1] for t in forest])
+                          for forest in forests])[space.column_of]
     return space.prediction(probs, task_threshold)
 
 
@@ -265,7 +270,7 @@ class RfModel:
     vocab: tuple
     n_trees: int
     _col: Mapping[str, int]
-    _forests: tuple                 # family: (trees,); direct: one tuple per task
+    _forests: tuple                 # family: (trees,); direct: one tuple per column
 
 
 def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
@@ -274,7 +279,9 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     """Bagged information-gain trees with per-node attribute subsampling.
 
     max_features=None draws ceil(sqrt(|vocab|)) candidates per node; pass the
-    vocabulary size (and bootstrap=False) to reproduce the plain tree.
+    vocabulary size (and bootstrap=False) to reproduce the plain tree.  The
+    `seed` stream gives each tree its own seed, forest by forest (direct
+    mode: one forest per distinct task column, in first-label order).
     """
     space = label_space(corpus, mode)
     if n_trees < 1:
@@ -366,8 +373,8 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     if space.mode == "family":
         w, b, _ = fits[0]
     else:
-        w = np.stack([fw[1] - fw[0] for fw, _, _ in fits])
-        b = np.array([fb[1] - fb[0] for _, fb, _ in fits])
+        w = np.stack([fw[1] - fw[0] for fw, _, _ in fits])[space.column_of]
+        b = np.array([fb[1] - fb[0] for _, fb, _ in fits])[space.column_of]
     return LogRegModel(space=space, vocab=tuple(vocab), epochs=epochs,
                        grad_norm=max(gn for _, _, gn in fits), _col=col, _w=w, _b=b)
 

@@ -249,10 +249,11 @@ def attribute_matrix(corpus: Corpus) -> tuple:
     """
     vocab = sorted(corpus.fan)
     col = {a: j for j, a in enumerate(vocab)}
+    sizes = [len(s.attribs) for s in corpus.samples]
     x = np.zeros((corpus.size, len(vocab)), dtype=bool)
-    for i, s in enumerate(corpus.samples):
-        for a in s.attribs:
-            x[i, col[a]] = True
+    x[np.repeat(np.arange(corpus.size), sizes),
+      np.fromiter((col[a] for s in corpus.samples for a in s.attribs),
+                  dtype=np.intp, count=sum(sizes))] = True
     return vocab, col, x
 
 
@@ -277,19 +278,29 @@ class LabelSpace:
     """The labels a model scores over a corpus, in one mode, and the tasks
     those labels predict.
 
-    family  one label per family; groups[i] holds the members of labels[i]
-            and incidence[i, k] is 1 when labels[i] performs tasks[k]
-    direct  one label per task; groups[i] holds the samples performing
-            labels[i], tasks equals labels and incidence is None
+    family  one label per family, whose column holds its members;
+            incidence[i, k] is 1 when labels[i] performs tasks[k]
+    direct  one label per task, whose column holds the samples performing
+            it; tasks equals labels and incidence is None
 
-    Labels and tasks are sorted; groups are sorted sample-index arrays.
+    columns are the distinct sample groups, as sorted sample-index arrays in
+    the order of their first label, and labels[i] owns columns[column_of[i]]:
+    tasks a family performs together share one column, so direct-mode models
+    fit each column once and read its result for all of them.  Labels and
+    tasks are sorted.
     """
 
     mode: str
     labels: tuple
-    groups: tuple
+    columns: tuple
+    column_of: np.ndarray
     tasks: tuple
     incidence: np.ndarray | None
+
+    @property
+    def groups(self) -> tuple:
+        """The sample-index array of each label."""
+        return tuple(self.columns[c] for c in self.column_of)
 
     def presence_rates(self, x: np.ndarray, smoothing: float) -> tuple:
         """Smoothed (labels x vocab) presence rates over the design matrix x.
@@ -297,17 +308,17 @@ class LabelSpace:
             p(a|l)  = (count(a, l) + sm) / (|l| + 2 sm)
             p(a|~l) = (count(a) - count(a, l) + sm) / (|M| - |l| + 2 sm)
 
-        Returns (p(a|l), p(a|~l)).
+        Computed once per column.  Returns (p(a|l), p(a|~l)).
         """
         if smoothing <= 0:
             raise ValueError(f"smoothing must be positive, got {smoothing}")
         sm = smoothing
-        sizes = np.array([g.size for g in self.groups], dtype=float)
-        present = np.stack([x[g].sum(axis=0) for g in self.groups]).astype(float)
+        sizes = np.array([c.size for c in self.columns], dtype=float)
+        present = np.stack([x[c].sum(axis=0) for c in self.columns]).astype(float)
         given = (present + sm) / (sizes[:, None] + 2 * sm)
         not_given = ((x.sum(axis=0)[None, :] - present + sm)
                      / ((x.shape[0] - sizes)[:, None] + 2 * sm))
-        return given, not_given
+        return given[self.column_of], not_given[self.column_of]
 
     def prediction(self, probs, task_threshold: float,
                    retained_chunks: int | None = None,
@@ -346,21 +357,31 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tasks = tuple(sorted(corpus.tasks))
+    members = {f: np.array(corpus.members(f), dtype=int) for f in corpus.families}
     if mode == "family":
         labels = tuple(sorted(corpus.families))
-        groups = [corpus.members(f) for f in labels]
+        groups = [members[f] for f in labels]
         incidence = np.array([[t in corpus.families[f] for t in tasks] for f in labels],
                              dtype=float)
     else:
         labels = tasks
-        groups = [[i for i, s in enumerate(corpus.samples) if t in s.tasks]
-                  for t in labels]
+        performers = {t: [] for t in tasks}
+        for f, ts in corpus.families.items():
+            for t in ts:
+                performers[t].append(members[f])
+        groups = [np.sort(np.concatenate(performers[t])) for t in labels]
         incidence = None
     kind = "family" if mode == "family" else "task"
+    number: dict = {}           # a column's sample indices, as bytes -> its index
+    columns, column_of = [], []
     for label, g in zip(labels, groups):
-        if not g:
+        if not g.size:
             raise ValueError(f"{kind} {label!r} has no samples")
-    return LabelSpace(mode, labels, tuple(np.array(g, dtype=int) for g in groups),
+        c = number.setdefault(g.tobytes(), len(columns))
+        if c == len(columns):
+            columns.append(g)
+        column_of.append(c)
+    return LabelSpace(mode, labels, tuple(columns), np.array(column_of, dtype=int),
                       tasks, incidence)
 
 

@@ -184,6 +184,12 @@ def reference_prediction(corpus: Corpus, mode: str, class_probs: dict,
     )
 
 
+def reference_task_groups(corpus: Corpus) -> dict:
+    """Each task's sample indices, by testing every sample for every task."""
+    return {t: [i for i, s in enumerate(corpus.samples) if t in s.tasks]
+            for t in sorted(corpus.tasks)}
+
+
 def random_corpus(rng: random.Random, max_samples: int = 20, max_attrs: int = 10,
                   max_families: int = 4, max_tasks: int = 5) -> Corpus:
     """Small random labeled corpus for oracle cross-checks."""

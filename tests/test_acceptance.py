@@ -242,9 +242,10 @@ def test_07_task_metric_identities():
 
 
 def test_08_per_task_training_costs_more_than_per_family():
-    """Direct mode fits one model per task (35 here) where family mode fits
-    one per family grouping, so parametric trainers must pay for it; the
-    instance model just stores memory and trains in near-zero time."""
+    """Direct mode fits one binary model per distinct task column (5 here,
+    for 35 tasks) where family mode fits one multiclass model, so parametric
+    trainers still pay for it; the instance model just stores memory and
+    trains in near-zero time."""
     corpus, _ = generate(GenSpec(samples_per_family=40, seed=8))
 
     def train_time(method, mode, hyper=None):
@@ -261,7 +262,7 @@ def test_08_per_task_training_costs_more_than_per_family():
         fam = train_time(method, "family", hyper)
         direct = train_time(method, "direct", hyper)
         ratios.append(f"{method}={direct / fam:.1f}x")
-        assert direct > fam  # measured 5x-18x on this corpus
+        assert direct > fam  # measured dt 1.0x-2.1x, rf 1.4x-2.5x, logreg 2.0x-3.5x here
     ib_family = train_time("actr-ib", "family")
     ib_direct = train_time("actr-ib", "direct")
     _note(8, "training cost asymmetry",

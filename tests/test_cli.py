@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, files, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -241,6 +242,41 @@ class TestPredict:
         monkeypatch.undo()
         assert rc == 1
         assert "Broken pipe" not in capsys.readouterr().err
+
+
+# sha256 of `predict --mode direct --out` on encrypted queries.  The carriers
+# corpus has 4 tasks in 2 distinct sample columns; in the single-task corpus
+# every task has its own column, so rf's forests and seeds are one per task.
+_FROZEN_DIRECT_SHA256 = {
+    ("actr-r", "carriers"):
+        "1cd5cf7340f83b82bdbcefc5a928b8afffb863b670e42bc9fb7df21ab24b2fcb",
+    ("dt", "carriers"):
+        "84de47ef36fcfe5b96268b2500b56684f8a69917834999aca0cc8aac71facdfd",
+    ("logreg", "carriers"):
+        "5f0e2b1931bc26f0cc53ab49b6aea22097590052e44fb370497987899fad9a07",
+    ("nb", "carriers"):
+        "d19b4e76c6420e10c70c2081f25efa88ac429c93d400a54d96394d2f62ca8980",
+    ("rf", "single-task"):
+        "24caf6e0a824d458b652218a2acb6a59d00645127ea42580a9dc4983fa305716",
+}
+
+SINGLE_TASK_SMALL = ["--regime", "single-task", "--tasks-per-carrier", "4",
+                     "--samples-per-family", "10", "--carrier-pool", "60",
+                     "--payload-attrs", "8", "--overlap", "0.6", "--seed", "2"]
+
+
+class TestFrozenDirectPredictions:
+    @pytest.mark.parametrize("method,regime", sorted(_FROZEN_DIRECT_SHA256))
+    def test_prediction_files_match_frozen_digests(self, tmp_path, method, regime):
+        spec = GEN_SMALL if regime == "carriers" else SINGLE_TASK_SMALL
+        corpus, queries, out = (str(tmp_path / name) for name in
+                                ("corpus.jsonl", "queries.jsonl", "preds.jsonl"))
+        assert main(["gen", *spec, "--out", corpus]) == 0
+        assert main(["gen", *spec, "--encrypted", "--seed", "9", "--out", queries]) == 0
+        assert main(["predict", "--method", method, "--mode", "direct", "--seed", "3",
+                     "--corpus", corpus, "--in", queries, "--out", out]) == 0
+        digest = hashlib.sha256((tmp_path / "preds.jsonl").read_bytes()).hexdigest()
+        assert digest == _FROZEN_DIRECT_SHA256[(method, regime)]
 
 
 class TestEval:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_corpus, reference_prediction
+from oracles import random_corpus, reference_prediction, reference_task_groups
 from taskinfer.core import (
     ActrParams,
     Corpus,
@@ -230,6 +230,35 @@ class TestMakePrediction:
                         c, mode, dict(zip(space.labels, probs)), thr, retained,
                         retained == 0)
                     assert got == want
+
+
+class TestLabelColumns:
+    def test_direct_groups_match_a_per_sample_scan(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            c = random_corpus(rng, max_families=6, max_tasks=8)
+            space = label_space(c, "direct")
+            want = reference_task_groups(c)
+            assert space.labels == tuple(want)
+            assert [g.tolist() for g in space.groups] == list(want.values())
+            # Columns are the distinct groups, numbered by their first label.
+            assert len({g.tobytes() for g in space.columns}) == len(space.columns)
+            assert list(dict.fromkeys(space.column_of.tolist())) == \
+                list(range(len(space.columns)))
+
+    def test_family_columns_are_the_families(self, shared_task_corpus):
+        space = label_space(shared_task_corpus, "family")
+        assert space.column_of.tolist() == [0, 1, 2]
+        assert [g.tolist() for g in space.columns] == [[0, 1], [2, 3], [4, 5]]
+
+    def test_tasks_of_one_family_share_a_column(self):
+        # G names u in the header but has no samples; it must not split u from t.
+        c = make_corpus([("s1", {"a"}, "F"), ("s2", {"b"}, "H"), ("s3", {"c"}, "F")],
+                        {"F": {"t", "u"}, "G": {"u"}, "H": {"v"}})
+        space = label_space(c, "direct")
+        assert space.labels == ("t", "u", "v")
+        assert space.column_of.tolist() == [0, 0, 1]
+        assert [g.tolist() for g in space.columns] == [[0, 2], [1]]
 
 
 class TestCorpusFiles:

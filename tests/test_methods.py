@@ -1,5 +1,7 @@
 """The method registry: one training entry point for every method id."""
 
+import random
+
 import pytest
 
 from taskinfer.core import MODES, Sample, build_corpus
@@ -25,3 +27,21 @@ def test_labels_without_samples_are_rejected(method, mode):
     label = "family 'G'" if mode == "family" else "task 'u'"
     with pytest.raises(ValueError, match=f"{label} has no samples"):
         train_method(method, corpus, mode=mode)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tasks_sharing_a_column_get_equal_probabilities(method):
+    # Every F sample performs both t and u, so in direct mode the two tasks
+    # are one binary problem.  G names u in the header but has no samples,
+    # which must not set u apart from t.
+    rng = random.Random(4)
+    pool = [f"a{i}" for i in range(8)]
+    corpus = build_corpus(
+        [Sample(id=f"s{i}", attribs=set(rng.sample(pool, 4)), family="FH"[i % 2])
+         for i in range(24)],
+        {"F": frozenset({"t", "u"}), "H": frozenset({"v"}), "G": frozenset({"u"})},
+    )
+    predict = train_method(method, corpus, mode="direct")
+    for k in range(10):
+        probs = predict(frozenset(rng.sample(pool, 3))).class_probs
+        assert probs["t"] == probs["u"], k
