@@ -16,12 +16,10 @@ from .actr import (
     retrieval_probs,
 )
 from .baselines import (
-    DtModel,
     LogRegModel,
     NbModel,
     RfModel,
     TrainingError,
-    dt_predict,
     dt_train,
     logreg_objective,
     logreg_predict,

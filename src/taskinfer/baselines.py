@@ -1,10 +1,10 @@
 """From-scratch baseline classifiers over binary attribute sets.
 
-Bernoulli naive Bayes, an information-gain decision tree, a random forest
-over those trees, and multinomial logistic regression, each trainable in
-family mode (one multiclass model) or direct-task mode (binary relevance:
-one binary model per distinct task column, the samples performing a task,
-so tasks a family always performs together share one model and equal
+Bernoulli naive Bayes, a random forest of information-gain trees (the
+decision tree is a forest of one), and multinomial logistic regression, each
+trainable in family mode (one multiclass model) or direct-task mode (binary
+relevance: one binary model per distinct task column, the samples performing
+a task, so tasks a family always performs together share one model and equal
 probabilities).  All of them consume the same boolean design matrix
 (`core.attribute_matrix`), take their labels from `core.label_space`, and
 produce Predictions through it, the same task-thresholding path as the
@@ -19,8 +19,10 @@ Conventions shared across the baselines:
     lexicographically smallest attribute, and never splits a node holding
     fewer than 5% of the training samples;
   - the forest bootstraps |M| samples per tree and draws
-    ceil(sqrt(|attributes|)) candidate attributes per node (both togglable,
-    so a single full-data, full-feature tree reproduces the plain tree);
+    ceil(sqrt(|attributes|)) candidate attributes per node; the decision
+    tree (`dt`) is a forest of one tree grown on every sample with every
+    attribute a candidate at every node;
+  - trees are flat node arrays, and a query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
     log-likelihood with an L2 penalty on the weights (bias unpenalized).
 """
@@ -119,24 +121,7 @@ def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction
     return model.space.prediction(1.0 / (1.0 + np.exp(-scores)), task_threshold)
 
 
-# ---------------------------------------------------------------- decision tree
-
-@dataclass
-class TreeNode:
-    attr_col: int | None            # None marks a leaf
-    dist: np.ndarray                # class distribution at this node
-    n: int
-    present: "TreeNode | None" = None
-    absent: "TreeNode | None" = None
-
-
-def _entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log(p)).sum())
-
+# ------------------------------------------------------------ trees and forests
 
 def _row_entropy(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
@@ -147,69 +132,46 @@ def _row_entropy(counts: np.ndarray) -> np.ndarray:
 
 
 _GAIN_TOL = 1e-12
+_MIN_LEAF_FRAC = 0.05
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, n_classes: int, idx: np.ndarray,
-               avail: np.ndarray, min_count: float,
-               rng: np.random.Generator | None, max_features: int | None) -> TreeNode:
+def _grow_tree(nodes: list, x: np.ndarray, y: np.ndarray, n_classes: int,
+               idx: np.ndarray, avail: np.ndarray, min_count: float,
+               rng: np.random.Generator, max_features: int, depth: int = 0) -> int:
+    """Append the tree grown on rows idx to `nodes` and return its root.
+
+    A node is (split column, present child, absent child, class distribution,
+    depth), and a leaf is its own present and absent child.
+    """
     counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-    node = TreeNode(attr_col=None, dist=counts / idx.size, n=int(idx.size))
+    at = len(nodes)
+    nodes.append((0, at, at, counts / idx.size, depth))
     if idx.size < min_count or (counts > 0).sum() <= 1 or not avail.any():
-        return node
+        return at
     cand = np.flatnonzero(avail)
-    if rng is not None and max_features is not None and cand.size > max_features:
+    if cand.size > max_features:
         cand = np.sort(rng.choice(cand, size=max_features, replace=False))
     onehot = (y[idx][:, None] == np.arange(n_classes)).astype(float)
     xc = x[np.ix_(idx, cand)]
     present_counts = xc.T.astype(float) @ onehot           # (c, K)
-    absent_counts = counts[None, :] - present_counts
     n_p = present_counts.sum(axis=1)
     n_a = idx.size - n_p
-    parent_h = _entropy(counts)
-    child_h = (n_p * _row_entropy(present_counts)
-               + n_a * _row_entropy(absent_counts)) / idx.size
-    gains = parent_h - child_h
+    h = _row_entropy(np.vstack([counts, present_counts, counts - present_counts]))
+    h_p, h_a = h[1:cand.size + 1], h[cand.size + 1:]
+    gains = h[0] - (n_p * h_p + n_a * h_a) / idx.size
     best = int(np.argmax(gains))                           # first max: smallest column
     if gains[best] <= _GAIN_TOL:
-        return node
+        return at
     split_col = int(cand[best])
     mask = x[idx, split_col]
     child_avail = avail.copy()
     child_avail[split_col] = False
-    node.attr_col = split_col
-    node.present = _grow_tree(x, y, n_classes, idx[mask], child_avail,
-                              min_count, rng, max_features)
-    node.absent = _grow_tree(x, y, n_classes, idx[~mask], child_avail,
-                             min_count, rng, max_features)
-    return node
-
-
-def _walk(node: TreeNode, qcols: set) -> np.ndarray:
-    while node.attr_col is not None:
-        node = node.present if node.attr_col in qcols else node.absent
-    return node.dist
-
-
-@dataclass(frozen=True)
-class DtModel:
-    space: LabelSpace
-    vocab: tuple
-    _col: Mapping[str, int]
-    _roots: tuple                   # family: (root,); direct: one root per column
-
-    @property
-    def labels(self) -> tuple:
-        return self.space.labels
-
-    def depth(self) -> int:
-        def d(node):
-            if node.attr_col is None:
-                return 0
-            return 1 + max(d(node.present), d(node.absent))
-        return max(d(r) for r in self._roots)
-
-
-_MIN_LEAF_FRAC = 0.05
+    present = _grow_tree(nodes, x, y, n_classes, idx[mask], child_avail,
+                         min_count, rng, max_features, depth + 1)
+    absent = _grow_tree(nodes, x, y, n_classes, idx[~mask], child_avail,
+                        min_count, rng, max_features, depth + 1)
+    nodes[at] = (split_col, present, absent, nodes[at][3], depth)
+    return at
 
 
 def _fit_targets(space: LabelSpace, n: int, fit_one) -> tuple:
@@ -228,49 +190,56 @@ def _fit_targets(space: LabelSpace, n: int, fit_one) -> tuple:
     return tuple(fits)
 
 
-def dt_train(corpus: Corpus, mode: str = "family") -> DtModel:
-    space = label_space(corpus, mode)
-    vocab, col, x = attribute_matrix(corpus)
-    min_count = _MIN_LEAF_FRAC * corpus.size
-    idx = np.arange(corpus.size)
-
-    def fit_one(y, k):
-        return _grow_tree(x, y, k, idx, np.ones(len(vocab), dtype=bool),
-                          min_count, None, None)
-
-    roots = _fit_targets(space, corpus.size, fit_one)
-    return DtModel(space=space, vocab=tuple(vocab), _col=col, _roots=roots)
-
-
-def _forest_prediction(space: LabelSpace, col: Mapping[str, int], forests,
-                       query, task_threshold: float) -> Prediction:
-    """Mean leaf distribution of one forest over all labels (family mode), or
-    of one binary forest per column at its positive class, read by every
-    label of that column (direct mode)."""
-    cols, _ = query_cols(col, query)
-    qcols = set(cols.tolist())
-    if space.mode == "family":
-        probs = np.mean([_walk(t, qcols) for t in forests[0]], axis=0)
-    else:
-        probs = np.array([np.mean([_walk(t, qcols)[1] for t in forest])
-                          for forest in forests])[space.column_of]
-    return space.prediction(probs, task_threshold)
-
-
-def dt_predict(model: DtModel, query, task_threshold: float = 0.5) -> Prediction:
-    forests = [(root,) for root in model._roots]
-    return _forest_prediction(model.space, model._col, forests, query, task_threshold)
-
-
-# ---------------------------------------------------------------- random forest
-
 @dataclass(frozen=True)
 class RfModel:
+    """Information-gain trees as flat node arrays: one forest of n_trees
+    trees over all labels (family mode), or one binary forest per distinct
+    task column, in column order (direct mode)."""
+
     space: LabelSpace
     vocab: tuple
     n_trees: int
     _col: Mapping[str, int]
-    _forests: tuple                 # family: (trees,); direct: one tuple per column
+    _roots: np.ndarray              # the root of every tree, forest by forest
+    _split: np.ndarray              # per node: the attribute column it tests
+    _present: np.ndarray            # per node: child when the attribute is present
+    _absent: np.ndarray             # per node: child when it is absent
+    _dist: np.ndarray               # per node: class distribution (nodes, K)
+    _depth: int                     # splits on the longest root-to-leaf path
+
+    def depth(self) -> int:
+        return self._depth
+
+
+def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
+                  bootstrap: bool, max_features: int) -> RfModel:
+    space = label_space(corpus, mode)
+    vocab, col, x = attribute_matrix(corpus)
+    m = corpus.size
+    master = np.random.default_rng(seed)
+    nodes = []
+
+    def fit_one(y, k):
+        roots = []
+        for _ in range(n_trees):
+            rng = np.random.default_rng(int(master.integers(2**63 - 1)))
+            idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
+            roots.append(_grow_tree(nodes, x, y, k, idx, np.ones(len(vocab), dtype=bool),
+                                    _MIN_LEAF_FRAC * m, rng, max_features))
+        return roots
+
+    roots = np.concatenate(_fit_targets(space, m, fit_one))
+    split, present, absent, dist, depth = zip(*nodes)
+    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, _col=col,
+                   _roots=roots, _split=np.array(split), _present=np.array(present),
+                   _absent=np.array(absent), _dist=np.array(dist), _depth=max(depth))
+
+
+def dt_train(corpus: Corpus, mode: str = "family") -> RfModel:
+    """The plain decision tree: a forest of one tree grown on every sample,
+    with every attribute a candidate at every node."""
+    return _grow_forests(corpus, mode, n_trees=1, seed=0, bootstrap=False,
+                         max_features=len(corpus.fan))
 
 
 def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
@@ -278,37 +247,36 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
              max_features: int | None = None) -> RfModel:
     """Bagged information-gain trees with per-node attribute subsampling.
 
-    max_features=None draws ceil(sqrt(|vocab|)) candidates per node; pass the
-    vocabulary size (and bootstrap=False) to reproduce the plain tree.  The
+    max_features=None draws ceil(sqrt(|vocab|)) candidates per node.  The
     `seed` stream gives each tree its own seed, forest by forest (direct
     mode: one forest per distinct task column, in first-label order).
     """
-    space = label_space(corpus, mode)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    vocab, col, x = attribute_matrix(corpus)
-    m = corpus.size
-    min_count = _MIN_LEAF_FRAC * m
-    mf = max_features if max_features is not None else math.ceil(math.sqrt(len(vocab)))
-    master = np.random.default_rng(seed)
-
-    def fit_one(y, k):
-        trees = []
-        for _ in range(n_trees):
-            rng = np.random.default_rng(int(master.integers(2**63 - 1)))
-            idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-            trees.append(_grow_tree(x, y, k, idx, np.ones(len(vocab), dtype=bool),
-                                    min_count, rng, mf))
-        return tuple(trees)
-
-    forests = _fit_targets(space, m, fit_one)
-    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, _col=col,
-                   _forests=forests)
+    if max_features is None:
+        max_features = math.ceil(math.sqrt(len(corpus.fan)))
+    elif max_features < 1:
+        raise ValueError(f"max_features must be >= 1, got {max_features}")
+    return _grow_forests(corpus, mode, n_trees, seed, bootstrap, max_features)
 
 
 def rf_predict(model: RfModel, query, task_threshold: float = 0.5) -> Prediction:
-    return _forest_prediction(model.space, model._col, model._forests, query,
-                              task_threshold)
+    """Mean leaf distribution of the forest over all labels (family mode), or
+    of each column's forest at its positive class, read by every label of
+    that column (direct mode).  Every tree is walked at once; after `_depth`
+    steps each walk rests on a leaf."""
+    cols, _ = query_cols(model._col, query)
+    q = np.zeros(len(model.vocab), dtype=bool)
+    q[cols] = True
+    node = model._roots
+    for _ in range(model._depth):
+        node = np.where(q[model._split[node]], model._present[node], model._absent[node])
+    if model.space.mode == "family":
+        probs = model._dist[node].mean(axis=0)
+    else:
+        probs = model._dist[node, 1].reshape(-1, model.n_trees).mean(axis=1)
+        probs = probs[model.space.column_of]
+    return model.space.prediction(probs, task_threshold)
 
 
 # ------------------------------------------------------- logistic regression
@@ -364,9 +332,13 @@ def _fit_logreg(x: np.ndarray, y: np.ndarray, k: int, lr: float, l2: float,
 def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
                  epochs: int = 500, mode: str = "family") -> LogRegModel:
     """Full-batch ascent from zero weights; deterministic, so it takes no seed."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise ValueError(f"l2 must be non-negative and finite, got {l2}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     space = label_space(corpus, mode)
-    if learning_rate <= 0 or epochs < 1 or l2 < 0:
-        raise ValueError("learning_rate must be > 0, epochs >= 1, l2 >= 0")
     vocab, col, x = attribute_matrix(corpus)
     fits = _fit_targets(space, corpus.size,
                         lambda y, k: _fit_logreg(x, y, k, learning_rate, l2, epochs))

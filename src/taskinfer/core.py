@@ -310,8 +310,8 @@ class LabelSpace:
 
         Computed once per column.  Returns (p(a|l), p(a|~l)).
         """
-        if smoothing <= 0:
-            raise ValueError(f"smoothing must be positive, got {smoothing}")
+        if not (math.isfinite(smoothing) and smoothing > 0):
+            raise ValueError(f"smoothing must be positive and finite, got {smoothing}")
         sm = smoothing
         sizes = np.array([c.size for c in self.columns], dtype=float)
         present = np.stack([x[c].sum(axis=0) for c in self.columns]).astype(float)

@@ -38,7 +38,7 @@ _REGISTRY = {
     "dt": (
         lambda corpus, mode, params, seed: baselines.dt_train(corpus, mode=mode),
         {},
-        lambda model, params, q: baselines.dt_predict(model, q, params.task_threshold),
+        lambda model, params, q: baselines.rf_predict(model, q, params.task_threshold),
     ),
     "rf": (
         lambda corpus, mode, params, seed, **h: baselines.rf_train(

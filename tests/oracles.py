@@ -3,7 +3,8 @@
 Everything here recomputes model outputs from first principles with plain
 Python loops over sets and dicts (mpmath for the exponentials, so overflow
 is impossible at any parameter scale).  No code is shared with the package
-internals beyond the public data types.
+internals beyond the public data types; the tree oracles take a trained
+model's node arrays and redo only the walk and the averaging.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 
 from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus
 
@@ -182,6 +184,42 @@ def reference_prediction(corpus: Corpus, mode: str, class_probs: dict,
         retained_chunks=retained_chunks,
         degenerate=degenerate,
     )
+
+
+def reference_forest_probs(model, query) -> np.ndarray:
+    """Label probabilities of a tree model (`dt_train`, `rf_train`), walking
+    its node arrays one tree at a time with plain ints and testing attributes
+    by name.  The means are np.mean over per-tree lists, as the per-tree
+    predictor took them: over the forest (family mode), or over each column's
+    forest at its positive class (direct mode)."""
+    query = set(query)
+    leaves = []
+    for root in model._roots:
+        node = int(root)
+        while int(model._present[node]) != node:       # a leaf is its own child
+            attr = model.vocab[int(model._split[node])]
+            node = int(model._present[node] if attr in query else model._absent[node])
+        leaves.append(node)
+    t = model.n_trees
+    forests = [leaves[i:i + t] for i in range(0, len(leaves), t)]
+    if model.space.mode == "family":
+        return np.mean([model._dist[leaf] for leaf in forests[0]], axis=0)
+    per_column = [np.mean([model._dist[leaf][1] for leaf in forest]) for forest in forests]
+    return np.array(per_column)[model.space.column_of]
+
+
+def reference_forest_depth(model) -> int:
+    """Splits on the longest root-to-leaf path of any tree, visiting every node."""
+    deepest = 0
+    stack = [(int(root), 0) for root in model._roots]
+    while stack:
+        node, depth = stack.pop()
+        present, absent = int(model._present[node]), int(model._absent[node])
+        if present == node:
+            deepest = max(deepest, depth)
+        else:
+            stack += [(present, depth + 1), (absent, depth + 1)]
+    return deepest
 
 
 def reference_task_groups(corpus: Corpus) -> dict:

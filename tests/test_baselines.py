@@ -9,11 +9,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import random_corpus, reference_nb_posterior
+from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
+                     reference_nb_posterior)
 from taskinfer.baselines import (
     TrainingError,
-    dt_predict,
     dt_train,
     logreg_objective,
     logreg_predict,
@@ -23,6 +25,8 @@ from taskinfer.baselines import (
     rf_predict,
     rf_train,
 )
+
+from taskinfer.core import MODES
 
 from conftest import make_corpus
 
@@ -115,19 +119,19 @@ class TestDecisionTree:
     def test_conjunction_needs_two_nested_splits(self, and_corpus):
         model = dt_train(and_corpus)
         assert model.depth() == 2
-        assert dt_predict(model, {"a", "b"}).predicted_family == "F2"
+        assert rf_predict(model, {"a", "b"}).predicted_family == "F2"
         for q in ({"a"}, {"b"}, {"z"}):
-            assert dt_predict(model, q).predicted_family == "F1"
+            assert rf_predict(model, q).predicted_family == "F1"
         # Training accuracy 1 on all 24 rows.
         for s in and_corpus.samples:
-            assert dt_predict(model, s.attribs).predicted_family == s.family
+            assert rf_predict(model, s.attribs).predicted_family == s.family
 
     def test_balanced_xor_is_invisible_to_greedy_gain(self, xor_corpus):
         # Every root split leaves both children at 50/50, so the tree stays
         # a single majority leaf rather than fitting the interaction.
         model = dt_train(xor_corpus)
         assert model.depth() == 0
-        pred = dt_predict(model, {"a", "z"})
+        pred = rf_predict(model, {"a", "z"})
         assert pred.class_probs["F1"] == pytest.approx(0.5)
         assert pred.class_probs["F2"] == pytest.approx(0.5)
 
@@ -139,8 +143,7 @@ class TestDecisionTree:
             {"F1": {"t1"}, "F2": {"t2"}},
         )
         model = dt_train(c)
-        root = model._roots[0]
-        assert model.vocab[root.attr_col] == "a"
+        assert model.vocab[model._split[model._roots[0]]] == "a"
         assert model.depth() == 1
 
     def test_small_nodes_are_never_split(self):
@@ -153,7 +156,7 @@ class TestDecisionTree:
         big = make_corpus(rows, {"F1": {"t1"}, "F2": {"t2"}})
         model = dt_train(big)
         assert model.depth() == 2
-        pred = dt_predict(model, {"x", "w"})
+        pred = rf_predict(model, {"x", "w"})
         assert pred.class_probs == {"F1": 0.5, "F2": 0.5}
         # The same tail alone clears the 5% floor and is split immediately.
         small = make_corpus(
@@ -163,7 +166,7 @@ class TestDecisionTree:
         )
         model_small = dt_train(small)
         assert model_small.depth() == 1
-        assert dt_predict(model_small, {"x", "w"}).class_probs["F1"] == 1.0
+        assert rf_predict(model_small, {"x", "w"}).class_probs["F1"] == 1.0
 
     def test_attributes_are_not_reused_along_a_path(self):
         rng = random.Random(52)
@@ -172,20 +175,21 @@ class TestDecisionTree:
             model = dt_train(c)
 
             def check(node, used):
-                if node.attr_col is None:
+                if model._present[node] == node:      # a leaf
                     return
-                assert node.attr_col not in used
-                check(node.present, used | {node.attr_col})
-                check(node.absent, used | {node.attr_col})
+                col = model._split[node]
+                assert col not in used
+                check(model._present[node], used | {col})
+                check(model._absent[node], used | {col})
 
             for root in model._roots:
                 check(root, set())
 
     def test_direct_mode_grows_one_tree_per_task(self, shared_task_corpus):
         model = dt_train(shared_task_corpus, mode="direct")
-        assert model.labels == ("t1", "t2", "t3")
+        assert model.space.labels == ("t1", "t2", "t3")
         assert len(model._roots) == 3
-        pred = dt_predict(model, {"a", "b"})
+        pred = rf_predict(model, {"a", "b"})
         assert pred.predicted_family is None
         assert set(pred.class_probs) == {"t1", "t2", "t3"}
 
@@ -193,7 +197,7 @@ class TestDecisionTree:
         with pytest.raises(ValueError, match="mode must be one of"):
             dt_train(two_family_corpus, mode="both")
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            dt_predict(dt_train(two_family_corpus), set())
+            rf_predict(dt_train(two_family_corpus), set())
 
 
 class TestRandomForest:
@@ -207,7 +211,7 @@ class TestRandomForest:
             for _ in range(5):
                 q = _random_query(rng, c)
                 assert rf_predict(forest, q).class_probs == \
-                    dt_predict(tree, q).class_probs
+                    rf_predict(tree, q).class_probs
 
     def test_same_seed_same_forest(self, and_corpus):
         a = rf_train(and_corpus, n_trees=20, seed=9)
@@ -239,6 +243,33 @@ class TestRandomForest:
     def test_rejects_bad_tree_count(self, two_family_corpus):
         with pytest.raises(ValueError, match="n_trees must be >= 1"):
             rf_train(two_family_corpus, n_trees=0)
+
+
+_TREE_TRAINERS = {
+    "dt": lambda c, mode, seed: dt_train(c, mode=mode),
+    "rf": lambda c, mode, seed: rf_train(c, n_trees=7, seed=seed, mode=mode),
+    "rf-no-bootstrap": lambda c, mode, seed: rf_train(c, n_trees=4, seed=seed,
+                                                      mode=mode, bootstrap=False),
+}
+
+
+class TestFlatForest:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("trainer", sorted(_TREE_TRAINERS))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_walking_all_trees_at_once_matches_one_tree_at_a_time(self, trainer, mode,
+                                                                  seed):
+        rng = random.Random(seed)
+        c = random_corpus(rng)
+        model = _TREE_TRAINERS[trainer](c, mode, seed)
+        assert model.depth() == reference_forest_depth(model)
+        for _ in range(5):
+            q = _random_query(rng, c)
+            expected = reference_forest_probs(model, q)
+            got = rf_predict(model, q).class_probs
+            assert [p.hex() for p in got.values()] == [float(p).hex() for p in expected]
+            assert tuple(got) == model.space.labels
 
 
 class TestLogisticRegression:

@@ -279,6 +279,31 @@ class TestFrozenDirectPredictions:
         assert digest == _FROZEN_DIRECT_SHA256[(method, regime)]
 
 
+# sha256 of `predict --out` for the tree models on encrypted queries against
+# the carriers corpus, in the modes the digests above leave out.
+_FROZEN_TREE_SHA256 = {
+    ("dt", "family"):
+        "3f88f5c24c36e9131ca5a01c8b51cc852545591a6ad0dbe4be8f67b6bcf30605",
+    ("rf", "family"):
+        "05309b12a9b07243245afcff73db86cb9839503573322577170cdd351be6b817",
+    ("rf", "direct"):
+        "45edd64961cf7d843012b14aac98fc047fcdc4ec8cc868605423def6ed94623f",
+}
+
+
+class TestFrozenTreePredictions:
+    @pytest.mark.parametrize("method,mode", sorted(_FROZEN_TREE_SHA256))
+    def test_prediction_files_match_frozen_digests(self, tmp_path, method, mode):
+        corpus, queries, out = (str(tmp_path / name) for name in
+                                ("corpus.jsonl", "queries.jsonl", "preds.jsonl"))
+        assert main(["gen", *GEN_SMALL, "--out", corpus]) == 0
+        assert main(["gen", *GEN_SMALL, "--encrypted", "--seed", "9", "--out", queries]) == 0
+        assert main(["predict", "--method", method, "--mode", mode, "--seed", "3",
+                     "--corpus", corpus, "--in", queries, "--out", out]) == 0
+        digest = hashlib.sha256((tmp_path / "preds.jsonl").read_bytes()).hexdigest()
+        assert digest == _FROZEN_TREE_SHA256[(method, mode)]
+
+
 class TestEval:
     def test_loocv_writes_report_and_csv(self, tmp_path, capsys):
         corpus_path = run_gen(tmp_path)

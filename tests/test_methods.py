@@ -1,5 +1,6 @@
 """The method registry: one training entry point for every method id."""
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,23 @@ from taskinfer.methods import METHODS, train_method
 def test_unknown_hyperparameters_are_rejected(method, two_family_corpus):
     with pytest.raises(ValueError, match=rf"unknown hyperparameters for {method}: \['bogus'\]"):
         train_method(method, two_family_corpus, hyper={"bogus": 1})
+
+
+@pytest.mark.parametrize("method,name,value", [
+    ("nb", "smoothing", math.nan),
+    ("nb", "smoothing", math.inf),
+    ("actr-r", "smoothing", math.nan),
+    ("actr-r", "smoothing", math.inf),
+    ("logreg", "learning_rate", math.nan),
+    ("logreg", "learning_rate", math.inf),
+    ("logreg", "l2", math.nan),
+    ("logreg", "l2", math.inf),
+    ("rf", "max_features", 0),
+    ("rf", "max_features", -2),
+])
+def test_bad_hyperparameters_are_rejected_by_name(method, name, value, two_family_corpus):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+        train_method(method, two_family_corpus, hyper={name: value})
 
 
 @pytest.mark.parametrize("mode", MODES)
