@@ -6,11 +6,8 @@ ingester, and an evaluation harness, behind the `taskinfer` CLI.
 """
 
 from .actr import (
-    Activation,
     IbModel,
     RuleTable,
-    ib_activation,
-    ib_predict,
     rb_predict,
     rb_train,
     retrieval_probs,

@@ -16,8 +16,16 @@ every training sample as a memory chunk; a query computes, per chunk j,
 where fan(a) counts the training samples containing a.  With
 partial_matching="deficit" the last term is shifted to
 mp * (overlap - 1), a penalty in [-mp, 0]; ordering is unchanged but the
-interaction with tau differs.  Chunks at or above the threshold tau enter a
-Boltzmann retrieval distribution
+interaction with tau differs.
+
+The memory is an inverted index from each attribute to the chunks that
+contain it (CSC form: one indptr/indices pair), ACT-R's associative links,
+so fan(a) is the number of a's links.  A query gathers only the links of its
+known attributes: two bincounts over their chunk ids give every chunk's
+|query & chunk| and its summed log(|M| / fan(a)), so a chunk sharing nothing
+gets the miss term alone, and an attribute unseen in training is a miss for
+every chunk.  Chunks at or above the threshold tau enter a Boltzmann
+retrieval distribution
 
     Pr(j) = exp(A_j / s) / sum_k exp(A_k / s)
 
@@ -25,8 +33,10 @@ computed deterministically (the temperature s stands in for noise; nothing
 is sampled) with max-subtraction for numerical stability.  If no chunk
 reaches tau, retrieval falls back to the softmax over all chunks and the
 prediction is flagged degenerate.  Family probability is the retained
-probability mass of the family's chunks; task probability sums the mass of
-every family performing the task, thresholded at task_threshold.
+probability mass of the family's chunks (direct mode: a task's mass is that
+of the chunks performing it), read in one product with the chunk x column
+incidence; task probability sums the mass of every family performing the
+task, thresholded at task_threshold.
 
 The rule-based model (RB) compresses the corpus into per-(label, attribute)
 rules, the smoothed presence rates naive Bayes also reads.  With
@@ -54,12 +64,14 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .core import (
     ActrParams,
     Corpus,
     LabelSpace,
     Prediction,
+    attribute_links,
     attribute_matrix,
     label_space,
     query_cols,
@@ -67,51 +79,10 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Activation:
-    """Per-chunk activation, decomposed into its three terms."""
-
-    base: float
-    spreading: float
-    partial_match: float
-
-    @property
-    def total(self) -> float:
-        return self.base + self.spreading + self.partial_match
-
-
-def _overlap(query: frozenset, chunk: frozenset) -> float:
-    shared = len(query & chunk)
-    return shared / math.sqrt(len(query) * len(chunk))
-
-
 def _partial_term(overlap: float, params: ActrParams) -> float:
     if params.partial_matching == "deficit":
         return params.mp * (overlap - 1.0)
     return params.mp * overlap
-
-
-def ib_activation(corpus: Corpus, params: ActrParams, query, j: int) -> Activation:
-    """Activation of memory chunk j (corpus.samples[j]) for a query attribute set."""
-    query = frozenset(query)
-    if not query:
-        raise ValueError("query attribute set is empty")
-    if not 0 <= j < corpus.size:
-        raise IndexError(f"chunk index {j} out of range for corpus of {corpus.size}")
-    chunk = corpus.samples[j].attribs
-    m = corpus.size
-    miss = math.log(1.0 / m)
-    spread = 0.0
-    for a in query:
-        if a in chunk:
-            spread += math.log(m / corpus.fan[a])
-        else:
-            spread += miss
-    return Activation(
-        base=params.beta,
-        spreading=spread / len(query),
-        partial_match=_partial_term(_overlap(query, chunk), params),
-    )
 
 
 def _softmax_retained(acts: np.ndarray, params: ActrParams,
@@ -148,7 +119,12 @@ def retrieval_probs(activations: Sequence[float], params: ActrParams,
 
 
 class IbModel:
-    """Instance-based model: the training corpus held as retrievable memory."""
+    """Instance-based model: the training corpus held as retrievable memory.
+
+    The chunks holding attribute vocab[j] are _chunks[_start[j]:_start[j + 1]]
+    in sample order, so _fan[j] = _start[j + 1] - _start[j].  _member[i, c] is
+    1 when chunk i belongs to the label column space.columns[c].
+    """
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
                  mode: str = "family"):
@@ -157,22 +133,34 @@ class IbModel:
             raise ValueError("cannot build memory from an empty corpus")
         self.corpus = corpus
         self.params = params or ActrParams()
-        vocab, col, x = attribute_matrix(corpus)
-        self._col = col
-        self._x = x
-        self._sizes = x.sum(axis=1)
+        _, self._col, rows, cols = attribute_links(corpus)
         m = corpus.size
-        fan = np.array([corpus.fan[a] for a in vocab], dtype=float)
-        self._log_hit = np.log(m / fan)
+        self._sizes = np.bincount(rows, minlength=m)
+        # scipy's CSR -> CSC conversion is a counting sort of the links by
+        # attribute, stable in sample order.
+        row_start = np.concatenate(([0], np.cumsum(self._sizes)))
+        memory = sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols, row_start),
+                                   shape=(m, len(self._col))).tocsc()
+        self._start, self._chunks = memory.indptr, memory.indices
+        self._fan = np.diff(self._start)
+        self._log_hit = np.log(m / self._fan)
         self._log_miss = math.log(1.0 / m)
+        self._member = np.zeros((m, len(self.space.columns)))
+        for c, members in enumerate(self.space.columns):
+            self._member[members, c] = 1.0
 
     def activations(self, query) -> np.ndarray:
         """Total activation of every memory chunk for the query."""
         cols, n_unseen = query_cols(self._col, query)
         nq = cols.size + n_unseen
-        xq = self._x[:, cols]
-        shared = xq.sum(axis=1)
-        hits = xq @ self._log_hit[cols]
+        start, fan = self._start[cols], self._fan[cols]
+        # Positions in _chunks of every link of the query's known attributes.
+        links = np.repeat(start - np.cumsum(fan) + fan, fan) + np.arange(fan.sum())
+        chunks = self._chunks[links]
+        m = self._sizes.size
+        shared = np.bincount(chunks, minlength=m)
+        hits = np.bincount(chunks, weights=np.repeat(self._log_hit[cols], fan),
+                           minlength=m)
         spread = (hits + (nq - shared) * self._log_miss) / nq
         overlap = shared / np.sqrt(nq * self._sizes)
         return self.params.beta + spread + _partial_term(overlap, self.params)
@@ -182,17 +170,11 @@ class IbModel:
         probs, retained, degenerate = _softmax_retained(acts, self.params, True)
         space = self.space
         return space.prediction(
-            np.array([probs[c].sum() for c in space.columns])[space.column_of],
+            (probs @ self._member)[space.column_of],
             self.params.task_threshold,
             retained_chunks=retained,
             degenerate=degenerate,
         )
-
-
-def ib_predict(corpus: Corpus, params: ActrParams | None, query,
-               mode: str = "family") -> Prediction:
-    """One-shot instance-based prediction (builds the memory, then queries it)."""
-    return IbModel(corpus, params, mode).predict(query)
 
 
 @dataclass(frozen=True, eq=False)

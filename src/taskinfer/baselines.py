@@ -30,6 +30,7 @@ Conventions shared across the baselines:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -235,6 +236,14 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                    _absent=np.array(absent), _dist=np.array(dist), _depth=max(depth))
 
 
+def _check_count(name: str, value) -> None:
+    """A count hyperparameter is an int (a bool is not one) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def dt_train(corpus: Corpus, mode: str = "family") -> RfModel:
     """The plain decision tree: a forest of one tree grown on every sample,
     with every attribute a candidate at every node."""
@@ -251,12 +260,13 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     `seed` stream gives each tree its own seed, forest by forest (direct
     mode: one forest per distinct task column, in first-label order).
     """
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
+    _check_count("n_trees", n_trees)
+    if type(bootstrap) is not bool:
+        raise ValueError(f"bootstrap must be True or False, got {bootstrap!r}")
     if max_features is None:
         max_features = math.ceil(math.sqrt(len(corpus.fan)))
-    elif max_features < 1:
-        raise ValueError(f"max_features must be >= 1, got {max_features}")
+    else:
+        _check_count("max_features", max_features)
     return _grow_forests(corpus, mode, n_trees, seed, bootstrap, max_features)
 
 
@@ -336,8 +346,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     if not (math.isfinite(l2) and l2 >= 0):
         raise ValueError(f"l2 must be non-negative and finite, got {l2}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _check_count("epochs", epochs)
     space = label_space(corpus, mode)
     vocab, col, x = attribute_matrix(corpus)
     fits = _fit_targets(space, corpus.size,

@@ -241,19 +241,30 @@ def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable
     return Corpus(out, fam_tasks)
 
 
-def attribute_matrix(corpus: Corpus) -> tuple:
-    """Sorted attribute vocabulary, column index, and boolean presence matrix.
+def attribute_links(corpus: Corpus) -> tuple:
+    """Sorted attribute vocabulary, column index, and the (row, column) pair
+    of every sample-attribute link, sample by sample.
 
-    Row i corresponds to corpus.samples[i]; column j to vocab[j].  Shared by
-    every model that works against a design matrix.
+    Row i corresponds to corpus.samples[i]; column j to vocab[j].  The one
+    indexing of a corpus's attributes that every model shares.
     """
     vocab = sorted(corpus.fan)
     col = {a: j for j, a in enumerate(vocab)}
     sizes = [len(s.attribs) for s in corpus.samples]
+    rows = np.repeat(np.arange(corpus.size), sizes)
+    cols = np.fromiter((col[a] for s in corpus.samples for a in s.attribs),
+                       dtype=np.intp, count=sum(sizes))
+    return vocab, col, rows, cols
+
+
+def attribute_matrix(corpus: Corpus) -> tuple:
+    """Sorted attribute vocabulary, column index, and boolean presence matrix
+    (the links of `attribute_links` set to True).  Shared by every model that
+    works against a design matrix.
+    """
+    vocab, col, rows, cols = attribute_links(corpus)
     x = np.zeros((corpus.size, len(vocab)), dtype=bool)
-    x[np.repeat(np.arange(corpus.size), sizes),
-      np.fromiter((col[a] for s in corpus.samples for a in s.attribs),
-                  dtype=np.intp, count=sum(sizes))] = True
+    x[rows, cols] = True
     return vocab, col, x
 
 
@@ -423,58 +434,57 @@ def read_corpus_records(path) -> tuple:
     families: dict[str, frozenset] = {}
     samples: list[Sample] = []
     seen: set[str] = set()
+    n = 0
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+        for n, raw in enumerate(fh, start=1):
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as e:
+                raise CorpusFormatError(f"invalid JSON ({e.msg})", n) from e
+            if not isinstance(obj, dict):
+                raise CorpusFormatError("expected a JSON object", n)
+            if n == 1:
+                fams = obj.get("families")
+                if not isinstance(fams, dict):
+                    raise CorpusFormatError('header must carry a "families" object', 1)
+                for f, ts in fams.items():
+                    if not isinstance(ts, list) or not all(isinstance(t, str) for t in ts):
+                        raise CorpusFormatError(
+                            f"family {f!r} must map to a list of task ids", 1
+                        )
+                    families[f] = frozenset(ts)
+                continue
+            missing = [k for k in ("id", "family", "tasks", "attributes") if k not in obj]
+            if missing:
+                raise CorpusFormatError(f"record missing keys {missing}", n)
+            sid = obj["id"]
+            if not isinstance(sid, str) or not sid:
+                raise CorpusFormatError("record id must be a non-empty string", n)
+            if sid in seen:
+                raise CorpusFormatError(f"duplicate sample id {sid!r}", n)
+            seen.add(sid)
+            attrs = obj["attributes"]
+            if (not isinstance(attrs, list) or not attrs
+                    or not all(isinstance(a, str) for a in attrs)):
+                raise CorpusFormatError(
+                    f"sample {sid!r} needs a non-empty list of attribute strings", n
+                )
+            family = obj["family"]
+            if family is not None and not isinstance(family, str):
+                raise CorpusFormatError(
+                    f"sample {sid!r} family must be a string or null", n)
+            tasks = obj["tasks"]
+            if tasks is not None and (not isinstance(tasks, list)
+                                      or not all(isinstance(t, str) for t in tasks)):
+                raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n)
+            samples.append(Sample(
+                id=sid,
+                attribs=frozenset(attrs),
+                family=family,
+                tasks=frozenset(tasks) if tasks is not None else None,
+            ))
+    if n == 0:
         raise CorpusFormatError("empty corpus file", 1)
-    for n, raw in enumerate(lines, start=1):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError(f"invalid JSON ({e.msg})", n) from e
-        if not isinstance(obj, dict):
-            raise CorpusFormatError("expected a JSON object", n)
-        if n == 1:
-            fams = obj.get("families")
-            if not isinstance(fams, dict):
-                raise CorpusFormatError('header must carry a "families" object', 1)
-            for f, ts in fams.items():
-                if not isinstance(ts, list) or not all(isinstance(t, str) for t in ts):
-                    raise CorpusFormatError(
-                        f"family {f!r} must map to a list of task ids", 1
-                    )
-                families[f] = frozenset(ts)
-            continue
-        missing = [k for k in ("id", "family", "tasks", "attributes") if k not in obj]
-        if missing:
-            raise CorpusFormatError(f"record missing keys {missing}", n)
-        sid = obj["id"]
-        if not isinstance(sid, str) or not sid:
-            raise CorpusFormatError("record id must be a non-empty string", n)
-        if sid in seen:
-            raise CorpusFormatError(f"duplicate sample id {sid!r}", n)
-        seen.add(sid)
-        attrs = obj["attributes"]
-        if (not isinstance(attrs, list) or not attrs
-                or not all(isinstance(a, str) for a in attrs)):
-            raise CorpusFormatError(
-                f"sample {sid!r} needs a non-empty list of attribute strings", n
-            )
-        family = obj["family"]
-        if family is not None and not isinstance(family, str):
-            raise CorpusFormatError(f"sample {sid!r} family must be a string or null", n)
-        tasks = obj["tasks"]
-        if tasks is not None and (
-                not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks)):
-            raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n)
-        samples.append(Sample(
-            id=sid,
-            attribs=frozenset(attrs),
-            family=family,
-            tasks=frozenset(tasks) if tasks is not None else None,
-        ))
     return families, samples
 
 

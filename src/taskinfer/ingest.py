@@ -189,9 +189,10 @@ def parse_report(data, config: ExtractionConfig | None = None,
     """Parse one sandbox report into an unlabeled Sample.
 
     `data` is the report JSON as bytes or str; `location` (usually the file
-    name) prefixes error messages.  Raises ReportError for malformed
-    documents, a section of the wrong JSON type, a non-string hash, missing
-    identity, missing behavior section, or an empty extraction result.
+    name) prefixes error messages.  Raises ReportError for malformed or
+    unreadable documents, a section of the wrong JSON type, a non-string
+    hash, missing identity, missing behavior section, or an empty extraction
+    result.
     """
     config = config or ExtractionConfig()
     if isinstance(data, bytes):
@@ -203,6 +204,10 @@ def parse_report(data, config: ExtractionConfig | None = None,
             f"malformed report JSON: {e.msg} (line {e.lineno}, column {e.colno})",
             location,
         ) from e
+    except (ValueError, RecursionError) as e:
+        # An integer literal past Python's digit limit, or nesting past its
+        # recursion limit: valid JSON that json.loads cannot build.
+        raise ReportError(f"unreadable report JSON: {e}", location) from e
     if not isinstance(doc, dict):
         raise ReportError("report is not a JSON object", location)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -23,6 +24,44 @@ def softmax_probs(values, temperature):
     weights = [mpmath.e ** (mpmath.mpf(v) / mpmath.mpf(temperature)) for v in values]
     total = sum(weights)
     return [float(w / total) for w in weights]
+
+
+@dataclass(frozen=True)
+class Activation:
+    """Per-chunk activation, decomposed into its three terms."""
+
+    base: float
+    spreading: float
+    partial_match: float
+
+    @property
+    def total(self) -> float:
+        return self.base + self.spreading + self.partial_match
+
+
+def ib_activation(corpus: Corpus, params: ActrParams, query, j: int) -> Activation:
+    """Scalar activation of memory chunk j (corpus.samples[j]) for a query
+    attribute set: one log term per query attribute, read from corpus.fan."""
+    query = frozenset(query)
+    if not query:
+        raise ValueError("query attribute set is empty")
+    if not 0 <= j < corpus.size:
+        raise IndexError(f"chunk index {j} out of range for corpus of {corpus.size}")
+    chunk = corpus.samples[j].attribs
+    m = corpus.size
+    spread = 0.0
+    for a in query:
+        if a in chunk:
+            spread += math.log(m / corpus.fan[a])
+        else:
+            spread += math.log(1.0 / m)
+    overlap = len(query & chunk) / math.sqrt(len(query) * len(chunk))
+    if params.partial_matching == "deficit":
+        partial = params.mp * (overlap - 1.0)
+    else:
+        partial = params.mp * overlap
+    return Activation(base=params.beta, spreading=spread / len(query),
+                      partial_match=partial)
 
 
 def reference_ib_probs(corpus: Corpus, params: ActrParams, query, mode: str):

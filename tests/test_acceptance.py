@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskinfer.actr import IbModel, ib_predict, retrieval_probs
+from taskinfer.actr import IbModel, retrieval_probs
 from taskinfer.baselines import logreg_objective, nb_predict, nb_train
 from taskinfer.core import ActrParams, Sample, build_corpus, canonical_json, label_space
 from taskinfer.evaluation import score_sample, split_trials
@@ -157,7 +157,7 @@ def test_05_models_match_arbitrary_precision_oracles():
         if rng.random() < 0.3:
             query.add(f"novel{rng.randint(0, 5)}")
         for mode in ("family", "direct"):
-            pred = ib_predict(corpus, params, query, mode=mode)
+            pred = IbModel(corpus, params, mode).predict(query)
             ref, ref_degenerate = reference_ib_probs(corpus, params, query, mode)
             assert pred.degenerate == ref_degenerate
             assert set(pred.class_probs) == set(ref)

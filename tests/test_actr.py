@@ -7,27 +7,23 @@ scoring math cannot hide behind a matching reimplementation.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ib_activation,
     random_corpus,
     random_params,
     reference_ib_probs,
     reference_ib_tasks,
+    reference_prediction,
     reference_rb_probs,
 )
-from taskinfer.actr import (
-    IbModel,
-    ib_activation,
-    ib_predict,
-    rb_predict,
-    rb_train,
-    retrieval_probs,
-)
-from taskinfer.core import ActrParams
+from taskinfer.actr import IbModel, rb_predict, rb_train, retrieval_probs
+from taskinfer.core import MODES, ActrParams, Sample, build_corpus
 
 from conftest import make_corpus
 
@@ -164,7 +160,7 @@ class TestRetrievalProbs:
 class TestIbModel:
     def test_two_chunk_worked_example(self, tiny_corpus):
         # Activation gap 40.69 vs 19.31 at s = 0.1 -> all mass on chunk 0.
-        pred = ib_predict(tiny_corpus, ActrParams(), {"a", "b"})
+        pred = IbModel(tiny_corpus, ActrParams()).predict({"a", "b"})
         assert pred.class_probs["F1"] == pytest.approx(1.0, abs=1e-12)
         assert pred.class_probs["F2"] == pytest.approx(0.0, abs=1e-12)
         assert pred.predicted_family == "F1"
@@ -173,12 +169,12 @@ class TestIbModel:
         assert not pred.degenerate
 
     def test_threshold_between_chunks_retains_one(self, tiny_corpus):
-        pred = ib_predict(tiny_corpus, ActrParams(tau=30.0), {"a", "b"})
+        pred = IbModel(tiny_corpus, ActrParams(tau=30.0)).predict({"a", "b"})
         assert pred.retained_chunks == 1
         assert pred.class_probs == {"F1": 1.0, "F2": 0.0}
 
     def test_unreachable_threshold_flags_degenerate(self, tiny_corpus):
-        pred = ib_predict(tiny_corpus, ActrParams(tau=100.0), {"a", "b"})
+        pred = IbModel(tiny_corpus, ActrParams(tau=100.0)).predict({"a", "b"})
         assert pred.degenerate
         assert pred.retained_chunks == 0
         assert sum(pred.class_probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -208,22 +204,22 @@ class TestIbModel:
                 q.add("novel")
             for mode in ("family", "direct"):
                 ref, ref_degenerate = reference_ib_probs(c, params, q, mode)
-                got = ib_predict(c, params, q, mode=mode)
+                got = IbModel(c, params, mode).predict(q)
                 assert got.degenerate == ref_degenerate
                 for label, p in ref.items():
                     assert got.class_probs[label] == pytest.approx(p, abs=1e-10)
             ref_tasks = reference_ib_tasks(c, params, q)
-            assert ib_predict(c, params, q, mode="family").predicted_tasks == ref_tasks
+            assert IbModel(c, params, "family").predict(q).predicted_tasks == ref_tasks
 
     def test_sample_order_does_not_change_probabilities(self, shared_task_corpus):
         from taskinfer.core import Corpus
 
         params = ActrParams()
-        fwd = ib_predict(shared_task_corpus, params, {"a", "b"})
+        fwd = IbModel(shared_task_corpus, params).predict({"a", "b"})
         rev_corpus = Corpus(
             tuple(reversed(shared_task_corpus.samples)), shared_task_corpus.families
         )
-        rev = ib_predict(rev_corpus, params, {"a", "b"})
+        rev = IbModel(rev_corpus, params).predict({"a", "b"})
         for f in fwd.class_probs:
             assert rev.class_probs[f] == pytest.approx(fwd.class_probs[f], abs=1e-12)
         assert rev.predicted_family == fwd.predicted_family
@@ -238,15 +234,15 @@ class TestIbModel:
             vocab = sorted(c.fan)
             q = frozenset(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
             kw = dict(beta=2.0, s=0.8, tau=-1e9, mp=3.0)
-            p_over = ib_predict(c, ActrParams(partial_matching="overlap", **kw), q)
-            p_def = ib_predict(c, ActrParams(partial_matching="deficit", **kw), q)
+            p_over = IbModel(c, ActrParams(partial_matching="overlap", **kw)).predict(q)
+            p_def = IbModel(c, ActrParams(partial_matching="deficit", **kw)).predict(q)
             for f in p_over.class_probs:
                 assert p_def.class_probs[f] == pytest.approx(
                     p_over.class_probs[f], abs=1e-10
                 )
 
     def test_direct_mode_reports_per_task_mass(self, shared_task_corpus):
-        pred = ib_predict(shared_task_corpus, ActrParams(), {"a", "b"}, mode="direct")
+        pred = IbModel(shared_task_corpus, ActrParams(), "direct").predict({"a", "b"})
         assert pred.predicted_family is None
         assert set(pred.class_probs) == {"t1", "t2", "t3"}
         # Task masses need not sum to 1: families carry several tasks each.
@@ -261,6 +257,73 @@ class TestIbModel:
             IbModel(tiny_corpus, ActrParams()).predict(set())
         with pytest.raises(ValueError, match="mode must be one of"):
             IbModel(tiny_corpus, ActrParams(), mode="both")
+
+
+def _binding_tau(acts):
+    """A threshold halfway across the widest gap between two activations, so
+    some chunks clear it and some do not; None when all activations tie."""
+    acts = sorted(acts)
+    gap, low = max(zip((b - a for a, b in zip(acts, acts[1:])), acts), default=(0.0, 0.0))
+    return low + gap / 2 if gap > 1e-9 else None
+
+
+_NEAR = 1e-9    # masses this close to a tie or a threshold are decided by rounding
+
+
+class TestIbModelMatchesScalarReference:
+    @given(seed=st.integers(0, 2**32 - 1),
+           corpus_kind=st.sampled_from(["random", "one-sample", "universal-attribute"]),
+           query_kind=st.sampled_from(["known", "with-unseen", "only-unseen"]),
+           tau_kind=st.sampled_from(["random", "binding", "unreachable"]),
+           partial_matching=st.sampled_from(["overlap", "deficit"]),
+           mode=st.sampled_from(MODES))
+    @settings(max_examples=300, deadline=None)
+    def test_activations_probabilities_and_labels(self, seed, corpus_kind, query_kind,
+                                                  tau_kind, partial_matching, mode):
+        rng = random.Random(seed)
+        if corpus_kind == "one-sample":
+            c = random_corpus(rng, max_samples=1, max_families=1)
+        else:
+            c = random_corpus(rng)
+        if corpus_kind == "universal-attribute":
+            c = build_corpus([Sample(s.id, s.attribs | {"everywhere"}, s.family)
+                              for s in c], c.families)
+        vocab = sorted(c.fan)
+        q = set()
+        if query_kind != "only-unseen":
+            q = set(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
+        if query_kind != "known":
+            q |= {f"novel{k}" for k in range(rng.randint(1, 3))}
+        params = replace(random_params(rng), partial_matching=partial_matching)
+        acts = [ib_activation(c, params, q, j).total for j in range(c.size)]
+        tau = {"random": params.tau, "binding": _binding_tau(acts),
+               "unreachable": max(acts) + 1.0}[tau_kind]
+        params = replace(params, tau=params.tau if tau is None else tau)
+
+        model = IbModel(c, params, mode)
+        for got, want in zip(model.activations(q), acts):
+            assert got == pytest.approx(want, abs=1e-12)
+        pred = model.predict(q)
+        ref_probs, ref_degenerate = reference_ib_probs(c, params, q, mode)
+        assert pred.class_probs.keys() == ref_probs.keys()
+        for label, p in ref_probs.items():
+            assert pred.class_probs[label] == pytest.approx(p, abs=1e-12)
+        retained = sum(a >= params.tau for a in acts)
+        assert pred.degenerate == ref_degenerate == (retained == 0)
+        assert pred.retained_chunks == retained
+        if tau_kind == "unreachable":
+            assert pred.degenerate
+
+        ref = reference_prediction(c, mode, ref_probs, params.task_threshold, retained,
+                                   ref_degenerate)
+        probs = sorted(ref_probs.values(), reverse=True)
+        if mode == "direct" or len(probs) == 1 or probs[0] - probs[1] > _NEAR:
+            assert pred.predicted_family == ref.predicted_family
+        label_tasks = c.families if mode == "family" else {t: {t} for t in ref_probs}
+        for t in sorted(c.tasks):
+            mass = sum(p for label, p in ref_probs.items() if t in label_tasks[label])
+            if abs(mass - params.task_threshold) > _NEAR:
+                assert (t in pred.predicted_tasks) == (t in ref.predicted_tasks), t
 
 
 class TestRuleTable:

@@ -9,9 +9,10 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taskinfer.core import Sample, read_corpus_records, write_corpus_records
 from taskinfer.ingest import (
     ExtractionConfig,
     ReportError,
@@ -240,6 +241,84 @@ class TestParseReportErrors:
         })
         sample = parse_report(doc)
         assert sample.attribs == frozenset({"fileAct:c:\\x"})
+
+
+# Any JSON value, and report-shaped documents in which every section is
+# either of the type the ingester reads or arbitrary JSON.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12,
+)
+_SUMMARY_FIELDS = ("dll_loaded", "regkey_opened", "regkey_read", "regkey_written",
+                   "regkey_deleted", "file_created", "file_opened", "file_read",
+                   "file_written", "file_deleted", "file_moved")
+
+
+def _report_shaped(loose: bool):
+    """Cuckoo-like documents; with `loose`, any section may be arbitrary JSON."""
+    def section(strategy):
+        return strategy | _JSON if loose else strategy
+
+    def fields(**optional):
+        return st.fixed_dictionaries({}, optional=optional)
+
+    entries = st.lists(st.text(max_size=20) | (_JSON if loose else st.nothing()),
+                       max_size=4)
+    return fields(
+        target=section(fields(file=section(fields(sha256=section(st.text(max_size=8)),
+                                                  md5=section(st.text(max_size=8)))))),
+        info=section(fields(id=_JSON)),
+        behavior=section(fields(
+            summary=section(st.dictionaries(st.sampled_from(_SUMMARY_FIELDS),
+                                            section(entries), max_size=4)),
+            processes=_JSON)),
+        static=section(fields(pe_imports=section(st.lists(fields(dll=_JSON), max_size=3)))),
+    )
+
+
+def _as_input(doc):
+    """The document as JSON text or as UTF-8 bytes (lone surrogates passed
+    through, so decoding has to replace them)."""
+    text = json.dumps(doc, ensure_ascii=False)
+    return st.sampled_from([text, text.encode("utf-8", "surrogatepass")])
+
+
+_CONFIGS = st.sampled_from([ExtractionConfig(), ExtractionConfig(use_static=True),
+                            ExtractionConfig(use_dlls=False, max_attributes=2)])
+
+
+class TestParseReportProperties:
+    @given(data=(st.one_of(_JSON, _report_shaped(loose=True)).flatmap(_as_input)
+                 | st.text() | st.binary()),
+           config=_CONFIGS)
+    @example(data='{"info": {"id": ' + "9" * 5000 + "}}", config=ExtractionConfig())
+    @example(data="[" * 100_000 + "]" * 100_000, config=ExtractionConfig())
+    @settings(max_examples=300, deadline=None)
+    def test_any_input_gives_a_sample_or_a_report_error(self, data, config):
+        try:
+            sample = parse_report(data, config)
+        except ReportError:
+            return
+        assert isinstance(sample, Sample)
+        assert isinstance(sample.id, str) and sample.id
+        assert sample.attribs and all(isinstance(a, str) for a in sample.attribs)
+        assert sample.family is None and sample.tasks is None
+
+    @given(docs=st.lists(_report_shaped(loose=False), max_size=6), config=_CONFIGS)
+    @settings(max_examples=100, deadline=None)
+    def test_parsed_samples_survive_a_corpus_file(self, docs, config, tmp_path_factory):
+        kept = {}
+        for doc in docs:
+            try:
+                sample = parse_report(json.dumps(doc), config)
+            except ReportError:
+                continue
+            kept.setdefault(sample.id, sample)  # ingest keeps the first report
+        path = tmp_path_factory.mktemp("roundtrip") / "corpus.jsonl"
+        write_corpus_records(path, kept.values(), {})
+        assert read_corpus_records(path) == ({}, list(kept.values()))
 
 
 class TestExtractionConfig:

@@ -26,9 +26,15 @@ def test_unknown_hyperparameters_are_rejected(method, two_family_corpus):
     ("logreg", "l2", math.inf),
     ("rf", "max_features", 0),
     ("rf", "max_features", -2),
+    ("rf", "max_features", 2.5),
+    ("rf", "n_trees", 2.5),
+    ("rf", "n_trees", True),
+    ("rf", "bootstrap", "no"),
+    ("logreg", "epochs", 2.5),
+    ("logreg", "epochs", True),
 ])
 def test_bad_hyperparameters_are_rejected_by_name(method, name, value, two_family_corpus):
-    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
         train_method(method, two_family_corpus, hyper={name: value})
 
 
