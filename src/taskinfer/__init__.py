@@ -5,23 +5,14 @@ synthetic corpus generator with controllable mutation, a sandbox report
 ingester, and an evaluation harness, behind the `taskinfer` CLI.
 """
 
-from .actr import (
-    IbModel,
-    RuleTable,
-    rb_predict,
-    rb_train,
-    retrieval_probs,
-)
+from .actr import IbModel, rb_train
 from .baselines import (
     LogRegModel,
-    NbModel,
     RfModel,
     TrainingError,
     dt_train,
     logreg_objective,
-    logreg_predict,
     logreg_train,
-    nb_predict,
     nb_train,
     rf_predict,
     rf_train,
@@ -31,6 +22,7 @@ from .core import (
     Corpus,
     CorpusError,
     CorpusFormatError,
+    LinearModel,
     Prediction,
     Sample,
     build_corpus,

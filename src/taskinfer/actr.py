@@ -51,7 +51,14 @@ query attributes that have rules, softmaxed over all labels with the same
 temperature (no tau filtering; every label competes).  In direct-task mode
 each task gets a binary rule table (samples with the task vs without); the
 complement label's association is the exact negation, so the pairwise
-softmax reduces to a sigmoid.
+softmax is the sigmoid
+
+    p(t) = 1 / (1 + exp(-(logit prior(t) + 2 w * sum_a s_{a,t} / |query|) / s))
+
+and a task every sample performs (logit +inf) keeps its prior 1.  The rules
+are a `core.LinearModel` (bias the log prior or its logit, weight the log
+ratios, doubled in direct mode, averaged over the query), the scorer naive
+Bayes and logistic regression share.
 
 Both models take their labels, and build their Predictions, through
 `core.label_space`, like the baselines.
@@ -60,8 +67,6 @@ Both models take their labels, and build their Predictions, through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -69,7 +74,7 @@ from scipy import sparse
 from .core import (
     ActrParams,
     Corpus,
-    LabelSpace,
+    LinearModel,
     Prediction,
     attribute_links,
     attribute_matrix,
@@ -106,18 +111,6 @@ def _softmax_retained(acts: np.ndarray, params: ActrParams,
     return probs, retained, degenerate
 
 
-def retrieval_probs(activations: Sequence[float], params: ActrParams,
-                    apply_threshold: bool = True) -> tuple:
-    """Retrieval probabilities for a list of activations.
-
-    Returns (probs, degenerate) with probs aligned to the input (zero for
-    chunks excluded by tau).
-    """
-    acts = np.asarray(list(activations), dtype=float)
-    probs, _, degenerate = _softmax_retained(acts, params, apply_threshold)
-    return list(probs), degenerate
-
-
 class IbModel:
     """Instance-based model: the training corpus held as retrievable memory.
 
@@ -129,8 +122,6 @@ class IbModel:
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
                  mode: str = "family"):
         self.space = label_space(corpus, mode)
-        if corpus.size == 0:
-            raise ValueError("cannot build memory from an empty corpus")
         self.corpus = corpus
         self.params = params or ActrParams()
         _, self._col, rows, cols = attribute_links(corpus)
@@ -177,62 +168,22 @@ class IbModel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RuleTable:
-    """Per-(label, attribute) presence rules compressed from a corpus.
-
-    given[i, col[a]] is the smoothed p(attribute a present | space.labels[i])
-    and not_given[i, col[a]] the smoothed p(a present | not that label).
-    priors hold label base rates (family mode: sums to 1; direct mode:
-    per-task incidence).
-    """
-
-    space: LabelSpace
-    col: Mapping[str, int]
-    priors: Mapping[str, float]
-    given: np.ndarray
-    not_given: np.ndarray
-    smoothing: float
-    _prior: np.ndarray              # priors, aligned with space.labels
-    _log_ratio: np.ndarray          # log(given / not_given)
-
-
-def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> RuleTable:
-    """Compress a corpus into smoothed presence rules per label."""
+def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> LinearModel:
+    """Compress a corpus into smoothed presence rules per label: a linear
+    model over the rules' log ratios, averaged over the query."""
     space = label_space(corpus, mode)
-    if corpus.size == 0:
-        raise ValueError("cannot build rules from an empty corpus")
     _, col, x = attribute_matrix(corpus)
     given, not_given = space.presence_rates(x, smoothing)
-    prior = np.array([g.size for g in space.groups]) / corpus.size
-    return RuleTable(
-        space=space,
-        col=col,
-        priors={label: float(p) for label, p in zip(space.labels, prior)},
-        given=given,
-        not_given=not_given,
-        smoothing=smoothing,
-        _prior=prior,
-        _log_ratio=np.log(given / not_given),
-    )
-
-
-def rb_predict(rules: RuleTable, params: ActrParams, query) -> Prediction:
-    """Score a query against a rule table.
-
-    Attributes without a rule column (never seen in training) are skipped;
-    the association still divides by the full query size.
-    """
-    cols, n_unseen = query_cols(rules.col, query)
-    params = params or ActrParams()
-    assoc = params.w * (rules._log_ratio[:, cols].sum(axis=1) / (cols.size + n_unseen))
-    if rules.space.mode == "family":
-        probs = softmax(np.log(rules._prior) + assoc, params.s)
+    log_ratio = np.log(given / not_given)
+    pos = np.array([g.size for g in space.groups])
+    if space.mode == "family":
+        bias, weight = np.log(pos / corpus.size), log_ratio
     else:
-        # A two-way softmax of each task against its complement.  A task every
-        # sample performs has log(1 - 1) = -inf there, so it keeps its prior 1.
+        # A task's two-way softmax against its complement, whose association
+        # is the negation of its own, is the sigmoid of the difference.  A task
+        # every sample performs has log odds +inf, so it keeps its prior 1.
         with np.errstate(divide="ignore"):
-            acts = np.stack([np.log(rules._prior) + assoc,
-                             np.log(1.0 - rules._prior) - assoc])
-        probs = softmax(acts, params.s, axis=0)[0]
-    return rules.space.prediction(probs, params.task_threshold)
+            bias = np.log(pos) - np.log(corpus.size - pos)
+        weight = 2 * log_ratio
+    return LinearModel(space=space, col=col, bias=bias, weight=weight, floor=0.0,
+                       mean=True)

@@ -25,6 +25,13 @@ Conventions shared across the baselines:
   - trees are flat node arrays, and a query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
     log-likelihood with an L2 penalty on the weights (bias unpenalized).
+
+Naive Bayes and logistic regression are both linear in the query's
+attributes, so each trains a `core.LinearModel` (the scorer the rule model
+shares): a bias per label, a weight per label and attribute, and for NB the
+smoothing floor an unseen attribute adds; family mode softmaxes the scores
+and direct mode takes the sigmoid of each task's log odds against its
+complement.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (Corpus, LabelSpace, Prediction, attribute_matrix, label_space,
-                   query_cols, softmax)
+from .core import (Corpus, LabelSpace, LinearModel, Prediction, attribute_matrix,
+                   label_space, query_cols, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -46,43 +53,11 @@ class TrainingError(RuntimeError):
 
 # ---------------------------------------------------------------- naive Bayes
 
-@dataclass(frozen=True)
-class NbModel:
-    """Bernoulli naive Bayes, family-multiclass or per-task binary.  A query
-    scores the log joint of each family, or the log odds of each task against
-    its complement."""
-
-    space: LabelSpace
-    vocab: tuple
-    smoothing: float
-    _col: Mapping[str, int]
-    _class_counts: np.ndarray       # samples per label (L,)
-    _cond: np.ndarray               # p(a|label) (L,d)
-    _n_train: int
-    _bias: np.ndarray               # score of a query with no attributes (L,)
-    _weight: np.ndarray             # score added by a present attribute (L,d)
-    _floor: np.ndarray              # score added by an unseen attribute (L,)
-
-    @property
-    def priors(self) -> dict:
-        return {
-            label: float(self._class_counts[i]) / self._n_train
-            for i, label in enumerate(self.space.labels)
-        }
-
-    def cond_prob(self, attribute: str, label: str) -> float:
-        """Smoothed p(attribute present | label)."""
-        i = self.space.labels.index(label)
-        j = self._col.get(attribute)
-        if j is None:
-            sm = self.smoothing
-            return sm / (self._class_counts[i] + 2 * sm)
-        return float(self._cond[i, j])
-
-
-def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> NbModel:
+def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> LinearModel:
+    """Bernoulli naive Bayes as a linear model: the log joint of each family,
+    or the log odds of each task against its complement."""
     space = label_space(corpus, mode)
-    vocab, col, x = attribute_matrix(corpus)
+    _, col, x = attribute_matrix(corpus)
     cond, cond_neg = space.presence_rates(x, smoothing)
     pos = np.array([g.size for g in space.groups], dtype=float)
     log_cond = np.log(cond)
@@ -99,27 +74,8 @@ def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> Nb
             bias = np.log(pos) - np.log(neg) + (log_not - log_not_n).sum(axis=1)
         weight = (log_cond - log_not) - (log_cond_n - log_not_n)
         floor = np.log(neg + 2 * smoothing) - np.log(pos + 2 * smoothing)
-    return NbModel(
-        space=space,
-        vocab=tuple(vocab),
-        smoothing=smoothing,
-        _col=col,
-        _class_counts=pos,
-        _cond=cond,
-        _n_train=corpus.size,
-        _bias=bias,
-        _weight=weight,
-        _floor=floor,
-    )
-
-
-def nb_predict(model: NbModel, query, task_threshold: float = 0.5) -> Prediction:
-    cols, n_unseen = query_cols(model._col, query)
-    scores = model._bias + model._weight[:, cols].sum(axis=1) + n_unseen * model._floor
-    if model.space.mode == "family":
-        return model.space.prediction(softmax(scores), task_threshold)
-    # A task every sample performs scores +inf, so its sigmoid is exactly 1.
-    return model.space.prediction(1.0 / (1.0 + np.exp(-scores)), task_threshold)
+    return LinearModel(space=space, col=col, bias=bias, weight=weight, floor=floor,
+                       mean=False)
 
 
 # ------------------------------------------------------------ trees and forests
@@ -291,15 +247,12 @@ def rf_predict(model: RfModel, query, task_threshold: float = 0.5) -> Prediction
 
 # ------------------------------------------------------- logistic regression
 
-@dataclass(frozen=True)
-class LogRegModel:
-    space: LabelSpace
-    vocab: tuple
-    epochs: int
-    grad_norm: float                # gradient norm at the last epoch
-    _col: Mapping[str, int]
-    _w: np.ndarray                  # family: (K,d); direct: per-task deltas (T,d)
-    _b: np.ndarray                  # family: (K,); direct: (T,)
+@dataclass(frozen=True, eq=False)
+class LogRegModel(LinearModel):
+    """Logistic regression: a linear model (direct mode: per-task log odds)
+    and the gradient norm its training ended at."""
+
+    grad_norm: float
 
 
 def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
@@ -348,7 +301,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
         raise ValueError(f"l2 must be non-negative and finite, got {l2}")
     _check_count("epochs", epochs)
     space = label_space(corpus, mode)
-    vocab, col, x = attribute_matrix(corpus)
+    _, col, x = attribute_matrix(corpus)
     fits = _fit_targets(space, corpus.size,
                         lambda y, k: _fit_logreg(x, y, k, learning_rate, l2, epochs))
     if space.mode == "family":
@@ -356,17 +309,5 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     else:
         w = np.stack([fw[1] - fw[0] for fw, _, _ in fits])[space.column_of]
         b = np.array([fb[1] - fb[0] for _, fb, _ in fits])[space.column_of]
-    return LogRegModel(space=space, vocab=tuple(vocab), epochs=epochs,
-                       grad_norm=max(gn for _, _, gn in fits), _col=col, _w=w, _b=b)
-
-
-def logreg_predict(model: LogRegModel, query, task_threshold: float = 0.5) -> Prediction:
-    cols, _ = query_cols(model._col, query)
-    qvec = np.zeros(len(model.vocab))
-    qvec[cols] = 1.0
-    z = model._w @ qvec + model._b
-    if model.space.mode == "family":
-        p = softmax(z)
-    else:
-        p = 1.0 / (1.0 + np.exp(-z))
-    return model.space.prediction(p, task_threshold)
+    return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,
+                       grad_norm=max(gn for _, _, gn in fits))

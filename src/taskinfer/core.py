@@ -14,8 +14,15 @@ at prediction time, so it is computed once at construction.
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
 the mode and enumerates its labels (each carried by some sample) and their
-tasks; `LabelSpace.prediction` is the one path from label probabilities to a
-Prediction (the family, and each task's summed label mass thresholded).
+tasks, and rejects an empty corpus; `LabelSpace.prediction` is the one path
+from label probabilities to a Prediction (the family, and each task's summed
+label mass thresholded).
+
+`LinearModel` is the one scorer of the models that are linear in the query's
+attributes (naive Bayes, the rule model, logistic regression): a bias per
+label, a weight per label and attribute, a floor per unseen attribute, and
+optionally the mean over the query instead of the sum, then a softmax over
+families or a sigmoid per task.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -363,10 +370,12 @@ class LabelSpace:
 
 
 def label_space(corpus: Corpus, mode: str) -> LabelSpace:
-    """The family or direct-task label space of a corpus; a label no sample
-    carries raises ValueError naming it."""
+    """The family or direct-task label space of a corpus; an empty corpus, or
+    a label no sample carries, raises ValueError (naming the label)."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if corpus.size == 0:
+        raise ValueError("cannot train on an empty corpus")
     tasks = tuple(sorted(corpus.tasks))
     members = {f: np.array(corpus.members(f), dtype=int) for f in corpus.families}
     if mode == "family":
@@ -394,6 +403,41 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
         column_of.append(c)
     return LabelSpace(mode, labels, tuple(columns), np.array(column_of, dtype=int),
                       tasks, incidence)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearModel:
+    """A model that scores each label linearly in the query's attributes.
+
+    For a query with known columns K and n_unseen attributes outside `col`,
+
+        z = bias + w * (weight[:, K].sum(1) / n) + n_unseen * floor
+
+    where n is the query size when `mean` is set and 1 otherwise; family mode
+    softmaxes z at temperature s, and direct mode gives each task the sigmoid
+    of z / s (a task scoring +inf gets exactly 1).
+    """
+
+    space: LabelSpace
+    col: Mapping[str, int]
+    bias: np.ndarray                # (L,): the score of a query with no attributes
+    weight: np.ndarray              # (L, d): the score a present attribute adds
+    floor: np.ndarray | float       # the score an unseen attribute adds
+    mean: bool                      # divide the weight sum by the query size
+
+    def predict(self, query, task_threshold: float, w: float = 1.0,
+                s: float = 1.0) -> Prediction:
+        cols, n_unseen = query_cols(self.col, query)
+        total = self.weight[:, cols].sum(axis=1)
+        if self.mean:
+            total = total / (cols.size + n_unseen)
+        z = self.bias + w * total + n_unseen * self.floor
+        if self.space.mode == "family":
+            probs = softmax(z, s)
+        else:
+            with np.errstate(over="ignore"):
+                probs = 1.0 / (1.0 + np.exp(-z / s))
+        return self.space.prediction(probs, task_threshold)
 
 
 def canonical_json(obj) -> str:

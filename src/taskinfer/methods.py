@@ -28,12 +28,12 @@ _REGISTRY = {
     "actr-r": (
         lambda corpus, mode, params, seed, **h: actr.rb_train(corpus, mode=mode, **h),
         {"smoothing": 1.0},
-        lambda model, params, q: actr.rb_predict(model, params, q),
+        lambda model, params, q: model.predict(q, params.task_threshold, params.w, params.s),
     ),
     "nb": (
         lambda corpus, mode, params, seed, **h: baselines.nb_train(corpus, mode=mode, **h),
         {"smoothing": 1.0},
-        lambda model, params, q: baselines.nb_predict(model, q, params.task_threshold),
+        lambda model, params, q: model.predict(q, params.task_threshold),
     ),
     "dt": (
         lambda corpus, mode, params, seed: baselines.dt_train(corpus, mode=mode),
@@ -50,7 +50,7 @@ _REGISTRY = {
         lambda corpus, mode, params, seed, **h: baselines.logreg_train(
             corpus, mode=mode, **h),
         {"learning_rate": 0.1, "l2": 1e-3, "epochs": 500},
-        lambda model, params, q: baselines.logreg_predict(model, q, params.task_threshold),
+        lambda model, params, q: model.predict(q, params.task_threshold),
     ),
 }
 

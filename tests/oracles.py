@@ -4,7 +4,9 @@ Everything here recomputes model outputs from first principles with plain
 Python loops over sets and dicts (mpmath for the exponentials, so overflow
 is impossible at any parameter scale).  No code is shared with the package
 internals beyond the public data types; the tree oracles take a trained
-model's node arrays and redo only the walk and the averaging.
+model's node arrays and redo only the walk and the averaging.  The one
+exception is `retrieval_probs`, the list-in, list-out face of the retrieval
+softmax that the distribution property tests drive.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from taskinfer.actr import _softmax_retained
 from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus
 
 
@@ -24,6 +27,14 @@ def softmax_probs(values, temperature):
     weights = [mpmath.e ** (mpmath.mpf(v) / mpmath.mpf(temperature)) for v in values]
     total = sum(weights)
     return [float(w / total) for w in weights]
+
+
+def retrieval_probs(activations, params: ActrParams, apply_threshold: bool = True) -> tuple:
+    """Retrieval probabilities for a list of activations: (probs, degenerate),
+    with probs aligned to the input (zero for chunks excluded by tau)."""
+    acts = np.asarray(list(activations), dtype=float)
+    probs, _, degenerate = _softmax_retained(acts, params, apply_threshold)
+    return list(probs), degenerate
 
 
 @dataclass(frozen=True)
@@ -191,6 +202,35 @@ def reference_nb_posterior(corpus: Corpus, smoothing: float, query):
         score[f] = p
     total = sum(score.values())
     return {f: v / total for f, v in score.items()}
+
+
+def reference_nb_task_probs(corpus: Corpus, smoothing: float, query):
+    """Brute-force Bernoulli Bayes of each task against its complement over
+    the attribute union, direct products (a task every sample performs gets
+    probability 1)."""
+    query = set(query)
+    vocab = set()
+    for s in corpus.samples:
+        vocab |= s.attribs
+    universe = sorted(vocab | query)
+    m = len(corpus.samples)
+    out = {}
+    for t in sorted(corpus.tasks):
+        inside = [s for s in corpus.samples if t in s.tasks]
+        outside = [s for s in corpus.samples if t not in s.tasks]
+        if not outside:
+            out[t] = 1.0
+            continue
+        joint = []
+        for group in (inside, outside):
+            p = len(group) / m
+            for a in universe:
+                count = sum(1 for s in group if a in s.attribs)
+                cond = (count + smoothing) / (len(group) + 2 * smoothing)
+                p *= cond if a in query else (1.0 - cond)
+            joint.append(p)
+        out[t] = joint[0] / (joint[0] + joint[1])
+    return out
 
 
 def reference_prediction(corpus: Corpus, mode: str, class_probs: dict,

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskinfer.actr import IbModel, retrieval_probs
-from taskinfer.baselines import logreg_objective, nb_predict, nb_train
+from taskinfer.actr import IbModel
+from taskinfer.baselines import logreg_objective, nb_train
 from taskinfer.core import ActrParams, Sample, build_corpus, canonical_json, label_space
 from taskinfer.evaluation import score_sample, split_trials
 from taskinfer.ingest import parse_report
@@ -38,6 +38,7 @@ from oracles import (
     random_params,
     reference_ib_probs,
     reference_nb_posterior,
+    retrieval_probs,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -166,7 +167,7 @@ def test_05_models_match_arbitrary_precision_oracles():
                 assert pred.class_probs[label] == pytest.approx(p, abs=1e-9)
         smoothing = rng.choice([0.5, 1.0, 2.0])
         model = nb_train(corpus, smoothing=smoothing)
-        pred = nb_predict(model, query)
+        pred = model.predict(query, 0.5)
         ref_posterior = reference_nb_posterior(corpus, smoothing, query)
         for label, p in ref_posterior.items():
             worst_nb = max(worst_nb, abs(pred.class_probs[label] - p))

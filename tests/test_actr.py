@@ -21,8 +21,9 @@ from oracles import (
     reference_ib_tasks,
     reference_prediction,
     reference_rb_probs,
+    retrieval_probs,
 )
-from taskinfer.actr import IbModel, rb_predict, rb_train, retrieval_probs
+from taskinfer.actr import IbModel, rb_train
 from taskinfer.core import MODES, ActrParams, Sample, build_corpus
 
 from conftest import make_corpus
@@ -326,30 +327,28 @@ class TestIbModelMatchesScalarReference:
                 assert (t in pred.predicted_tasks) == (t in ref.predicted_tasks), t
 
 
+def rb_predict(rules, params, query):
+    """A rule model's prediction under params, as the method registry makes it."""
+    return rules.predict(query, params.task_threshold, params.w, params.s)
+
+
 class TestRuleTable:
     # Hand counts for the four-sample corpus (two per family):
     #   a: 2 in F1, 0 in F2      b: 1 in F1, 1 in F2      c: 0 in F1, 2 in F2
-    # With smoothing 1: p(a|F1) = (2+1)/(2+2) = 3/4, p(a|~F1) = (0+1)/(2+2) = 1/4.
+    # With smoothing 1: p(a|F1) = (2+1)/(2+2) = 3/4, p(a|~F1) = (0+1)/(2+2) = 1/4,
+    # so the rule for a scores ln 3 for F1 and -ln 3 for F2; b scores 0.  The
+    # rates themselves are checked in test_core.py (naive Bayes reads them too).
 
     def test_smoothed_rule_values(self, two_family_corpus):
         rules = rb_train(two_family_corpus)
         f1, f2 = rules.space.labels.index("F1"), rules.space.labels.index("F2")
         a, b = rules.col["a"], rules.col["b"]
-        assert rules.given[f1, a] == pytest.approx(0.75)
-        assert rules.not_given[f1, a] == pytest.approx(0.25)
-        assert rules.given[f2, a] == pytest.approx(0.25)
-        assert rules.not_given[f2, a] == pytest.approx(0.75)
-        assert rules.given[f1, b] == pytest.approx(0.5)
-        assert rules.given[f2, b] == pytest.approx(0.5)
-        assert rules.priors == {"F1": 0.5, "F2": 0.5}
-
-    def test_rules_converge_to_empirical_rates_as_smoothing_vanishes(
-        self, two_family_corpus
-    ):
-        rules = rb_train(two_family_corpus, smoothing=1e-9)
-        f1, a = rules.space.labels.index("F1"), rules.col["a"]
-        assert rules.given[f1, a] == pytest.approx(1.0, abs=1e-8)
-        assert rules.not_given[f1, a] == pytest.approx(0.0, abs=1e-8)
+        assert rules.weight[f1, a] == pytest.approx(math.log(3))
+        assert rules.weight[f2, a] == pytest.approx(-math.log(3))
+        assert rules.weight[f1, b] == pytest.approx(0.0, abs=1e-15)
+        assert rules.weight[f2, b] == pytest.approx(0.0, abs=1e-15)
+        assert list(rules.bias) == [math.log(0.5), math.log(0.5)]  # log priors
+        assert rules.mean and rules.floor == 0.0
 
     def test_discriminative_attribute_worked_example(self, two_family_corpus):
         # w = 1, s = 1, query {a}:
@@ -389,7 +388,7 @@ class TestRuleTable:
 
     def test_direct_mode_thresholds_each_task(self, two_family_corpus):
         rules = rb_train(two_family_corpus, mode="direct")
-        assert rules.priors == {"t1": 0.5, "t2": 0.5}
+        assert list(rules.bias) == [0.0, 0.0]  # the logits of priors 1/2
         pred = rb_predict(rules, ActrParams(w=1.0, s=0.1), {"a"})
         assert pred.predicted_family is None
         assert pred.class_probs["t1"] > 0.99
@@ -462,4 +461,4 @@ class TestRuleTable:
             rb_train(two_family_corpus, mode="both")
         rules = rb_train(two_family_corpus)
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            rb_predict(rules, ActrParams(), set())
+            rules.predict(set(), 0.5)

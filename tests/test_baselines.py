@@ -13,14 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
-                     reference_nb_posterior)
+                     reference_nb_posterior, reference_nb_task_probs)
 from taskinfer.baselines import (
     TrainingError,
     dt_train,
     logreg_objective,
-    logreg_predict,
     logreg_train,
-    nb_predict,
     nb_train,
     rf_predict,
     rf_train,
@@ -47,27 +45,23 @@ class TestNaiveBayes:
 
     def test_hand_worked_posterior(self, two_family_corpus):
         model = nb_train(two_family_corpus)
-        pred = nb_predict(model, {"a"})
+        pred = model.predict({"a"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.9, abs=1e-12)
         assert pred.class_probs["F2"] == pytest.approx(0.1, abs=1e-12)
         assert pred.predicted_family == "F1"
         assert pred.predicted_tasks == frozenset({"t1"})
-
-    def test_conditional_probability_accessor(self, two_family_corpus):
-        model = nb_train(two_family_corpus)
-        assert model.cond_prob("a", "F1") == pytest.approx(0.75)
-        assert model.cond_prob("b", "F1") == pytest.approx(0.5)
-        assert model.cond_prob("c", "F1") == pytest.approx(0.25)
-        # Unseen attribute: the smoothing floor 1 / (2 + 2).
-        assert model.cond_prob("zz", "F1") == pytest.approx(0.25)
-        assert model.priors == {"F1": 0.5, "F2": 0.5}
+        # The empty query's joint: 1/2 * (1-3/4) * (1-2/4) * (1-1/4) = 3/64 for
+        # F1, and 1/2 * (1-1/4) * (1-2/4) * (1-3/4) = 3/64 for F2.  An unseen
+        # attribute adds the smoothing floor 1 / (2 + 2).
+        assert np.exp(model.bias) == pytest.approx([3 / 64, 3 / 64], abs=1e-15)
+        assert np.exp(model.floor) == pytest.approx([0.25, 0.25], abs=1e-15)
 
     def test_indistinguishable_families_split_mass(self):
         c = make_corpus(
             [("s1", {"a"}, "F1"), ("s2", {"a"}, "F2")],
             {"F1": {"t1"}, "F2": {"t2"}},
         )
-        pred = nb_predict(nb_train(c), {"a"})
+        pred = nb_train(c).predict({"a"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.5, abs=1e-15)
         assert pred.predicted_family == "F1"  # lexicographic tie-break
 
@@ -78,7 +72,7 @@ class TestNaiveBayes:
             sm = rng.choice((0.5, 1.0, 2.0))
             q = _random_query(rng, c)
             ref = reference_nb_posterior(c, sm, q)
-            got = nb_predict(nb_train(c, smoothing=sm), q)
+            got = nb_train(c, smoothing=sm).predict(q, 0.5)
             for f, p in ref.items():
                 assert got.class_probs[f] == pytest.approx(p, abs=1e-10)
 
@@ -86,7 +80,7 @@ class TestNaiveBayes:
         # t1/t2 partition the corpus symmetrically; the t1-vs-rest log-odds
         # for query {a} is ln 9, so p(t1) = 9/10 exactly (mirror for t2).
         model = nb_train(two_family_corpus, mode="direct")
-        pred = nb_predict(model, {"a"})
+        pred = model.predict({"a"}, 0.5)
         assert pred.class_probs["t1"] == pytest.approx(0.9, abs=1e-12)
         assert pred.class_probs["t2"] == pytest.approx(0.1, abs=1e-12)
         assert pred.predicted_family is None
@@ -102,9 +96,32 @@ class TestNaiveBayes:
              Sample(id="s2", attribs={"b"}, family="G")],
             {"F": frozenset({"t", "v"}), "G": frozenset({"t"})},
         )
-        pred = nb_predict(nb_train(c, mode="direct"), {"b"})
+        pred = nb_train(c, mode="direct").predict({"b"}, 0.5)
         assert pred.class_probs["t"] == 1.0
         assert pred.predicted_tasks == frozenset({"t"})
+
+    def test_direct_mode_matches_enumeration_oracle(self):
+        rng = random.Random(52)
+        for _ in range(50):
+            c = random_corpus(rng)
+            sm = rng.choice((0.5, 1.0, 2.0))
+            q = _random_query(rng, c)
+            ref = reference_nb_task_probs(c, sm, q)
+            got = nb_train(c, smoothing=sm, mode="direct").predict(q, 0.5)
+            assert tuple(got.class_probs) == tuple(ref)
+            for t, p in ref.items():
+                assert got.class_probs[t] == pytest.approx(p, abs=1e-10)
+
+    def test_direct_mode_saturates_without_overflow(self):
+        # Every g attribute is 6 times likelier outside t than inside, so t's
+        # log odds for the 800-attribute query are about -2870: exp overflows,
+        # and the sigmoid must read that as exactly 0 (and u's as exactly 1).
+        rows = [(f"f{i}", {"a", f"x{i}"}, "F") for i in range(5)]
+        rows += [(f"g{i}", {f"g{k}" for k in range(800)}, "G") for i in range(5)]
+        c = make_corpus(rows, {"F": {"t"}, "G": {"u"}})
+        pred = nb_train(c, mode="direct").predict({f"g{k}" for k in range(800)}, 0.5)
+        assert pred.class_probs == {"t": 0.0, "u": 1.0}
+        assert pred.predicted_tasks == frozenset({"u"})
 
     def test_rejects_bad_smoothing_mode_and_empty_query(self, two_family_corpus):
         with pytest.raises(ValueError, match="smoothing must be positive"):
@@ -112,7 +129,7 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="mode must be one of"):
             nb_train(two_family_corpus, mode="both")
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            nb_predict(nb_train(two_family_corpus), set())
+            nb_train(two_family_corpus).predict(set(), 0.5)
 
 
 class TestDecisionTree:
@@ -316,7 +333,7 @@ class TestLogisticRegression:
     def test_separable_corpus_is_fit_perfectly(self, two_family_corpus):
         model = logreg_train(two_family_corpus)
         for s in two_family_corpus.samples:
-            pred = logreg_predict(model, s.attribs)
+            pred = model.predict(s.attribs, 0.5)
             assert pred.predicted_family == s.family
             assert sum(pred.class_probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert model.grad_norm < 0.05
@@ -325,7 +342,7 @@ class TestLogisticRegression:
         # t1/t2 partition the corpus and mirror each other, so their sigmoid
         # scores are complementary.
         model = logreg_train(two_family_corpus, mode="direct")
-        pred = logreg_predict(model, {"a"})
+        pred = model.predict({"a"}, 0.5)
         assert pred.class_probs["t1"] > 0.9
         assert pred.class_probs["t1"] + pred.class_probs["t2"] == pytest.approx(
             1.0, abs=1e-9
@@ -335,7 +352,7 @@ class TestLogisticRegression:
     def test_training_is_deterministic(self, two_family_corpus):
         a = logreg_train(two_family_corpus, epochs=50)
         b = logreg_train(two_family_corpus, epochs=50)
-        assert np.array_equal(a._w, b._w) and np.array_equal(a._b, b._b)
+        assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
     def test_divergence_raises_a_training_error(self, two_family_corpus):
         with np.errstate(over="ignore", invalid="ignore"):

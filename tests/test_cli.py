@@ -220,6 +220,14 @@ class TestPredict:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_header_only_corpus_exits_1(self, tmp_path, capsys):
+        corpus_path = tmp_path / "empty.jsonl"
+        corpus_path.write_text('{"families":{}}\n', encoding="utf-8")
+        rc = main(["predict", "--method", "nb", "--corpus", str(corpus_path),
+                   "--in", run_gen(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot train on an empty corpus\n"
+
     def test_closed_stdout_pipe_is_silent(self, tmp_path, capsys, monkeypatch):
         # `taskinfer predict ... | head` closes stdout early; that must not
         # produce an error message, only a quiet nonzero exit.

@@ -260,6 +260,28 @@ class TestLabelColumns:
         assert space.column_of.tolist() == [0, 0, 1]
         assert [g.tolist() for g in space.columns] == [[0, 2], [1]]
 
+    def test_smoothed_presence_rates(self, two_family_corpus):
+        # The rates naive Bayes and the rule model both read.  Hand counts for
+        # the four-sample corpus (two per family):
+        #   a: 2 in F1, 0 in F2      b: 1 in F1, 1 in F2      c: 0 in F1, 2 in F2
+        # With smoothing 1: p(a|F1) = (2+1)/(2+2) = 3/4, p(a|~F1) = (0+1)/(2+2) = 1/4.
+        space = label_space(two_family_corpus, "family")
+        _, col, x = attribute_matrix(two_family_corpus)
+        f1, f2 = space.labels.index("F1"), space.labels.index("F2")
+        a, b, c = col["a"], col["b"], col["c"]
+        given, not_given = space.presence_rates(x, 1.0)
+        assert given[f1, a] == pytest.approx(0.75)
+        assert not_given[f1, a] == pytest.approx(0.25)
+        assert given[f2, a] == pytest.approx(0.25)
+        assert not_given[f2, a] == pytest.approx(0.75)
+        assert given[f1, b] == pytest.approx(0.5)
+        assert given[f2, b] == pytest.approx(0.5)
+        assert given[f1, c] == pytest.approx(0.25)
+        # As smoothing vanishes the rates converge to the empirical ones.
+        given, not_given = space.presence_rates(x, 1e-9)
+        assert given[f1, a] == pytest.approx(1.0, abs=1e-8)
+        assert not_given[f1, a] == pytest.approx(0.0, abs=1e-8)
+
 
 class TestCorpusFiles:
     def test_round_trip_preserves_corpus(self, tmp_path):

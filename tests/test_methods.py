@@ -69,3 +69,12 @@ def test_tasks_sharing_a_column_get_equal_probabilities(method):
     for k in range(10):
         probs = predict(frozenset(rng.sample(pool, 3))).class_probs
         assert probs["t"] == probs["u"], k
+
+
+@pytest.mark.parametrize("families", [{}, {"F": frozenset({"t"})}])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_an_empty_corpus_is_rejected(method, mode, families):
+    # What a corpus file holding only its header loads as.
+    with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
+        train_method(method, build_corpus([], families), mode=mode)
