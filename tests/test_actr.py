@@ -350,6 +350,21 @@ class TestRuleTable:
         assert list(rules.bias) == [math.log(0.5), math.log(0.5)]  # log priors
         assert rules.mean and rules.floor == 0.0
 
+    def test_rules_converge_to_empirical_rates_as_smoothing_vanishes(
+        self, two_family_corpus
+    ):
+        # Empirically p(a|F1) = 1, p(a|~F1) = 0 and p(c|F1) = 0, p(c|~F1) = 1,
+        # so the rule ratios p(.|~F1) / p(.|F1) for a, and p(.|F1) / p(.|~F1)
+        # for c, go to 0; b's rates stay 1/2 against 1/2.
+        rules = rb_train(two_family_corpus, smoothing=1e-9)
+        f1 = rules.space.labels.index("F1")
+        a, b, c = rules.col["a"], rules.col["b"], rules.col["c"]
+        assert math.exp(-rules.weight[f1, a]) == pytest.approx(0.0, abs=1e-8)
+        assert math.exp(rules.weight[f1, c]) == pytest.approx(0.0, abs=1e-8)
+        assert rules.weight[f1, b] == pytest.approx(0.0, abs=1e-15)
+        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"a"})
+        assert pred.class_probs["F1"] == pytest.approx(1.0, abs=1e-8)
+
     def test_discriminative_attribute_worked_example(self, two_family_corpus):
         # w = 1, s = 1, query {a}:
         #   assoc(F1) = ln(3/4 / 1/4) = ln 3, assoc(F2) = -ln 3

@@ -56,6 +56,22 @@ class TestNaiveBayes:
         assert np.exp(model.bias) == pytest.approx([3 / 64, 3 / 64], abs=1e-15)
         assert np.exp(model.floor) == pytest.approx([0.25, 0.25], abs=1e-15)
 
+    def test_conditional_probability_accessor(self, two_family_corpus):
+        # In family mode an attribute's weight is its log odds ln(p / (1 - p))
+        # given the family, so p is the weight's sigmoid; an unseen attribute
+        # adds log p for the smoothing floor; and the bias is the log prior
+        # plus the sum of ln(1 - p) = -ln(1 + e^weight) over the vocabulary.
+        model = nb_train(two_family_corpus)
+        f1 = model.space.labels.index("F1")
+        cond = 1.0 / (1.0 + np.exp(-model.weight[f1]))
+        assert cond[model.col["a"]] == pytest.approx(0.75)
+        assert cond[model.col["b"]] == pytest.approx(0.5)
+        assert cond[model.col["c"]] == pytest.approx(0.25)
+        # Unseen attribute: the smoothing floor 1 / (2 + 2).
+        assert math.exp(model.floor[f1]) == pytest.approx(0.25)
+        priors = np.exp(model.bias + np.log1p(np.exp(model.weight)).sum(axis=1))
+        assert priors == pytest.approx([0.5, 0.5])
+
     def test_indistinguishable_families_split_mass(self):
         c = make_corpus(
             [("s1", {"a"}, "F1"), ("s2", {"a"}, "F2")],
