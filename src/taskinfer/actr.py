@@ -76,7 +76,6 @@ from .core import (
     Corpus,
     LinearModel,
     Prediction,
-    attribute_links,
     attribute_matrix,
     label_space,
     query_cols,
@@ -90,8 +89,7 @@ def _partial_term(overlap: float, params: ActrParams) -> float:
     return params.mp * overlap
 
 
-def _softmax_retained(acts: np.ndarray, params: ActrParams,
-                      apply_threshold: bool) -> tuple:
+def _softmax_retained(acts: np.ndarray, params: ActrParams) -> tuple:
     """Boltzmann distribution over the chunks at or above tau.
 
     Returns (probs, retained_count, degenerate).  probs is aligned with acts
@@ -101,7 +99,7 @@ def _softmax_retained(acts: np.ndarray, params: ActrParams,
     """
     if acts.size == 0:
         raise ValueError("no activations to retrieve over")
-    mask = acts >= params.tau if apply_threshold else np.ones(acts.shape, dtype=bool)
+    mask = acts >= params.tau
     retained = int(mask.sum())
     degenerate = retained == 0
     if degenerate:
@@ -122,16 +120,15 @@ class IbModel:
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
                  mode: str = "family"):
         self.space = label_space(corpus, mode)
-        self.corpus = corpus
         self.params = params or ActrParams()
-        _, self._col, rows, cols = attribute_links(corpus)
-        m = corpus.size
-        self._sizes = np.bincount(rows, minlength=m)
+        ix, m = corpus.index, corpus.size
+        self._col = ix.col
+        self._sizes = np.bincount(ix.rows, minlength=m)
         # scipy's CSR -> CSC conversion is a counting sort of the links by
         # attribute, stable in sample order.
         row_start = np.concatenate(([0], np.cumsum(self._sizes)))
-        memory = sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols, row_start),
-                                   shape=(m, len(self._col))).tocsc()
+        memory = sparse.csr_matrix((np.ones(ix.cols.size, dtype=bool), ix.cols, row_start),
+                                   shape=(m, len(ix.col))).tocsc()
         self._start, self._chunks = memory.indptr, memory.indices
         self._fan = np.diff(self._start)
         self._log_hit = np.log(m / self._fan)
@@ -158,7 +155,7 @@ class IbModel:
 
     def predict(self, query) -> Prediction:
         acts = self.activations(query)
-        probs, retained, degenerate = _softmax_retained(acts, self.params, True)
+        probs, retained, degenerate = _softmax_retained(acts, self.params)
         space = self.space
         return space.prediction(
             (probs @ self._member)[space.column_of],

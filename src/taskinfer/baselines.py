@@ -204,7 +204,7 @@ def dt_train(corpus: Corpus, mode: str = "family") -> RfModel:
     """The plain decision tree: a forest of one tree grown on every sample,
     with every attribute a candidate at every node."""
     return _grow_forests(corpus, mode, n_trees=1, seed=0, bootstrap=False,
-                         max_features=len(corpus.fan))
+                         max_features=len(corpus.index.vocab))
 
 
 def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
@@ -220,7 +220,7 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     if type(bootstrap) is not bool:
         raise ValueError(f"bootstrap must be True or False, got {bootstrap!r}")
     if max_features is None:
-        max_features = math.ceil(math.sqrt(len(corpus.fan)))
+        max_features = math.ceil(math.sqrt(len(corpus.index.vocab)))
     else:
         _check_count("max_features", max_features)
     return _grow_forests(corpus, mode, n_trees, seed, bootstrap, max_features)

@@ -7,9 +7,9 @@ that family performs.  Attribute tokens are opaque to every model; only set
 membership matters.
 
 A corpus is an immutable collection of fully labeled samples together with
-the family -> task-set map and a fan index (for each attribute, the number
-of samples containing it).  The fan index is what the activation models read
-at prediction time, so it is computed once at construction.
+the family -> task-set map.  Its attribute index (vocabulary, columns, the
+sample-attribute links, each family's rows; the fan is read from it) is
+built on first use and kept, so every model and every fold shares it.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -146,8 +146,19 @@ class Prediction:
     degenerate: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class AttributeIndex:
+    """The one indexing of a corpus's attributes: row i is corpus.samples[i]."""
+
+    vocab: list                 # sorted attributes; column j is vocab[j]
+    col: dict                   # attribute -> column
+    rows: np.ndarray            # link k joins row rows[k] to column cols[k],
+    cols: np.ndarray            # sample by sample (read-only)
+    members: dict               # family -> its rows, ascending
+
+
 class Corpus:
-    """Immutable labeled sample collection with a fan index.
+    """Immutable labeled sample collection with a lazily built attribute index.
 
     Equality is order-insensitive: two corpora are equal when they hold the
     same sample set and the same family map.
@@ -156,13 +167,21 @@ class Corpus:
     def __init__(self, samples: Sequence[Sample], families: Mapping[FamilyId, frozenset]):
         self._samples = tuple(samples)
         self._families = {f: frozenset(ts) for f, ts in families.items()}
-        fan = Counter()
+
+    @cached_property
+    def index(self) -> AttributeIndex:
+        """Built on first use and kept: the samples never change."""
+        vocab = sorted(frozenset().union(*(s.attribs for s in self._samples)))
+        col = {a: j for j, a in enumerate(vocab)}
+        rows = np.repeat(np.arange(self.size), [len(s.attribs) for s in self._samples])
+        cols = np.fromiter((col[a] for s in self._samples for a in s.attribs),
+                           dtype=np.intp, count=rows.size)
+        rows.flags.writeable = cols.flags.writeable = False
         members: dict[FamilyId, list] = {}
         for i, s in enumerate(self._samples):
-            fan.update(s.attribs)
             members.setdefault(s.family, []).append(i)
-        self._fan = dict(fan)
-        self._members = {f: tuple(ix) for f, ix in members.items()}
+        return AttributeIndex(vocab, col, rows, cols,
+                              {f: tuple(ix) for f, ix in members.items()})
 
     @property
     def samples(self) -> tuple:
@@ -175,7 +194,7 @@ class Corpus:
     @property
     def fan(self) -> dict:
         """Per-attribute sample counts over the whole corpus."""
-        return self._fan
+        return dict(zip(self.index.vocab, np.bincount(self.index.cols).tolist()))
 
     @property
     def size(self) -> int:
@@ -191,7 +210,7 @@ class Corpus:
 
     def members(self, family: FamilyId) -> tuple:
         """Indices of the samples labeled with `family`."""
-        return self._members.get(family, ())
+        return self.index.members.get(family, ())
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -210,12 +229,12 @@ class Corpus:
     def __repr__(self) -> str:
         return (
             f"Corpus({len(self._samples)} samples, "
-            f"{len(self._families)} families, {len(self._fan)} attributes)"
+            f"{len(self._families)} families, {len(self.index.vocab)} attributes)"
         )
 
 
 def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable[TaskId]]) -> Corpus:
-    """Validate labels and construct an indexed corpus.
+    """Validate labels and construct a corpus from unchecked samples.
 
     Every sample must carry a family present in `families` and a non-empty
     attribute set; sample task sets are filled in from the family map and
@@ -248,31 +267,15 @@ def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable
     return Corpus(out, fam_tasks)
 
 
-def attribute_links(corpus: Corpus) -> tuple:
-    """Sorted attribute vocabulary, column index, and the (row, column) pair
-    of every sample-attribute link, sample by sample.
-
-    Row i corresponds to corpus.samples[i]; column j to vocab[j].  The one
-    indexing of a corpus's attributes that every model shares.
-    """
-    vocab = sorted(corpus.fan)
-    col = {a: j for j, a in enumerate(vocab)}
-    sizes = [len(s.attribs) for s in corpus.samples]
-    rows = np.repeat(np.arange(corpus.size), sizes)
-    cols = np.fromiter((col[a] for s in corpus.samples for a in s.attribs),
-                       dtype=np.intp, count=sum(sizes))
-    return vocab, col, rows, cols
-
-
 def attribute_matrix(corpus: Corpus) -> tuple:
     """Sorted attribute vocabulary, column index, and boolean presence matrix
-    (the links of `attribute_links` set to True).  Shared by every model that
+    (the links of `corpus.index` set to True).  Shared by every model that
     works against a design matrix.
     """
-    vocab, col, rows, cols = attribute_links(corpus)
-    x = np.zeros((corpus.size, len(vocab)), dtype=bool)
-    x[rows, cols] = True
-    return vocab, col, x
+    ix = corpus.index
+    x = np.zeros((corpus.size, len(ix.vocab)), dtype=bool)
+    x[ix.rows, ix.cols] = True
+    return ix.vocab, ix.col, x
 
 
 def query_cols(col: Mapping[str, int], query) -> tuple:

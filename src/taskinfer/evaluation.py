@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .core import ActrParams, Corpus, build_corpus, canonical_json
+from .core import ActrParams, Corpus, canonical_json
 from .methods import train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
@@ -115,11 +115,12 @@ def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
           method: str, mode: str, params: ActrParams | None, seed: int,
           train_seed: int, protocol: str, label: str = "") -> TrialReport:
     """Train on the rows train_ix, keeping as labels only the families present
-    there, and score the rows test_ix in order.  Family accuracy is tracked
+    there, and score the rows test_ix in order (the rows were validated with
+    the parent, so they are not checked again).  Family accuracy is tracked
     in family mode, except under lofo, where the held-out family is no label."""
     train = [corpus.samples[i] for i in train_ix]
     present = {s.family for s in train}
-    sub = build_corpus(train, {f: t for f, t in corpus.families.items() if f in present})
+    sub = Corpus(train, {f: t for f, t in corpus.families.items() if f in present})
     t0 = time.perf_counter()
     predictor = train_method(method, sub, mode=mode, params=params, seed=train_seed)
     train_time = time.perf_counter() - t0
@@ -224,10 +225,14 @@ def leave_one_family_out(corpus: Corpus, method: str, mode: str = "family",
 
     The held-out family's identity is never available to the model, so
     family accuracy is not applicable (family_correct stays None); what the
-    protocol measures is task transfer through shared tasks.
+    protocol measures is task transfer through shared tasks.  A family with
+    no samples, which would make an empty fold, is rejected before training.
     """
     if len(corpus.families) < 2:
         raise ValueError("leave-one-family-out needs at least 2 families")
+    for f in sorted(corpus.families):
+        if not corpus.members(f):
+            raise ValueError(f"family {f!r} has no samples to hold out")
     reports = []
     for f in sorted(corpus.families):
         held = set(corpus.members(f))

@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from taskinfer.actr import _softmax_retained
-from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus
+from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus, softmax
 
 
 def softmax_probs(values, temperature):
@@ -31,9 +31,12 @@ def softmax_probs(values, temperature):
 
 def retrieval_probs(activations, params: ActrParams, apply_threshold: bool = True) -> tuple:
     """Retrieval probabilities for a list of activations: (probs, degenerate),
-    with probs aligned to the input (zero for chunks excluded by tau)."""
+    with probs aligned to the input (zero for chunks excluded by tau).
+    Without the threshold every chunk competes, and nothing is degenerate."""
     acts = np.asarray(list(activations), dtype=float)
-    probs, _, degenerate = _softmax_retained(acts, params, apply_threshold)
+    if not apply_threshold:
+        return list(softmax(acts, params.s)), False
+    probs, _, degenerate = _softmax_retained(acts, params)
     return list(probs), degenerate
 
 
@@ -299,6 +302,18 @@ def reference_forest_depth(model) -> int:
         else:
             stack += [(present, depth + 1), (absent, depth + 1)]
     return deepest
+
+
+def reference_index(corpus: Corpus) -> tuple:
+    """A corpus's attribute index, sample by sample: (sorted vocabulary, each
+    row's attribute set, per-attribute sample counts, family -> rows)."""
+    fan: dict = {}
+    members: dict = {}
+    for i, s in enumerate(corpus.samples):
+        for a in s.attribs:
+            fan[a] = fan.get(a, 0) + 1
+        members.setdefault(s.family, []).append(i)
+    return sorted(fan), [set(s.attribs) for s in corpus.samples], fan, members
 
 
 def reference_task_groups(corpus: Corpus) -> dict:

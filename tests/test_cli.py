@@ -348,6 +348,23 @@ class TestEval:
         assert {json.loads(l)["label"] for l in lines} == {"c0", "c1"}
         assert all(json.loads(l)["family_accuracy"] is None for l in lines)
 
+    def test_lofo_family_without_samples_exits_1_without_report(self, tmp_path, capsys):
+        run_gen(tmp_path)
+        lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["families"]["ghost"] = ["t0"]
+        corpus_path = tmp_path / "ghost.jsonl"
+        corpus_path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n",
+                               encoding="utf-8")
+        out = tmp_path / "lofo.jsonl"
+        rc = main(["eval", "--method", "nb", "--corpus", str(corpus_path),
+                   "--protocol", "lofo", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: family 'ghost' has no samples to hold out\n")
+        assert not out.exists()
+        assert not (tmp_path / "lofo.jsonl.csv").exists()
+
     def test_direct_mode_and_overrides_parse(self, tmp_path):
         corpus_path = run_gen(tmp_path)
         rc = main(["eval", "--method", "actr-r", "--corpus", corpus_path,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_corpus, reference_prediction, reference_task_groups
+from oracles import (random_corpus, reference_index, reference_prediction,
+                     reference_task_groups)
 from taskinfer.core import (
     ActrParams,
     Corpus,
@@ -121,6 +122,26 @@ class TestCorpusIndexes:
                 assert c.samples[i].family == f
                 seen.append(i)
         assert sorted(seen) == list(range(len(c)))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_index_matches_per_sample_reference(self, seed):
+        c = random_corpus(random.Random(seed))
+        vocab, row_attrs, fan, members = reference_index(c)
+        ix = c.index
+        assert c.index is ix                    # built once, then kept
+        assert ix.vocab == vocab
+        assert ix.col == {a: j for j, a in enumerate(vocab)}
+        assert ix.rows.tolist() == sorted(ix.rows.tolist())
+        assert len(ix.rows) == len(ix.cols) == sum(len(a) for a in row_attrs)
+        links = [set() for _ in c.samples]
+        for i, j in zip(ix.rows.tolist(), ix.cols.tolist()):
+            links[i].add(vocab[j])
+        assert links == row_attrs
+        assert c.fan == fan
+        assert {f: list(rows) for f, rows in ix.members.items()} == members
+        for f in c.families:
+            assert list(c.members(f)) == members[f]
 
     def test_members_of_absent_family_is_empty(self, two_family_corpus):
         assert two_family_corpus.members("nope") == ()

@@ -10,13 +10,15 @@ import hashlib
 import io
 import json
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import synthgen
-from taskinfer.core import ActrParams, Sample, build_corpus
+from taskinfer import evaluation, synthgen
+from taskinfer.core import ActrParams, Sample, attribute_matrix, build_corpus
 from taskinfer.evaluation import (
     PROTOCOLS,
     TrialReport,
@@ -34,6 +36,7 @@ from taskinfer.evaluation import (
 )
 
 from conftest import make_corpus
+from oracles import random_corpus
 
 task_sets = st.sets(st.sampled_from([f"t{i}" for i in range(8)]), max_size=8)
 
@@ -208,6 +211,46 @@ class TestLeaveOneFamilyOut:
         with pytest.raises(ValueError, match="at least 2 families"):
             leave_one_family_out(c, "nb")
 
+    def test_family_without_samples_is_rejected_before_training(self, monkeypatch):
+        c = make_corpus([("s1", {"a"}, "F1"), ("s2", {"b"}, "F2")],
+                        {"F1": {"t1"}, "F2": {"t2"}, "ghost": {"t1"}})
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the empty family")
+        monkeypatch.setattr(evaluation, "train_method", no_training)
+        with pytest.raises(ValueError, match="family 'ghost' has no samples"):
+            leave_one_family_out(c, "nb")
+
+
+class TestFoldCorpus:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_training_corpus_equals_the_validated_one(self, seed):
+        # Every fold trains on the parent's rows without re-validating them;
+        # its corpus must be the one build_corpus makes of the same rows.
+        c = random_corpus(random.Random(seed))
+        trained_on = []
+        train = evaluation.train_method
+
+        def spy(method, corpus, **kwargs):
+            trained_on.append(corpus)
+            return train(method, corpus, **kwargs)
+        with mock.patch.object(evaluation, "train_method", spy):
+            if c.size >= 2:
+                loocv(c, "nb")
+            if all(len(c.members(f)) >= 2 for f in c.families):
+                split_trials(c, "nb", n_trials=2, train_frac=0.5, seed=seed)
+            if len(c.families) >= 2:
+                leave_one_family_out(c, "nb")
+        for sub in trained_on:
+            ref = build_corpus(sub.samples, sub.families)
+            assert sub == ref and sub.samples == ref.samples
+            assert set(sub.families) == {s.family for s in sub.samples}
+            vocab, col, x = attribute_matrix(sub)
+            ref_vocab, ref_col, ref_x = attribute_matrix(ref)
+            assert vocab == ref_vocab and col == ref_col
+            assert np.array_equal(x, ref_x)
+
 
 # sha256 of the save_reports file holding [loocv, split_trials(n_trials=2),
 # *leave_one_family_out] on the corpus below.  Pins fold membership, order and
@@ -217,6 +260,14 @@ _FROZEN_PROTOCOL_SHA256 = {
     ("nb", "direct"): "9bdac1ab250739abd46924dea9c95f2017e34103e73108fa18524dfb77a5792b",
     ("actr-ib", "family"): "dfb1c0397f2cdd40954178fb9f347bef10fa7cf77e33c6719f4750d6d682d090",
     ("actr-ib", "direct"): "188e636f060af4e13ccb41b4ce3d13b5f2ecd7b499eb2ec92ea992415e505091",
+    ("actr-r", "family"): "194b5e76220b1ea17b65a9213ea976d1073801825f9700bda9bf705e54ba4cc7",
+    ("actr-r", "direct"): "ec20c4115c107d2d88c8a6f8ef29089d5191f0efb0d2398b7df1d30f5ff4eec8",
+    ("dt", "family"): "c875f91a482995b51d177c6560f449e47f5776229a90591f7aad178a39c0a2c5",
+    ("dt", "direct"): "74bf62850d83ab18aac36bf6a49f968ea96b7e80d69252c5b36a501e9a36b552",
+    ("rf", "family"): "201e7e628a9ec1aa95652b71ed5a66358537b556926a8636f4fbb70bece6ad25",
+    ("rf", "direct"): "3291b916978ea69485cfb171bdc0db9e65dfc2df3599da53bc1a6a7eb5a889eb",
+    ("logreg", "family"): "f8b5349f70c859f0b28bce732b7b28deaee305528b1842b2baef89f3fb37cc8b",
+    ("logreg", "direct"): "811e94e41599091b7cca393c3274daf7ed143d8d782dc24f269f019876ec3db1",
 }
 
 
