@@ -34,9 +34,9 @@ is sampled) with max-subtraction for numerical stability.  If no chunk
 reaches tau, retrieval falls back to the softmax over all chunks and the
 prediction is flagged degenerate.  Family probability is the retained
 probability mass of the family's chunks (direct mode: a task's mass is that
-of the chunks performing it), read in one product with the chunk x column
-incidence; task probability sums the mass of every family performing the
-task, thresholded at task_threshold.
+of the chunks performing it), read in one product with the label space's
+sample x column membership matrix; task probability sums the mass of every
+family performing the task, thresholded at task_threshold.
 
 The rule-based model (RB) compresses the corpus into per-(label, attribute)
 rules, the smoothed presence rates naive Bayes also reads.  With
@@ -113,8 +113,8 @@ class IbModel:
     """Instance-based model: the training corpus held as retrievable memory.
 
     The chunks holding attribute vocab[j] are _chunks[_start[j]:_start[j + 1]]
-    in sample order, so _fan[j] = _start[j + 1] - _start[j].  _member[i, c] is
-    1 when chunk i belongs to the label column space.columns[c].
+    in sample order, so _fan[j] = _start[j + 1] - _start[j].  Chunk i is
+    corpus sample i, so space.member maps chunk mass to label columns.
     """
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
@@ -133,9 +133,6 @@ class IbModel:
         self._fan = np.diff(self._start)
         self._log_hit = np.log(m / self._fan)
         self._log_miss = math.log(1.0 / m)
-        self._member = np.zeros((m, len(self.space.columns)))
-        for c, members in enumerate(self.space.columns):
-            self._member[members, c] = 1.0
 
     def activations(self, query) -> np.ndarray:
         """Total activation of every memory chunk for the query."""
@@ -158,7 +155,7 @@ class IbModel:
         probs, retained, degenerate = _softmax_retained(acts, self.params)
         space = self.space
         return space.prediction(
-            (probs @ self._member)[space.column_of],
+            (probs @ space.member)[space.column_of],
             self.params.task_threshold,
             retained_chunks=retained,
             degenerate=degenerate,

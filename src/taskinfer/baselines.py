@@ -6,9 +6,9 @@ trainable in family mode (one multiclass model) or direct-task mode (binary
 relevance: one binary model per distinct task column, the samples performing
 a task, so tasks a family always performs together share one model and equal
 probabilities).  All of them consume the same boolean design matrix
-(`core.attribute_matrix`), take their labels from `core.label_space`, and
-produce Predictions through it, the same task-thresholding path as the
-activation models.
+(`core.attribute_matrix`), take their labels and targets (`LabelSpace.member`)
+from `core.label_space`, and produce Predictions through it, the same
+task-thresholding path as the activation models.
 
 Conventions shared across the baselines:
   - attribute absence is informative for NB (the Bernoulli event model);
@@ -24,7 +24,8 @@ Conventions shared across the baselines:
     attribute a candidate at every node;
   - trees are flat node arrays, and a query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
-    log-likelihood with an L2 penalty on the weights (bias unpenalized).
+    log-likelihood with an L2 penalty on the weights (bias unpenalized); in
+    direct mode one ascent fits every column's binary model at once.
 
 Naive Bayes and logistic regression are both linear in the query's
 attributes, so each trains a `core.LinearModel` (the scorer the rule model
@@ -131,22 +132,6 @@ def _grow_tree(nodes: list, x: np.ndarray, y: np.ndarray, n_classes: int,
     return at
 
 
-def _fit_targets(space: LabelSpace, n: int, fit_one) -> tuple:
-    """fit_one(y, k) once over all labels (family) or once per column of
-    space.columns (direct)."""
-    if space.mode == "family":
-        y = np.empty(n, dtype=int)
-        for i, g in enumerate(space.groups):
-            y[g] = i
-        return (fit_one(y, len(space.labels)),)
-    fits = []
-    for g in space.columns:
-        y = np.zeros(n, dtype=int)
-        y[g] = 1
-        fits.append(fit_one(y, 2))
-    return tuple(fits)
-
-
 @dataclass(frozen=True)
 class RfModel:
     """Information-gain trees as flat node arrays: one forest of n_trees
@@ -173,23 +158,24 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     space = label_space(corpus, mode)
     vocab, col, x = attribute_matrix(corpus)
     m = corpus.size
+    if space.mode == "family":          # one forest over every label
+        targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
+    else:                               # one binary forest per column
+        targets, n_classes = space.member.T.astype(int), 2
     master = np.random.default_rng(seed)
-    nodes = []
-
-    def fit_one(y, k):
-        roots = []
+    nodes, roots = [], []
+    for y in targets:
         for _ in range(n_trees):
             rng = np.random.default_rng(int(master.integers(2**63 - 1)))
             idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-            roots.append(_grow_tree(nodes, x, y, k, idx, np.ones(len(vocab), dtype=bool),
+            roots.append(_grow_tree(nodes, x, y, n_classes, idx,
+                                    np.ones(len(vocab), dtype=bool),
                                     _MIN_LEAF_FRAC * m, rng, max_features))
-        return roots
-
-    roots = np.concatenate(_fit_targets(space, m, fit_one))
     split, present, absent, dist, depth = zip(*nodes)
     return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, _col=col,
-                   _roots=roots, _split=np.array(split), _present=np.array(present),
-                   _absent=np.array(absent), _dist=np.array(dist), _depth=max(depth))
+                   _roots=np.array(roots), _split=np.array(split),
+                   _present=np.array(present), _absent=np.array(absent),
+                   _dist=np.array(dist), _depth=max(depth))
 
 
 def _check_count(name: str, value) -> None:
@@ -250,51 +236,40 @@ def rf_predict(model: RfModel, query, task_threshold: float = 0.5) -> Prediction
 @dataclass(frozen=True, eq=False)
 class LogRegModel(LinearModel):
     """Logistic regression: a linear model (direct mode: per-task log odds)
-    and the gradient norm its training ended at."""
+    and the gradient norm its training ended at, the norm of the whole
+    stacked gradient (direct mode: over every column's two-class fit)."""
 
     grad_norm: float
 
 
 def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                     y_onehot: np.ndarray, l2: float) -> tuple:
+                     y: np.ndarray, l2: float) -> tuple:
     """Mean log-likelihood minus L2 penalty, with analytic gradients.
 
-    Returns (objective, grad_w, grad_b) for gradient *ascent*; the bias is
-    not penalized.
+    y is one-hot, (n, K) for one K-class softmax or (n, G, K) for G
+    independent ones; w and b stack their classes group by group, (G*K, d)
+    and (G*K,).  Returns (objective, grad_w, grad_b) for gradient *ascent*;
+    the bias is not penalized.
     """
     n = x.shape[0]
-    z = x @ w.T + b
-    p = softmax(z)
+    p = softmax((x @ w.T + b).reshape(y.shape))
     eps = np.finfo(float).tiny
-    ll = float(np.sum(y_onehot * np.log(p + eps)) / n)
+    ll = float(np.sum(y * np.log(p + eps)) / n)
     obj = ll - 0.5 * l2 * float((w * w).sum())
-    resid = y_onehot - p
+    resid = (y - p).reshape(n, -1)
     grad_w = resid.T @ x / n - l2 * w
     grad_b = resid.mean(axis=0)
     return obj, grad_w, grad_b
 
 
-def _fit_logreg(x: np.ndarray, y: np.ndarray, k: int, lr: float, l2: float,
-                epochs: int) -> tuple:
-    n, d = x.shape
-    y_onehot = (y[:, None] == np.arange(k)).astype(float)
-    w = np.zeros((k, d))
-    b = np.zeros(k)
-    xf = x.astype(float)
-    grad_norm = math.inf
-    for epoch in range(epochs):
-        obj, gw, gb = logreg_objective(w, b, xf, y_onehot, l2)
-        if not math.isfinite(obj):
-            raise TrainingError(f"non-finite objective at epoch {epoch}")
-        w += lr * gw
-        b += lr * gb
-        grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
-    return w, b, grad_norm
-
-
 def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
                  epochs: int = 500, mode: str = "family") -> LogRegModel:
-    """Full-batch ascent from zero weights; deterministic, so it takes no seed."""
+    """Full-batch ascent from zero weights; deterministic, so it takes no seed.
+
+    Family mode fits one softmax over the labels; direct mode fits every
+    column's two-class softmax (absent, present) in the same ascent, and a
+    task's weights are the present class's minus the absent class's.
+    """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     if not (math.isfinite(l2) and l2 >= 0):
@@ -302,12 +277,21 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     _check_count("epochs", epochs)
     space = label_space(corpus, mode)
     _, col, x = attribute_matrix(corpus)
-    fits = _fit_targets(space, corpus.size,
-                        lambda y, k: _fit_logreg(x, y, k, learning_rate, l2, epochs))
-    if space.mode == "family":
-        w, b, _ = fits[0]
-    else:
-        w = np.stack([fw[1] - fw[0] for fw, _, _ in fits])[space.column_of]
-        b = np.array([fb[1] - fb[0] for _, fb, _ in fits])[space.column_of]
+    y = space.member
+    if space.mode == "direct":
+        y = np.stack([1.0 - y, y], axis=2)
+    xf = x.astype(float)
+    k = y[0].size                   # classes: one per label, or two per column
+    w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
+    for epoch in range(epochs):
+        obj, gw, gb = logreg_objective(w, b, xf, y, l2)
+        if not math.isfinite(obj):
+            raise TrainingError(f"non-finite objective at epoch {epoch}")
+        w += learning_rate * gw
+        b += learning_rate * gb
+    grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
+    if space.mode == "direct":
+        w = (w[1::2] - w[0::2])[space.column_of]
+        b = (b[1::2] - b[0::2])[space.column_of]
     return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,
-                       grad_norm=max(gn for _, _, gn in fits))
+                       grad_norm=grad_norm)

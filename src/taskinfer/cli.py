@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("carriers", "single-task"),
                    default="carriers")
     p.add_argument("--carriers", type=int, default=None,
-                   help="carrier count (carriers regime; default 5)")
+                   help="carrier count (defaults 5 / 1; single-task takes only 1)")
     p.add_argument("--tasks-per-carrier", type=int, default=None,
                    help="tasks per carrier, or family count in single-task "
                         "(defaults 7 / 17)")
@@ -157,7 +157,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     single = args.regime == "single-task"
     spec = synthgen.GenSpec(
-        n_carriers=(1 if single else (args.carriers if args.carriers is not None else 5)),
+        n_carriers=(args.carriers if args.carriers is not None else (1 if single else 5)),
         tasks_per_carrier=(args.tasks_per_carrier if args.tasks_per_carrier is not None
                            else (17 if single else 7)),
         samples_per_family=(args.samples_per_family if args.samples_per_family is not None
@@ -165,15 +165,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         carrier_attr_pool=args.carrier_pool,
         payload_attrs_per_task=args.payload_attrs,
         overlap_target=args.overlap,
-        encrypted=False,
         seed=args.seed,
     )
-    if single:
-        if args.carriers not in (None, 1):
-            raise synthgen.GenerationError("single-task regime uses one carrier")
-        corpus, report = synthgen.generate_single_task(spec)
-    else:
-        corpus, report = synthgen.generate(spec)
+    generate = synthgen.generate_single_task if single else synthgen.generate
+    corpus, report = generate(spec)
     if args.encrypted:
         corpus = synthgen.encrypt_variant(corpus, args.encrypt_fraction,
                                           seed=args.seed)

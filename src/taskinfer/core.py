@@ -307,16 +307,29 @@ class LabelSpace:
     columns are the distinct sample groups, as sorted sample-index arrays in
     the order of their first label, and labels[i] owns columns[column_of[i]]:
     tasks a family performs together share one column, so direct-mode models
-    fit each column once and read its result for all of them.  Labels and
-    tasks are sorted.
+    fit each column once and read its result for all of them.  size is the
+    corpus's sample count.  Labels and tasks are sorted.
     """
 
     mode: str
     labels: tuple
     columns: tuple
     column_of: np.ndarray
+    size: int
     tasks: tuple
     incidence: np.ndarray | None
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """The (samples x columns) float matrix with member[j, c] = 1.0 when
+        sample j is in columns[c], else 0.0 (in family mode each row holds
+        one 1.0): the targets the trees and logistic regression fit, and the
+        instance model's map from chunk mass to columns.  Built on first
+        use, so the models that never read it do not keep it."""
+        member = np.zeros((self.size, len(self.columns)))
+        for c, g in enumerate(self.columns):
+            member[g, c] = 1.0
+        return member
 
     @property
     def groups(self) -> tuple:
@@ -405,7 +418,7 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
             columns.append(g)
         column_of.append(c)
     return LabelSpace(mode, labels, tuple(columns), np.array(column_of, dtype=int),
-                      tasks, incidence)
+                      corpus.size, tasks, incidence)
 
 
 @dataclass(frozen=True, eq=False)

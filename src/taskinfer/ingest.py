@@ -10,7 +10,9 @@ and flattens the behavioral summary into the four attribute kinds:
 
 Accepted report fields (everything else is ignored):
 
-    target.file.sha256 | target.file.md5 | info.id     sample identity
+    target.file.sha256 | target.file.md5 | info.id     sample identity (the
+                                                       hashes strings, info.id
+                                                       a string or an integer)
     behavior.summary.dll_loaded                        -> usesDLL
     behavior.summary.regkey_opened / regkey_read
         / regkey_written / regkey_deleted              -> regAct
@@ -216,9 +218,13 @@ def parse_report(data, config: ExtractionConfig | None = None,
     for key in ("sha256", "md5"):
         if target_file.get(key) is not None and not isinstance(target_file[key], str):
             raise ReportError(f"target.file.{key} is not a string", location)
+    run_id = info.get("id")
+    if run_id is not None and (isinstance(run_id, bool)
+                               or not isinstance(run_id, (str, int))):
+        raise ReportError("info.id is not a string or an integer", location)
     sample_id = target_file.get("sha256") or target_file.get("md5")
-    if not sample_id and info.get("id") is not None:
-        sample_id = str(info["id"])
+    if not sample_id and run_id is not None:
+        sample_id = str(run_id)
     if not sample_id:
         raise ReportError(
             "no sample identity (target.file.sha256/md5 or info.id)", location

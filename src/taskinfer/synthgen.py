@@ -78,8 +78,7 @@ class GenSpec:
 
     samples_per_family applies to every family; carrier_attr_pool and
     payload_attrs_per_task size the disjoint attribute pools; overlap_target
-    is the expected within-family pairwise Dice overlap; encrypted applies
-    `encrypt_variant` at the default fraction after generation.
+    is the expected within-family pairwise Dice overlap.
     """
 
     n_carriers: int = 5
@@ -88,7 +87,6 @@ class GenSpec:
     carrier_attr_pool: int = 100
     payload_attrs_per_task: int = 5
     overlap_target: float = 0.6
-    encrypted: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -217,8 +215,6 @@ def _finish(spec: GenSpec, samples: list, families: dict) -> tuple:
         cross_family_overlap=cross,
         family_sizes={f: len(corpus.members(f)) for f in families},
     )
-    if spec.encrypted:
-        corpus = encrypt_variant(corpus, DEFAULT_ENCRYPT_FRACTION, seed=spec.seed)
     return corpus, report
 
 

@@ -322,6 +322,36 @@ def reference_task_groups(corpus: Corpus) -> dict:
             for t in sorted(corpus.tasks)}
 
 
+def reference_logreg_direct(corpus: Corpus, learning_rate: float, l2: float,
+                            epochs: int) -> tuple:
+    """Direct-mode logistic regression one task at a time: a separate
+    full-batch ascent per task on the two-class softmax (absent, present),
+    from zero weights, with the L2 penalty on the weights only.
+
+    Returns (weight, bias): per task in sorted order, the present class's
+    weights over the sorted vocabulary minus the absent class's, and the
+    same difference of the biases.
+    """
+    vocab, rows, _, _ = reference_index(corpus)
+    n, d = corpus.size, len(vocab)
+    x = np.array([[a in r for a in vocab] for r in rows], dtype=float)
+    weights, biases = [], []
+    for members in reference_task_groups(corpus).values():
+        y = np.zeros((n, 2))
+        y[:, 0] = 1.0
+        y[members] = [0.0, 1.0]
+        w, b = np.zeros((2, d)), np.zeros(2)
+        for _ in range(epochs):
+            z = x @ w.T + b
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            resid = y - e / e.sum(axis=1, keepdims=True)
+            w += learning_rate * (resid.T @ x / n - l2 * w)
+            b += learning_rate * resid.mean(axis=0)
+        weights.append(w[1] - w[0])
+        biases.append(b[1] - b[0])
+    return np.array(weights), np.array(biases)
+
+
 def random_corpus(rng: random.Random, max_samples: int = 20, max_attrs: int = 10,
                   max_families: int = 4, max_tasks: int = 5) -> Corpus:
     """Small random labeled corpus for oracle cross-checks."""

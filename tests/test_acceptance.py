@@ -272,7 +272,9 @@ def test_08_per_task_training_costs_more_than_per_family():
         fam = train_time(method, "family", hyper)
         direct = train_time(method, "direct", hyper)
         ratios.append(f"{method}={direct / fam:.1f}x")
-        assert direct > fam  # measured dt 1.8x-5.0x, rf 6.1x-13x, logreg 6.1x-9.5x here
+        # measured dt 1.8x-5.0x, rf 6.1x-13x here; logreg 3.3x-4.7x over 6 runs
+        # since one ascent fits all 15 columns
+        assert direct > fam
     ib_family = train_time("actr-ib", "family")
     ib_direct = train_time("actr-ib", "direct")
     _note(8, "training cost asymmetry",

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
-                     reference_nb_posterior, reference_nb_task_probs)
+                     reference_logreg_direct, reference_nb_posterior,
+                     reference_nb_task_probs)
 from taskinfer.baselines import (
     TrainingError,
     dt_train,
@@ -364,6 +365,26 @@ class TestLogisticRegression:
             1.0, abs=1e-9
         )
         assert pred.predicted_tasks == frozenset({"t1"})
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_one_ascent_matches_a_fit_per_task(self, seed):
+        c = random_corpus(random.Random(seed), max_families=5, max_tasks=6)
+        model = logreg_train(c, mode="direct", epochs=40)
+        weight, bias = reference_logreg_direct(c, 0.1, 1e-3, 40)
+        assert np.allclose(model.weight, weight, rtol=0, atol=1e-12)
+        assert np.allclose(model.bias, bias, rtol=0, atol=1e-12)
+        vocab = sorted(c.fan)
+        for s in c.samples:
+            pred = model.predict(s.attribs, 0.5)
+            want = {}
+            for t, wt, bt in zip(sorted(c.tasks), weight, bias):
+                z = bt + sum(wt[j] for j, a in enumerate(vocab) if a in s.attribs)
+                want[t] = 1.0 / (1.0 + math.exp(-z))
+            assert list(pred.class_probs) == list(want)
+            for t, p in want.items():
+                assert pred.class_probs[t] == pytest.approx(p, rel=0, abs=1e-12)
+            assert pred.predicted_tasks == {t for t, p in want.items() if p >= 0.5}
 
     def test_training_is_deterministic(self, two_family_corpus):
         a = logreg_train(two_family_corpus, epochs=50)

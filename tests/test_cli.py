@@ -10,6 +10,7 @@ import pytest
 
 from taskinfer.cli import main
 from taskinfer.core import load_corpus, read_corpus_records
+from taskinfer.synthgen import OVERLAP_TOLERANCE
 
 GEN_SMALL = ["--carriers", "2", "--tasks-per-carrier", "2",
              "--samples-per-family", "12", "--carrier-pool", "30",
@@ -70,6 +71,9 @@ class TestGen:
         tokens = {a for s in corpus.samples for a in s.attribs}
         assert any(t.startswith("enc:") for t in tokens)
         assert not any(t.startswith("payload:") for t in tokens)
+        # The sidecar measures the corpus before encryption.
+        sidecar = json.loads((tmp_path / "enc.jsonl.gen.json").read_text())
+        assert abs(sidecar["within_family_overlap"] - 0.5) <= OVERLAP_TOLERANCE
 
     def test_infeasible_target_exits_1(self, tmp_path, capsys):
         rc = main(["gen", "--overlap", "0.001", "--out",

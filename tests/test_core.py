@@ -266,11 +266,17 @@ class TestLabelColumns:
             assert len({g.tobytes() for g in space.columns}) == len(space.columns)
             assert list(dict.fromkeys(space.column_of.tolist())) == \
                 list(range(len(space.columns)))
+            # member[j, c] is 1 exactly when sample j is in column c.
+            assert space.member.tolist() == [
+                [float(j in g.tolist()) for g in space.columns] for j in range(c.size)]
 
     def test_family_columns_are_the_families(self, shared_task_corpus):
         space = label_space(shared_task_corpus, "family")
         assert space.column_of.tolist() == [0, 1, 2]
         assert [g.tolist() for g in space.columns] == [[0, 1], [2, 3], [4, 5]]
+        assert space.member.tolist() == [[1.0, 0.0, 0.0]] * 2 + [[0.0, 1.0, 0.0]] * 2 \
+            + [[0.0, 0.0, 1.0]] * 2
+        assert space.member.sum(axis=1).tolist() == [1.0] * 6
 
     def test_tasks_of_one_family_share_a_column(self):
         # G names u in the header but has no samples; it must not split u from t.

@@ -174,6 +174,12 @@ class TestParseReportIdentity:
         with pytest.raises(ReportError, match="no sample identity"):
             parse_report(self._report())
 
+    @pytest.mark.parametrize("run_id", [{"a": 1}, True, 1.5, [1, 2]])
+    def test_run_id_of_another_type_is_an_error(self, run_id):
+        with pytest.raises(ReportError,
+                           match="r.json: info.id is not a string or an integer"):
+            parse_report(self._report(info={"id": run_id}), location="r.json")
+
 
 class TestParseReportErrors:
     def test_malformed_json_names_the_location(self):

@@ -127,13 +127,6 @@ class TestGenerate:
         assert set(d) == {"overlap_target", "within_family_overlap",
                           "cross_family_overlap", "family_sizes"}
 
-    def test_encrypted_spec_obfuscates_after_measurement(self):
-        spec = GenSpec(**{**SMALL.__dict__, "encrypted": True})
-        corpus, report = generate(spec)
-        # The report reflects the clean corpus; the returned one is encrypted.
-        assert abs(report.within_family_overlap - 0.6) <= OVERLAP_TOLERANCE
-        assert any(a.startswith("enc:") for s in corpus.samples for a in s.attribs)
-
 
 SINGLE = GenSpec(n_carriers=1, tasks_per_carrier=5, samples_per_family=20,
                  carrier_attr_pool=100, payload_attrs_per_task=12,
