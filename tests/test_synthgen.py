@@ -127,6 +127,14 @@ class TestGenerate:
         assert set(d) == {"overlap_target", "within_family_overlap",
                           "cross_family_overlap", "family_sizes"}
 
+    def test_encrypted_spec_obfuscates_after_measurement(self):
+        clean, report = generate(SMALL)
+        corpus = encrypt_variant(clean, DEFAULT_ENCRYPT_FRACTION, seed=SMALL.seed)
+        # The report reflects the clean corpus; the encrypted one is obfuscated.
+        assert abs(report.within_family_overlap - 0.6) <= OVERLAP_TOLERANCE
+        assert any(a.startswith("enc:") for s in corpus.samples for a in s.attribs)
+        assert measure_overlap(corpus)[0] < report.within_family_overlap
+
 
 SINGLE = GenSpec(n_carriers=1, tasks_per_carrier=5, samples_per_family=20,
                  carrier_attr_pool=100, payload_attrs_per_task=12,
