@@ -56,9 +56,13 @@ softmax is the sigmoid
     p(t) = 1 / (1 + exp(-(logit prior(t) + 2 w * sum_a s_{a,t} / |query|) / s))
 
 and a task every sample performs (logit +inf) keeps its prior 1.  The rules
-are a `core.LinearModel` (bias the log prior or its logit, weight the log
-ratios, doubled in direct mode, averaged over the query), the scorer naive
-Bayes and logistic regression share.
+are a `core.CountModel`, fitted from the presence counts as naive Bayes is
+(bias the log prior or its logit, weight the log ratios, doubled in direct
+mode, averaged over the query).
+
+Both models leave a training sample out without retraining: `without(i)`
+downdates the instance model's memory, and the rule model's counts, to what
+training on the other samples gives, so leave-one-out trains them once.
 
 Both models take their labels, and build their Predictions, through
 `core.label_space`, like the baselines.
@@ -66,6 +70,7 @@ Both models take their labels, and build their Predictions, through
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -73,10 +78,10 @@ from scipy import sparse
 
 from .core import (
     ActrParams,
+    CountModel,
     Corpus,
-    LinearModel,
+    LabelSpace,
     Prediction,
-    attribute_matrix,
     label_space,
     query_cols,
     softmax,
@@ -134,6 +139,28 @@ class IbModel:
         self._log_hit = np.log(m / self._fan)
         self._log_miss = math.log(1.0 / m)
 
+    def without(self, i: int) -> "IbModel":
+        """The model of every sample of its corpus but i, scoring as training
+        on them does: chunk i is dropped and the chunks above it move down
+        one, and m and the fans of i's attributes fall by one.  An attribute
+        only i held keeps its column with no chunk, so, like an unseen one, it
+        is a miss for every chunk."""
+        out = copy.copy(self)
+        out.space = self.space.without(i)[0]
+        own = self._chunks == i                 # chunk i's links
+        held = np.searchsorted(self._start, np.flatnonzero(own), side="right") - 1
+        out._fan = self._fan.copy()
+        out._fan[held] -= 1
+        out._start = np.concatenate(([0], np.cumsum(out._fan)))
+        chunks = self._chunks[~own]
+        out._chunks = chunks - (chunks > i)
+        out._sizes = np.delete(self._sizes, i)
+        m = out._sizes.size
+        with np.errstate(divide="ignore"):      # a column with no chunk left
+            out._log_hit = np.log(m / out._fan)
+        out._log_miss = math.log(1.0 / m)
+        return out
+
     def activations(self, query) -> np.ndarray:
         """Total activation of every memory chunk for the query."""
         cols, n_unseen = query_cols(self._col, query)
@@ -162,22 +189,26 @@ class IbModel:
         )
 
 
-def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> LinearModel:
-    """Compress a corpus into smoothed presence rules per label: a linear
-    model over the rules' log ratios, averaged over the query."""
-    space = label_space(corpus, mode)
-    _, col, x = attribute_matrix(corpus)
-    given, not_given = space.presence_rates(x, smoothing)
+def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
+           smoothing: float) -> tuple:
+    """Per-column (bias, weight, floor) of the rules: the log prior (direct
+    mode: its logit) and the log presence ratios (doubled in direct mode)."""
+    given, not_given = space.presence_rates(present, total, smoothing)
     log_ratio = np.log(given / not_given)
-    pos = np.array([g.size for g in space.groups])
+    pos = space.sizes
     if space.mode == "family":
-        bias, weight = np.log(pos / corpus.size), log_ratio
+        bias, weight = np.log(pos / space.size), log_ratio
     else:
         # A task's two-way softmax against its complement, whose association
         # is the negation of its own, is the sigmoid of the difference.  A task
         # every sample performs has log odds +inf, so it keeps its prior 1.
         with np.errstate(divide="ignore"):
-            bias = np.log(pos) - np.log(corpus.size - pos)
+            bias = np.log(pos) - np.log(space.size - pos)
         weight = 2 * log_ratio
-    return LinearModel(space=space, col=col, bias=bias, weight=weight, floor=0.0,
-                       mean=True)
+    return bias, weight, 0.0
+
+
+def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> CountModel:
+    """Compress a corpus into smoothed presence rules per label: a linear
+    model over the rules' log ratios, averaged over the query."""
+    return CountModel.train(corpus, mode, smoothing, _rules, mean=True)

@@ -32,7 +32,8 @@ attributes, so each trains a `core.LinearModel` (the scorer the rule model
 shares): a bias per label, a weight per label and attribute, and for NB the
 smoothing floor an unseen attribute adds; family mode softmaxes the scores
 and direct mode takes the sigmoid of each task's log odds against its
-complement.
+complement.  NB's is a `core.CountModel`, fitted from the presence counts
+like the rule model, so it leaves a sample out by downdating them.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (Corpus, LabelSpace, LinearModel, Prediction, attribute_matrix,
-                   label_space, query_cols, softmax)
+from .core import (CountModel, Corpus, LabelSpace, LinearModel, Prediction,
+                   attribute_matrix, label_space, query_cols, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -54,29 +55,33 @@ class TrainingError(RuntimeError):
 
 # ---------------------------------------------------------------- naive Bayes
 
-def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> LinearModel:
-    """Bernoulli naive Bayes as a linear model: the log joint of each family,
-    or the log odds of each task against its complement."""
-    space = label_space(corpus, mode)
-    _, col, x = attribute_matrix(corpus)
-    cond, cond_neg = space.presence_rates(x, smoothing)
-    pos = np.array([g.size for g in space.groups], dtype=float)
+def _bernoulli(space: LabelSpace, present: np.ndarray, total: np.ndarray,
+               smoothing: float) -> tuple:
+    """Per-column (bias, weight, floor) of Bernoulli naive Bayes: the log
+    joint of each family, or the log odds of each task against its
+    complement."""
+    cond, cond_neg = space.presence_rates(present, total, smoothing)
+    pos = space.sizes.astype(float)
     log_cond = np.log(cond)
     log_not = np.log1p(-cond)
     if space.mode == "family":
-        bias = np.log(pos / corpus.size) + log_not.sum(axis=1)
+        bias = np.log(pos / space.size) + log_not.sum(axis=1)
         weight = log_cond - log_not
         floor = math.log(smoothing) - np.log(pos + 2 * smoothing)
     else:
-        neg = corpus.size - pos
+        neg = space.size - pos
         log_cond_n = np.log(cond_neg)
         log_not_n = np.log1p(-cond_neg)
         with np.errstate(divide="ignore"):      # a task every sample performs
             bias = np.log(pos) - np.log(neg) + (log_not - log_not_n).sum(axis=1)
         weight = (log_cond - log_not) - (log_cond_n - log_not_n)
         floor = np.log(neg + 2 * smoothing) - np.log(pos + 2 * smoothing)
-    return LinearModel(space=space, col=col, bias=bias, weight=weight, floor=floor,
-                       mean=False)
+    return bias, weight, floor
+
+
+def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> CountModel:
+    """Bernoulli naive Bayes as a linear model fitted from presence counts."""
+    return CountModel.train(corpus, mode, smoothing, _bernoulli, mean=False)
 
 
 # ------------------------------------------------------------ trees and forests

@@ -14,15 +14,18 @@ built on first use and kept, so every model and every fold shares it.
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
 the mode and enumerates its labels (each carried by some sample) and their
-tasks, and rejects an empty corpus; `LabelSpace.prediction` is the one path
-from label probabilities to a Prediction (the family, and each task's summed
-label mass thresholded).
+tasks, and rejects an empty corpus; `LabelSpace.without` derives, through
+the same numbering, the label space of the corpus less one sample;
+`LabelSpace.prediction` is the one path from label probabilities to a
+Prediction (the family, and each task's summed label mass thresholded).
 
 `LinearModel` is the one scorer of the models that are linear in the query's
 attributes (naive Bayes, the rule model, logistic regression): a bias per
 label, a weight per label and attribute, a floor per unseen attribute, and
 optionally the mean over the query instead of the sum, then a softmax over
-families or a sigmoid per task.
+families or a sigmoid per task.  A `CountModel` is a LinearModel fitted from
+presence counts (naive Bayes, the rule model); `without(i)` refits it
+from the counts less sample i's, so leave-one-out never recounts a corpus.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -273,9 +276,14 @@ def attribute_matrix(corpus: Corpus) -> tuple:
     works against a design matrix.
     """
     ix = corpus.index
-    x = np.zeros((corpus.size, len(ix.vocab)), dtype=bool)
+    return ix.vocab, ix.col, _presence(ix, corpus.size)
+
+
+def _presence(ix: AttributeIndex, size: int) -> np.ndarray:
+    """The (samples x vocab) boolean matrix of an index's links."""
+    x = np.zeros((size, len(ix.vocab)), dtype=bool)
     x[ix.rows, ix.cols] = True
-    return ix.vocab, ix.col, x
+    return x
 
 
 def query_cols(col: Mapping[str, int], query) -> tuple:
@@ -332,27 +340,59 @@ class LabelSpace:
         return member
 
     @property
-    def groups(self) -> tuple:
-        """The sample-index array of each label."""
-        return tuple(self.columns[c] for c in self.column_of)
+    def sizes(self) -> np.ndarray:
+        """The sample count of each column."""
+        return np.array([c.size for c in self.columns])
 
-    def presence_rates(self, x: np.ndarray, smoothing: float) -> tuple:
-        """Smoothed (labels x vocab) presence rates over the design matrix x.
+    def presence_counts(self, x: np.ndarray) -> tuple:
+        """Presence counts over the design matrix x: (present, total), where
+        present[c, a] counts the samples of columns[c] holding attribute a
+        (whole numbers held as floats, as the rates read them) and total[a]
+        all the samples holding it."""
+        present = np.stack([x[c].sum(axis=0) for c in self.columns]).astype(float)
+        return present, x.sum(axis=0)
 
-            p(a|l)  = (count(a, l) + sm) / (|l| + 2 sm)
-            p(a|~l) = (count(a) - count(a, l) + sm) / (|M| - |l| + 2 sm)
+    def presence_rates(self, present: np.ndarray, total: np.ndarray,
+                       smoothing: float) -> tuple:
+        """Smoothed (columns x vocab) presence rates from `presence_counts`.
 
-        Computed once per column.  Returns (p(a|l), p(a|~l)).
+            p(a|c)  = (count(a, c) + sm) / (|c| + 2 sm)
+            p(a|~c) = (count(a) - count(a, c) + sm) / (|M| - |c| + 2 sm)
+
+        Returns (p(a|c), p(a|~c)).
         """
         if not (math.isfinite(smoothing) and smoothing > 0):
             raise ValueError(f"smoothing must be positive and finite, got {smoothing}")
         sm = smoothing
-        sizes = np.array([c.size for c in self.columns], dtype=float)
-        present = np.stack([x[c].sum(axis=0) for c in self.columns]).astype(float)
+        sizes = self.sizes
         given = (present + sm) / (sizes[:, None] + 2 * sm)
-        not_given = ((x.sum(axis=0)[None, :] - present + sm)
-                     / ((x.shape[0] - sizes)[:, None] + 2 * sm))
-        return given[self.column_of], not_given[self.column_of]
+        not_given = (total - present + sm) / ((self.size - sizes)[:, None] + 2 * sm)
+        return given, not_given
+
+    def without(self, i: int) -> tuple:
+        """(the label space of the corpus without sample i, the column of this
+        space each of its columns comes from).
+
+        Samples above i move down one; a label whose only sample was i goes,
+        and so does, in family mode, a task no remaining label performs;
+        columns that differed only by i merge, in first-label order.  The
+        result is numbered by the code that numbers `label_space`, so it
+        equals the label space of the remaining samples.
+        """
+        reduced = [np.concatenate((c[c < i], c[c > i] - 1)) for c in self.columns]
+        keep = [k for k, c in enumerate(self.column_of.tolist()) if reduced[c].size]
+        labels = tuple(self.labels[k] for k in keep)
+        groups = [reduced[self.column_of[k]] for k in keep]
+        tasks, incidence = self.tasks, self.incidence
+        if len(labels) < len(self.labels):
+            tasks = labels
+            if self.mode == "family":
+                performed = self.incidence[keep].any(axis=0)
+                tasks = tuple(compress(self.tasks, performed))
+                incidence = np.ascontiguousarray(self.incidence[np.ix_(keep, performed)])
+        space = _numbered(self.mode, labels, groups, self.size - 1, tasks, incidence)
+        first = np.unique(space.column_of, return_index=True)[1]
+        return space, self.column_of[keep][first]
 
     def prediction(self, probs, task_threshold: float,
                    retained_chunks: int | None = None,
@@ -407,6 +447,14 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
                 performers[t].append(members[f])
         groups = [np.sort(np.concatenate(performers[t])) for t in labels]
         incidence = None
+    return _numbered(mode, labels, groups, corpus.size, tasks, incidence)
+
+
+def _numbered(mode: str, labels: tuple, groups: list, size: int, tasks: tuple,
+              incidence: np.ndarray | None) -> LabelSpace:
+    """The label space whose labels hold `groups`: each distinct group is one
+    column, numbered in first-label order.  A label with no samples raises
+    ValueError naming it."""
     kind = "family" if mode == "family" else "task"
     number: dict = {}           # a column's sample indices, as bytes -> its index
     columns, column_of = [], []
@@ -418,7 +466,7 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
             columns.append(g)
         column_of.append(c)
     return LabelSpace(mode, labels, tuple(columns), np.array(column_of, dtype=int),
-                      corpus.size, tasks, incidence)
+                      size, tasks, incidence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,6 +504,61 @@ class LinearModel:
         return self.space.prediction(probs, task_threshold)
 
 
+@dataclass(frozen=True, eq=False)
+class CountModel(LinearModel):
+    """A linear model fitted from the presence counts of its training corpus
+    (naive Bayes, the rule model): `fit(space, present, total, smoothing)`
+    gives its (bias, weight, floor) per column, which each label of the
+    column reads.  Leaving a sample out downdates the counts instead of
+    recounting the rest of the corpus, so the model keeps the corpus's
+    attribute index (not its samples)."""
+
+    index: AttributeIndex
+    smoothing: float
+    fit: Callable
+
+    @classmethod
+    def train(cls, corpus: Corpus, mode: str, smoothing: float, fit: Callable,
+              mean: bool) -> "CountModel":
+        space = label_space(corpus, mode)
+        _, col, x = attribute_matrix(corpus)
+        bias, weight, floor = _per_label(space, fit(space, *space.presence_counts(x),
+                                                     smoothing))
+        return cls(space, col, bias, weight, floor, mean, corpus.index, smoothing, fit)
+
+    @cached_property
+    def counts(self) -> tuple:
+        """(present, total) of `LabelSpace.presence_counts`, recounted on first
+        use: only leaving samples out reads them."""
+        return self.space.presence_counts(_presence(self.index, self.space.size))
+
+    def without(self, i: int) -> LinearModel:
+        """The model fitted on every sample of its corpus but i, as training on
+        them gives it: i's attributes are subtracted from the counts of the
+        columns holding it and from the totals, and an attribute only i held
+        leaves the vocabulary, so a query's copy of it is unseen."""
+        space, source = self.space.without(i)
+        present, total = self.counts
+        own = np.zeros(total.size, dtype=int)
+        start, end = np.searchsorted(self.index.rows, (i, i + 1))  # rows ascend
+        own[self.index.cols[start:end]] = 1
+        lost = np.array([i in c for c in self.space.columns], dtype=int)[source]
+        present, total = present[source] - np.outer(lost, own), total - own
+        col = self.col
+        if not total.all():
+            kept = total > 0
+            present, total = np.ascontiguousarray(present[:, kept]), total[kept]
+            col = dict(zip(compress(self.col, kept.tolist()), range(total.size)))
+        bias, weight, floor = _per_label(space, self.fit(space, present, total,
+                                                         self.smoothing))
+        return LinearModel(space, col, bias, weight, floor, self.mean)
+
+
+def _per_label(space: LabelSpace, per_column: tuple) -> tuple:
+    """Arrays over a space's columns, read for each label (scalars pass)."""
+    return tuple(a[space.column_of] if np.ndim(a) else a for a in per_column)
+
+
 def canonical_json(obj) -> str:
     """One-line canonical JSON: sorted keys, no whitespace; NaN and infinities
     raise ValueError, since they are not JSON."""
@@ -488,9 +591,23 @@ def save_corpus(corpus: Corpus, path) -> None:
 def read_corpus_records(path) -> tuple:
     """Parse a corpus file into (families, samples) without label validation.
 
-    Unlabeled records (family/tasks null) pass through; structural problems
-    raise CorpusFormatError naming the 1-based line.
+    Unlabeled records (family/tasks null) pass through; structural problems,
+    and bytes that are not UTF-8, raise CorpusFormatError naming the 1-based
+    line.
     """
+    try:
+        return _corpus_records(path)
+    except UnicodeDecodeError as e:
+        with open(path, "rb") as fh:        # find the line the decoder failed on
+            for n, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise CorpusFormatError(f"not UTF-8 text ({e.reason})", n) from e
+
+
+def _corpus_records(path) -> tuple:
     families: dict[str, frozenset] = {}
     samples: list[Sample] = []
     seen: set[str] = set()

@@ -9,10 +9,13 @@ predicts a family (direct).
 
 Three protocols: leave-one-out cross-validation over samples, repeated
 stratified train/test splits, and leave-one-family-out; each picks its folds
-and one fold runner trains and scores them.  Splits stratify per family and
-draw their randomness positionally from a master seed stream, so two methods
-evaluated with the same seed see byte-for-byte identical folds and their
-per-sample scores align for paired significance testing.
+and one fold runner trains and scores them.  Leave-one-out is exact but
+trains the count models (`actr-ib`, `actr-r`, `nb`) only once, on the whole
+corpus: each held-out sample is scored by that model downdated to leave it
+out, with the same results as retraining without it.  Splits stratify per
+family and draw their randomness positionally from a master seed stream, so
+two methods evaluated with the same seed see byte-for-byte identical folds
+and their per-sample scores align for paired significance testing.
 
 Reports serialize as one canonical JSON object per line, like the corpus
 format.  Wall-clock timings are kept out of the file (they are the one
@@ -33,7 +36,7 @@ from typing import Iterable, Sequence
 from scipy import stats as _scipy_stats
 
 from .core import ActrParams, Corpus, canonical_json
-from .methods import train_method
+from .methods import leave_one_out, train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
 
@@ -111,26 +114,29 @@ class TrialReport:
         return [s.f1 for s in self.scores]
 
 
-def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
-          method: str, mode: str, params: ActrParams | None, seed: int,
-          train_seed: int, protocol: str, label: str = "") -> TrialReport:
-    """Train on the rows train_ix, keeping as labels only the families present
-    there, and score the rows test_ix in order (the rows were validated with
-    the parent, so they are not checked again).  Family accuracy is tracked
-    in family mode, except under lofo, where the held-out family is no label."""
-    train = [corpus.samples[i] for i in train_ix]
+def _fold_corpus(corpus: Corpus, rows: Sequence[int]) -> Corpus:
+    """The corpus of `rows`, keeping as labels only the families present
+    there (the rows were validated with the parent, so they are not checked
+    again); the parent itself when that is every row and family."""
+    train = [corpus.samples[i] for i in rows]
     present = {s.family for s in train}
-    sub = Corpus(train, {f: t for f, t in corpus.families.items() if f in present})
-    t0 = time.perf_counter()
-    predictor = train_method(method, sub, mode=mode, params=params, seed=train_seed)
-    train_time = time.perf_counter() - t0
+    if len(train) == corpus.size and present == corpus.families.keys():
+        return corpus
+    return Corpus(train, {f: t for f, t in corpus.families.items() if f in present})
+
+
+def _scored(corpus: Corpus, test_ix: Sequence[int], predict, method: str, mode: str,
+            seed: int, protocol: str, label: str, train_time: float) -> TrialReport:
+    """Score predict(i) for the rows test_ix in order.  Family accuracy is
+    tracked in family mode, except under lofo, where the held-out family is
+    no label."""
     track_family = mode == "family" and protocol != "lofo"
     scores = []
     predict_time = 0.0
     for i in test_ix:
         held = corpus.samples[i]
         t0 = time.perf_counter()
-        pred = predictor(held.attribs)
+        pred = predict(i)
         predict_time += time.perf_counter() - t0
         sc = score_sample(pred.predicted_tasks, held.tasks)
         fam = pred.predicted_family == held.family if track_family else None
@@ -140,16 +146,37 @@ def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
                        predict_time=predict_time, label=label)
 
 
+def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
+          method: str, mode: str, params: ActrParams | None, seed: int,
+          train_seed: int, protocol: str, label: str = "") -> TrialReport:
+    """Train on the rows train_ix and score the rows test_ix in order."""
+    sub = _fold_corpus(corpus, train_ix)
+    t0 = time.perf_counter()
+    predictor = train_method(method, sub, mode=mode, params=params, seed=train_seed)
+    train_time = time.perf_counter() - t0
+    return _scored(corpus, test_ix, lambda i: predictor(corpus.samples[i].attribs),
+                   method, mode, seed, protocol, label, train_time)
+
+
 def loocv(corpus: Corpus, method: str, mode: str = "family",
           params: ActrParams | None = None, seed: int = 0) -> TrialReport:
-    """Leave-one-out: train on all but one sample, predict it, rotate."""
+    """Leave-one-out: predict every sample by the method trained on all the
+    others.  The count models (`actr-ib`, `actr-r`, `nb`) train once, on the
+    whole corpus, and downdate that model for each held-out sample, which
+    gives exactly the predictions of retraining; the others retrain once per
+    sample."""
     if corpus.size < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
     n = corpus.size
-    folds = [_fold(corpus, [*range(i), *range(i + 1, n)], [i], method, mode,
-                   params, seed, seed, "loocv")
-             for i in range(n)]
-    return replace(combine(folds, label=""), trials=())
+    t0 = time.perf_counter()
+    held_out = leave_one_out(method, _fold_corpus(corpus, range(n)), mode, params, seed)
+    if held_out is None:
+        folds = [_fold(corpus, [*range(i), *range(i + 1, n)], [i], method, mode,
+                       params, seed, seed, "loocv")
+                 for i in range(n)]
+        return replace(combine(folds, label=""), trials=())
+    return _scored(corpus, range(n), held_out, method, mode, seed, "loocv", "",
+                   time.perf_counter() - t0)
 
 
 def stratified_split(corpus: Corpus, train_frac: float,

@@ -270,12 +270,18 @@ def parse_report(data, config: ExtractionConfig | None = None,
 
 
 def load_extraction_config(path) -> ExtractionConfig:
-    """Read an ExtractionConfig from its JSON file form."""
+    """Read an ExtractionConfig from its JSON file form; every error in the
+    file is a ReportError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as e:
             raise ReportError(f"malformed config JSON: {e.msg}", str(path)) from e
+        except UnicodeDecodeError as e:
+            raise ReportError(f"not UTF-8 text ({e.reason})", str(path)) from e
     if not isinstance(obj, dict):
         raise ReportError("extraction config must be a JSON object", str(path))
-    return ExtractionConfig.from_dict(obj)
+    try:
+        return ExtractionConfig.from_dict(obj)
+    except ValueError as e:
+        raise ReportError(str(e), str(path)) from e

@@ -4,9 +4,11 @@ Everything here recomputes model outputs from first principles with plain
 Python loops over sets and dicts (mpmath for the exponentials, so overflow
 is impossible at any parameter scale).  No code is shared with the package
 internals beyond the public data types; the tree oracles take a trained
-model's node arrays and redo only the walk and the averaging.  The one
-exception is `retrieval_probs`, the list-in, list-out face of the retrieval
-softmax that the distribution property tests drive.
+model's node arrays and redo only the walk and the averaging.  Two
+exceptions: `retrieval_probs`, the list-in, list-out face of the retrieval
+softmax that the distribution property tests drive, and
+`reference_loocv_predictions`, which retrains through the public
+`train_method` once per held-out sample.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from taskinfer.actr import _softmax_retained
 from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus, softmax
+from taskinfer.methods import train_method
 
 
 def softmax_probs(values, temperature):
@@ -350,6 +353,20 @@ def reference_logreg_direct(corpus: Corpus, learning_rate: float, l2: float,
         weights.append(w[1] - w[0])
         biases.append(b[1] - b[0])
     return np.array(weights), np.array(biases)
+
+
+def reference_loocv_predictions(corpus: Corpus, method: str, mode: str,
+                                params: ActrParams | None = None) -> list:
+    """Each sample's Prediction by `method` retrained on every other sample,
+    the fold keeping as labels only the families present in it: the
+    leave-one-out loop the evaluation ran before the count models downdated."""
+    out = []
+    for i, held in enumerate(corpus.samples):
+        rest = [s for j, s in enumerate(corpus.samples) if j != i]
+        present = {s.family for s in rest}
+        fold = Corpus(rest, {f: t for f, t in corpus.families.items() if f in present})
+        out.append(train_method(method, fold, mode=mode, params=params)(held.attribs))
+    return out
 
 
 def random_corpus(rng: random.Random, max_samples: int = 20, max_attrs: int = 10,

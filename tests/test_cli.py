@@ -164,6 +164,7 @@ class TestIngest:
         err = capsys.readouterr().err
         (key,) = config_obj
         assert err.startswith("error:") and key in err
+        assert f"error: {config}: " in err
 
 
 class TestPredict:
@@ -223,6 +224,18 @@ class TestPredict:
                    "--in", str(tmp_path / "nope.jsonl")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_records_exit_1_naming_the_line(self, tmp_path, capsys):
+        corpus_path = run_gen(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"families":{}}\n{"attributes":["a\xff"],"family":null,'
+                        b'"id":"q","tasks":null}\n')
+        capsys.readouterr()
+        rc = main(["predict", "--method", "nb", "--corpus", corpus_path,
+                   "--in", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: line 2: not UTF-8 text (invalid start byte)\n"
 
     def test_header_only_corpus_exits_1(self, tmp_path, capsys):
         corpus_path = tmp_path / "empty.jsonl"

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (random_corpus, reference_index, reference_prediction,
                      reference_task_groups)
 from taskinfer.core import (
+    MODES,
     ActrParams,
     Corpus,
     CorpusError,
@@ -261,7 +263,8 @@ class TestLabelColumns:
             space = label_space(c, "direct")
             want = reference_task_groups(c)
             assert space.labels == tuple(want)
-            assert [g.tolist() for g in space.groups] == list(want.values())
+            assert [space.columns[k].tolist() for k in space.column_of] == \
+                list(want.values())
             # Columns are the distinct groups, numbered by their first label.
             assert len({g.tobytes() for g in space.columns}) == len(space.columns)
             assert list(dict.fromkeys(space.column_of.tolist())) == \
@@ -287,6 +290,35 @@ class TestLabelColumns:
         assert space.column_of.tolist() == [0, 0, 1]
         assert [g.tolist() for g in space.columns] == [[0, 2], [1]]
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+    @settings(max_examples=100, deadline=None)
+    def test_without_is_the_label_space_of_the_other_samples(self, seed, mode):
+        c = random_corpus(random.Random(seed))
+        space = label_space(c, mode)
+        for i in range(c.size):
+            rest = [s for j, s in enumerate(c.samples) if j != i]
+            if not rest:
+                continue
+            present = {s.family for s in rest}
+            want = label_space(Corpus(rest, {f: t for f, t in c.families.items()
+                                             if f in present}), mode)
+            got, source = space.without(i)
+            assert (got.mode, got.labels, got.size, got.tasks) == \
+                (want.mode, want.labels, want.size, want.tasks)
+            assert [g.tolist() for g in got.columns] == \
+                [g.tolist() for g in want.columns]
+            assert got.column_of.tolist() == want.column_of.tolist()
+            if mode == "family":
+                assert np.array_equal(got.incidence, want.incidence)
+                assert got.incidence.flags.c_contiguous
+            else:
+                assert got.incidence is None
+            # Each fold column is its source column less sample i.
+            for g, k in zip(got.columns, source):
+                parent = space.columns[k]
+                kept = parent[parent != i]
+                assert g.tolist() == (kept - (kept > i)).tolist()
+
     def test_smoothed_presence_rates(self, two_family_corpus):
         # The rates naive Bayes and the rule model both read.  Hand counts for
         # the four-sample corpus (two per family):
@@ -296,7 +328,10 @@ class TestLabelColumns:
         _, col, x = attribute_matrix(two_family_corpus)
         f1, f2 = space.labels.index("F1"), space.labels.index("F2")
         a, b, c = col["a"], col["b"], col["c"]
-        given, not_given = space.presence_rates(x, 1.0)
+        present, total = space.presence_counts(x)
+        assert present[:, [a, b, c]].tolist() == [[2, 1, 0], [0, 1, 2]]
+        assert total[[a, b, c]].tolist() == [2, 2, 2]
+        given, not_given = space.presence_rates(present, total, 1.0)
         assert given[f1, a] == pytest.approx(0.75)
         assert not_given[f1, a] == pytest.approx(0.25)
         assert given[f2, a] == pytest.approx(0.25)
@@ -305,7 +340,7 @@ class TestLabelColumns:
         assert given[f2, b] == pytest.approx(0.5)
         assert given[f1, c] == pytest.approx(0.25)
         # As smoothing vanishes the rates converge to the empirical ones.
-        given, not_given = space.presence_rates(x, 1e-9)
+        given, not_given = space.presence_rates(present, total, 1e-9)
         assert given[f1, a] == pytest.approx(1.0, abs=1e-8)
         assert not_given[f1, a] == pytest.approx(0.0, abs=1e-8)
 
@@ -381,6 +416,21 @@ class TestCorpusFiles:
             read_corpus_records(path)
         assert exc.value.line == lineno
         assert f"line {lineno}:" in str(exc.value)
+
+
+    @pytest.mark.parametrize("valid_lines", [1, 2000])
+    def test_non_utf8_bytes_name_the_line(self, tmp_path, valid_lines):
+        # 2000 records put the bad byte past the decoder's first buffer.
+        record = b'{"attributes":["a"],"family":null,"id":"s%d","tasks":null}\n'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"families":{}}\n'
+                         + b"".join(record % k for k in range(valid_lines - 1))
+                         + b'{"attributes":["\xe9t\xe9"],"family":null,"id":"x",'
+                           b'"tasks":null}\n')
+        with pytest.raises(CorpusFormatError, match="not UTF-8 text") as exc:
+            read_corpus_records(path)
+        assert exc.value.line == valid_lines + 1
+        assert str(exc.value).startswith(f"line {valid_lines + 1}: ")
 
 
 class TestCanonicalJson:

@@ -362,3 +362,17 @@ class TestExtractionConfig:
         path.write_text("{broken")
         with pytest.raises(ReportError, match="malformed config JSON"):
             load_extraction_config(path)
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"bogus": true}', "unknown extraction config keys: ['bogus']"),
+        (b'{"max_attributes": true}',
+         "max_attributes must be null or an integer, got True"),
+        (b'{"static": "\xff"}', "not UTF-8 text (invalid start byte)"),
+    ], ids=["unknown-key", "bad-value", "not-utf8"])
+    def test_file_errors_name_the_file(self, tmp_path, content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ReportError) as exc:
+            load_extraction_config(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert exc.value.location == str(path)

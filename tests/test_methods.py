@@ -4,9 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taskinfer.core import MODES, Sample, build_corpus
-from taskinfer.methods import METHODS, train_method
+from taskinfer import synthgen
+from taskinfer.actr import IbModel
+from taskinfer.baselines import nb_train
+from taskinfer.core import MODES, Sample, build_corpus, label_space
+from taskinfer.methods import METHODS, leave_one_out, train_method
+
+from conftest import make_corpus
+from oracles import random_corpus, random_params, reference_loocv_predictions
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -78,3 +86,101 @@ def test_an_empty_corpus_is_rejected(method, mode, families):
     # What a corpus file holding only its header loads as.
     with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
         train_method(method, build_corpus([], families), mode=mode)
+
+
+def _assert_same_predictions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert {k: v.hex() for k, v in g.class_probs.items()} == \
+            {k: v.hex() for k, v in w.class_probs.items()}
+        assert g.predicted_tasks == w.predicted_tasks
+        assert g.predicted_family == w.predicted_family
+        assert g.retained_chunks == w.retained_chunks
+        assert g.degenerate == w.degenerate
+
+
+def _downdated(corpus, method, mode, params=None):
+    held_out = leave_one_out(method, corpus, mode, params)
+    return [held_out(i) for i in range(corpus.size)]
+
+
+DOWNDATING = [(m, mode) for m in ("actr-ib", "actr-r", "nb") for mode in MODES]
+
+
+class TestLeaveOneOut:
+    @pytest.mark.parametrize("method,mode", DOWNDATING)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_downdating_equals_retraining(self, method, mode, seed, random_params_too):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng)
+        params = random_params(rng) if random_params_too else None
+        if corpus.size < 2:
+            return
+        want = reference_loocv_predictions(corpus, method, mode, params)
+        _assert_same_predictions(_downdated(corpus, method, mode, params), want)
+
+    # Each corpus holds one case that changes the label space or vocabulary
+    # of the fold that leaves out one of its samples.
+    EDGE_CASES = {
+        # s1 is F1's only sample: F1 and its task t1 disappear.
+        "singleton family": (
+            [("s1", {"a", "b"}, "F1"), ("s2", {"b", "c"}, "F2"), ("s3", {"c"}, "F2"),
+             ("s4", {"a", "c"}, "F3")],
+            {"F1": {"t1", "t2"}, "F2": {"t2"}, "F3": {"t3"}}),
+        # x and y occur only in s1: without it they are unseen attributes.
+        "attributes only the held-out sample has": (
+            [("s1", {"a", "x", "y"}, "F1"), ("s2", {"a", "b"}, "F1"),
+             ("s3", {"b", "c"}, "F2"), ("s4", {"c", "z"}, "F2")],
+            {"F1": {"t1"}, "F2": {"t2"}}),
+        # t1 is F1's and F3's, t2 F1's alone: without s3 (F3's only sample)
+        # their columns hold the same samples and merge.
+        "direct-mode columns that merge": (
+            [("s1", {"a", "b"}, "F1"), ("s2", {"a"}, "F1"), ("s3", {"b", "c"}, "F3"),
+             ("s4", {"c"}, "F2"), ("s5", {"c", "d"}, "F2")],
+            {"F1": {"t1", "t2"}, "F2": {"t3"}, "F3": {"t1"}}),
+        # Everyone performs t1, and without s4 everyone left performs t2:
+        # its log odds are +inf and its probability 1.
+        "a task every remaining sample performs": (
+            [("s1", {"a", "b"}, "F1"), ("s2", {"a", "c"}, "F1"), ("s3", {"b"}, "F2"),
+             ("s4", {"c", "d"}, "F3")],
+            {"F1": {"t1", "t2"}, "F2": {"t1", "t2"}, "F3": {"t1"}}),
+    }
+
+    @pytest.mark.parametrize("method,mode", DOWNDATING)
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_equal_retraining(self, method, mode, case):
+        rows, families = self.EDGE_CASES[case]
+        corpus = make_corpus(rows, families)
+        _assert_same_predictions(_downdated(corpus, method, mode),
+                                 reference_loocv_predictions(corpus, method, mode))
+
+    def test_edge_cases_are_what_they_say(self):
+        def corpus(case):
+            return make_corpus(*self.EDGE_CASES[case])
+        singleton = label_space(corpus("singleton family"), "family").without(0)[0]
+        assert singleton.labels == ("F2", "F3") and singleton.tasks == ("t2", "t3")
+        merging = label_space(corpus("direct-mode columns that merge"), "direct")
+        assert len(merging.columns) == 3
+        assert merging.without(2)[0].column_of.tolist() == [0, 0, 1]
+        nb = nb_train(corpus("a task every remaining sample performs"), mode="direct")
+        assert "d" in nb.col and "d" not in nb.without(3).col
+        probs = nb.without(3).predict({"a"}, 0.5).class_probs
+        assert probs["t1"] == probs["t2"] == 1.0
+        ib = IbModel(corpus("attributes only the held-out sample has"))
+        assert ib.without(0)._fan[[ib._col["x"], ib._col["y"]]].tolist() == [0, 0]
+
+    def test_retraining_methods_do_not_downdate(self, two_family_corpus):
+        for method in ("dt", "rf", "logreg"):
+            assert leave_one_out(method, two_family_corpus) is None
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            leave_one_out("bogus", two_family_corpus)
+
+    def test_evaluate_corpus(self):
+        # The benchmark's corpus shape (five 7-task carriers, 12 samples each).
+        corpus, _ = synthgen.generate(synthgen.GenSpec(
+            n_carriers=5, tasks_per_carrier=7, samples_per_family=12,
+            overlap_target=0.4, seed=1))
+        for method, mode in DOWNDATING:
+            _assert_same_predictions(_downdated(corpus, method, mode),
+                                     reference_loocv_predictions(corpus, method, mode))
