@@ -14,7 +14,6 @@ from .baselines import (
     logreg_objective,
     logreg_train,
     nb_train,
-    rf_predict,
     rf_train,
 )
 from .core import (
@@ -41,7 +40,7 @@ from .evaluation import (
     split_trials,
 )
 from .ingest import ExtractionConfig, ReportError, normalize_path, parse_report
-from .methods import METHODS, train_method
+from .methods import METHODS, predict, train_method
 from .synthgen import (
     DEFAULT_ENCRYPT_FRACTION,
     GenReport,

@@ -64,8 +64,9 @@ Both models leave a training sample out without retraining: `without(i)`
 downdates the instance model's memory, and the rule model's counts, to what
 training on the other samples gives, so leave-one-out trains them once.
 
-Both models take their labels, and build their Predictions, through
-`core.label_space`, like the baselines.
+Both models take their labels from `core.label_space` and keep the scoring
+contract of the baselines: `space`, `col` and `scores(cols, n_unseen)`,
+which `methods.predict` turns into a Prediction.
 """
 
 from __future__ import annotations
@@ -81,9 +82,7 @@ from .core import (
     CountModel,
     Corpus,
     LabelSpace,
-    Prediction,
     label_space,
-    query_cols,
     softmax,
 )
 
@@ -97,21 +96,20 @@ def _partial_term(overlap: float, params: ActrParams) -> float:
 def _softmax_retained(acts: np.ndarray, params: ActrParams) -> tuple:
     """Boltzmann distribution over the chunks at or above tau.
 
-    Returns (probs, retained_count, degenerate).  probs is aligned with acts
-    and zero outside the retained set.  When nothing reaches tau the softmax
-    falls back to all chunks and degenerate is True; retained_count stays 0
+    Returns (probs, retained_count).  probs is aligned with acts and zero
+    outside the retained set.  When nothing reaches tau the softmax falls
+    back to all chunks (a degenerate retrieval); retained_count stays 0
     because it counts chunks that actually cleared the threshold.
     """
     if acts.size == 0:
         raise ValueError("no activations to retrieve over")
     mask = acts >= params.tau
     retained = int(mask.sum())
-    degenerate = retained == 0
-    if degenerate:
+    if not retained:
         mask[:] = True
     probs = np.zeros(acts.shape)
     probs[mask] = softmax(acts[mask], params.s)
-    return probs, retained, degenerate
+    return probs, retained
 
 
 class IbModel:
@@ -127,7 +125,7 @@ class IbModel:
         self.space = label_space(corpus, mode)
         self.params = params or ActrParams()
         ix, m = corpus.index, corpus.size
-        self._col = ix.col
+        self.col = ix.col
         self._sizes = np.bincount(ix.rows, minlength=m)
         # scipy's CSR -> CSC conversion is a counting sort of the links by
         # attribute, stable in sample order.
@@ -161,9 +159,9 @@ class IbModel:
         out._log_miss = math.log(1.0 / m)
         return out
 
-    def activations(self, query) -> np.ndarray:
-        """Total activation of every memory chunk for the query."""
-        cols, n_unseen = query_cols(self._col, query)
+    def activations(self, cols: np.ndarray, n_unseen: int) -> np.ndarray:
+        """Total activation of every memory chunk for a query of the known
+        attribute columns `cols` and n_unseen attributes outside `col`."""
         nq = cols.size + n_unseen
         start, fan = self._start[cols], self._fan[cols]
         # Positions in _chunks of every link of the query's known attributes.
@@ -177,16 +175,11 @@ class IbModel:
         overlap = shared / np.sqrt(nq * self._sizes)
         return self.params.beta + spread + _partial_term(overlap, self.params)
 
-    def predict(self, query) -> Prediction:
-        acts = self.activations(query)
-        probs, retained, degenerate = _softmax_retained(acts, self.params)
-        space = self.space
-        return space.prediction(
-            (probs @ space.member)[space.column_of],
-            self.params.task_threshold,
-            retained_chunks=retained,
-            degenerate=degenerate,
-        )
+    def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
+        """(label probabilities, retained chunk count) of a query: each
+        label's probability is the retrieval mass of its column's chunks."""
+        probs, retained = _softmax_retained(self.activations(cols, n_unseen), self.params)
+        return (probs @ self.space.member)[self.space.column_of], retained
 
 
 def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
@@ -208,7 +201,11 @@ def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
     return bias, weight, 0.0
 
 
-def rb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> CountModel:
+def rb_train(corpus: Corpus, params: ActrParams | None = None, smoothing: float = 1.0,
+             mode: str = "family") -> CountModel:
     """Compress a corpus into smoothed presence rules per label: a linear
-    model over the rules' log ratios, averaged over the query."""
-    return CountModel.train(corpus, mode, smoothing, _rules, mean=True)
+    model over the rules' log ratios, averaged over the query and scaled by
+    the association weight `params.w`, at temperature `params.s`."""
+    params = params or ActrParams()
+    return CountModel.train(corpus, mode, smoothing, _rules, mean=True, w=params.w,
+                            s=params.s)

@@ -7,8 +7,9 @@ relevance: one binary model per distinct task column, the samples performing
 a task, so tasks a family always performs together share one model and equal
 probabilities).  All of them consume the same boolean design matrix
 (`core.attribute_matrix`), take their labels and targets (`LabelSpace.member`)
-from `core.label_space`, and produce Predictions through it, the same
-task-thresholding path as the activation models.
+from `core.label_space`, and keep the scoring contract of the activation
+models (`space`, `col`, `scores`), which `methods.predict` turns into a
+Prediction.
 
 Conventions shared across the baselines:
   - attribute absence is informative for NB (the Bernoulli event model);
@@ -45,8 +46,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (CountModel, Corpus, LabelSpace, LinearModel, Prediction,
-                   attribute_matrix, label_space, query_cols, softmax)
+from .core import (CountModel, Corpus, LabelSpace, LinearModel, attribute_matrix,
+                   label_space, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -81,7 +82,7 @@ def _bernoulli(space: LabelSpace, present: np.ndarray, total: np.ndarray,
 
 def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> CountModel:
     """Bernoulli naive Bayes as a linear model fitted from presence counts."""
-    return CountModel.train(corpus, mode, smoothing, _bernoulli, mean=False)
+    return CountModel.train(corpus, mode, smoothing, _bernoulli, mean=False, w=1.0, s=1.0)
 
 
 # ------------------------------------------------------------ trees and forests
@@ -146,7 +147,7 @@ class RfModel:
     space: LabelSpace
     vocab: tuple
     n_trees: int
-    _col: Mapping[str, int]
+    col: Mapping[str, int]
     _roots: np.ndarray              # the root of every tree, forest by forest
     _split: np.ndarray              # per node: the attribute column it tests
     _present: np.ndarray            # per node: child when the attribute is present
@@ -156,6 +157,22 @@ class RfModel:
 
     def depth(self) -> int:
         return self._depth
+
+    def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
+        """(label probabilities, None: every label competes) of a query: the
+        mean leaf distribution of the forest over all labels (family mode),
+        or of each column's forest at its positive class, read by every
+        label of that column (direct mode).  Every tree is walked at once;
+        after `_depth` steps each walk rests on a leaf."""
+        q = np.zeros(len(self.vocab), dtype=bool)
+        q[cols] = True
+        node = self._roots
+        for _ in range(self._depth):
+            node = np.where(q[self._split[node]], self._present[node], self._absent[node])
+        if self.space.mode == "family":
+            return self._dist[node].mean(axis=0), None
+        probs = self._dist[node, 1].reshape(-1, self.n_trees).mean(axis=1)
+        return probs[self.space.column_of], None
 
 
 def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
@@ -177,7 +194,7 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                                     np.ones(len(vocab), dtype=bool),
                                     _MIN_LEAF_FRAC * m, rng, max_features))
     split, present, absent, dist, depth = zip(*nodes)
-    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, _col=col,
+    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, col=col,
                    _roots=np.array(roots), _split=np.array(split),
                    _present=np.array(present), _absent=np.array(absent),
                    _dist=np.array(dist), _depth=max(depth))
@@ -205,8 +222,11 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
 
     max_features=None draws ceil(sqrt(|vocab|)) candidates per node.  The
     `seed` stream gives each tree its own seed, forest by forest (direct
-    mode: one forest per distinct task column, in first-label order).
+    mode: one forest per distinct task column, in first-label order); it is
+    a non-negative int.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     _check_count("n_trees", n_trees)
     if type(bootstrap) is not bool:
         raise ValueError(f"bootstrap must be True or False, got {bootstrap!r}")
@@ -215,25 +235,6 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     else:
         _check_count("max_features", max_features)
     return _grow_forests(corpus, mode, n_trees, seed, bootstrap, max_features)
-
-
-def rf_predict(model: RfModel, query, task_threshold: float = 0.5) -> Prediction:
-    """Mean leaf distribution of the forest over all labels (family mode), or
-    of each column's forest at its positive class, read by every label of
-    that column (direct mode).  Every tree is walked at once; after `_depth`
-    steps each walk rests on a leaf."""
-    cols, _ = query_cols(model._col, query)
-    q = np.zeros(len(model.vocab), dtype=bool)
-    q[cols] = True
-    node = model._roots
-    for _ in range(model._depth):
-        node = np.where(q[model._split[node]], model._present[node], model._absent[node])
-    if model.space.mode == "family":
-        probs = model._dist[node].mean(axis=0)
-    else:
-        probs = model._dist[node, 1].reshape(-1, model.n_trees).mean(axis=1)
-        probs = probs[model.space.column_of]
-    return model.space.prediction(probs, task_threshold)
 
 
 # ------------------------------------------------------- logistic regression
@@ -299,4 +300,4 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
         w = (w[1::2] - w[0::2])[space.column_of]
         b = (b[1::2] - b[0::2])[space.column_of]
     return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,
-                       grad_norm=grad_norm)
+                       w=1.0, s=1.0, grad_norm=grad_norm)

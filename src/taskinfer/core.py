@@ -22,10 +22,13 @@ Prediction (the family, and each task's summed label mass thresholded).
 `LinearModel` is the one scorer of the models that are linear in the query's
 attributes (naive Bayes, the rule model, logistic regression): a bias per
 label, a weight per label and attribute, a floor per unseen attribute, and
-optionally the mean over the query instead of the sum, then a softmax over
-families or a sigmoid per task.  A `CountModel` is a LinearModel fitted from
-presence counts (naive Bayes, the rule model); `without(i)` refits it
-from the counts less sample i's, so leave-one-out never recounts a corpus.
+optionally the mean over the query instead of the sum, scaled by w, then a
+softmax over families or a sigmoid per task at temperature s.  Like every
+model it keeps the scoring contract that `methods.predict` reads (`space`,
+`col`, `scores(cols, n_unseen)`; `query_cols` gives the columns).  A
+`CountModel` is a LinearModel fitted from presence counts (naive Bayes, the
+rule model); `without(i)` refits it from the counts less sample i's, so
+leave-one-out never recounts a corpus.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -114,8 +118,8 @@ class ActrParams:
     def __post_init__(self):
         for name in ("beta", "s", "tau", "mp", "w", "task_threshold"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.s <= 0:
             raise ValueError(f"temperature s must be positive, got {self.s}")
         if self.mp < 0:
@@ -382,7 +386,6 @@ class LabelSpace:
         reduced = [np.concatenate((c[c < i], c[c > i] - 1)) for c in self.columns]
         keep = [k for k, c in enumerate(self.column_of.tolist()) if reduced[c].size]
         labels = tuple(self.labels[k] for k in keep)
-        groups = [reduced[self.column_of[k]] for k in keep]
         tasks, incidence = self.tasks, self.incidence
         if len(labels) < len(self.labels):
             tasks = labels
@@ -390,20 +393,21 @@ class LabelSpace:
                 performed = self.incidence[keep].any(axis=0)
                 tasks = tuple(compress(self.tasks, performed))
                 incidence = np.ascontiguousarray(self.incidence[np.ix_(keep, performed)])
-        space = _numbered(self.mode, labels, groups, self.size - 1, tasks, incidence)
+        space = _numbered(self.mode, labels, reduced, self.column_of[keep].tolist(),
+                          self.size - 1, tasks, incidence)
         first = np.unique(space.column_of, return_index=True)[1]
         return space, self.column_of[keep][first]
 
     def prediction(self, probs, task_threshold: float,
-                   retained_chunks: int | None = None,
-                   degenerate: bool = False) -> Prediction:
+                   retained_chunks: int | None = None) -> Prediction:
         """Prediction from probabilities aligned with `labels`.
 
         A task's mass is the summed probability of the labels performing it
         (direct mode: its own probability), added in label order; the tasks
         whose mass reaches task_threshold are predicted.  In family mode the
         family is the first most probable label.  retained_chunks defaults to
-        the label count, for models in which every label competes.  A
+        the label count, for models in which every label competes; the
+        prediction is degenerate when it is 0 (no chunk reached tau).  A
         non-finite probability raises ValueError naming its label.
         """
         probs = np.asarray(probs, dtype=float)
@@ -421,7 +425,7 @@ class LabelSpace:
             predicted_tasks=frozenset(compress(self.tasks, mass >= task_threshold)),
             predicted_family=family,
             retained_chunks=len(self.labels) if retained_chunks is None else retained_chunks,
-            degenerate=degenerate,
+            degenerate=retained_chunks == 0,
         )
 
 
@@ -447,24 +451,28 @@ def label_space(corpus: Corpus, mode: str) -> LabelSpace:
                 performers[t].append(members[f])
         groups = [np.sort(np.concatenate(performers[t])) for t in labels]
         incidence = None
-    return _numbered(mode, labels, groups, corpus.size, tasks, incidence)
+    return _numbered(mode, labels, groups, range(len(labels)), corpus.size, tasks,
+                     incidence)
 
 
-def _numbered(mode: str, labels: tuple, groups: list, size: int, tasks: tuple,
-              incidence: np.ndarray | None) -> LabelSpace:
-    """The label space whose labels hold `groups`: each distinct group is one
-    column, numbered in first-label order.  A label with no samples raises
-    ValueError naming it."""
+def _numbered(mode: str, labels: tuple, groups: list, group_of: Sequence[int],
+              size: int, tasks: tuple, incidence: np.ndarray | None) -> LabelSpace:
+    """The label space in which labels[i] holds the samples groups[group_of[i]]:
+    each distinct group is one column, numbered in first-label order, and a
+    group that several labels hold is keyed once.  A label with no samples
+    raises ValueError naming it."""
     kind = "family" if mode == "family" else "task"
     number: dict = {}           # a column's sample indices, as bytes -> its index
+    column_at: dict = {}        # group index -> its column
     columns, column_of = [], []
-    for label, g in zip(labels, groups):
-        if not g.size:
-            raise ValueError(f"{kind} {label!r} has no samples")
-        c = number.setdefault(g.tobytes(), len(columns))
-        if c == len(columns):
-            columns.append(g)
-        column_of.append(c)
+    for label, k in zip(labels, group_of):
+        if k not in column_at:
+            if not groups[k].size:
+                raise ValueError(f"{kind} {label!r} has no samples")
+            c = column_at[k] = number.setdefault(groups[k].tobytes(), len(columns))
+            if c == len(columns):
+                columns.append(groups[k])
+        column_of.append(column_at[k])
     return LabelSpace(mode, labels, tuple(columns), np.array(column_of, dtype=int),
                       size, tasks, incidence)
 
@@ -479,7 +487,8 @@ class LinearModel:
 
     where n is the query size when `mean` is set and 1 otherwise; family mode
     softmaxes z at temperature s, and direct mode gives each task the sigmoid
-    of z / s (a task scoring +inf gets exactly 1).
+    of z / s (a task scoring +inf gets exactly 1).  Naive Bayes and logistic
+    regression set w and s to 1.0, which leaves z and its softmax exact.
     """
 
     space: LabelSpace
@@ -488,20 +497,19 @@ class LinearModel:
     weight: np.ndarray              # (L, d): the score a present attribute adds
     floor: np.ndarray | float       # the score an unseen attribute adds
     mean: bool                      # divide the weight sum by the query size
+    w: float                        # the scale of the weight sum
+    s: float                        # the temperature
 
-    def predict(self, query, task_threshold: float, w: float = 1.0,
-                s: float = 1.0) -> Prediction:
-        cols, n_unseen = query_cols(self.col, query)
+    def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
+        """(label probabilities, None: every label competes) of a query."""
         total = self.weight[:, cols].sum(axis=1)
         if self.mean:
             total = total / (cols.size + n_unseen)
-        z = self.bias + w * total + n_unseen * self.floor
+        z = self.bias + self.w * total + n_unseen * self.floor
         if self.space.mode == "family":
-            probs = softmax(z, s)
-        else:
-            with np.errstate(over="ignore"):
-                probs = 1.0 / (1.0 + np.exp(-z / s))
-        return self.space.prediction(probs, task_threshold)
+            return softmax(z, self.s), None
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z / self.s)), None
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,12 +527,13 @@ class CountModel(LinearModel):
 
     @classmethod
     def train(cls, corpus: Corpus, mode: str, smoothing: float, fit: Callable,
-              mean: bool) -> "CountModel":
+              mean: bool, w: float, s: float) -> "CountModel":
         space = label_space(corpus, mode)
         _, col, x = attribute_matrix(corpus)
         bias, weight, floor = _per_label(space, fit(space, *space.presence_counts(x),
                                                      smoothing))
-        return cls(space, col, bias, weight, floor, mean, corpus.index, smoothing, fit)
+        return cls(space, col, bias, weight, floor, mean, w, s, corpus.index,
+                   smoothing, fit)
 
     @cached_property
     def counts(self) -> tuple:
@@ -551,7 +560,7 @@ class CountModel(LinearModel):
             col = dict(zip(compress(self.col, kept.tolist()), range(total.size)))
         bias, weight, floor = _per_label(space, self.fit(space, present, total,
                                                          self.smoothing))
-        return LinearModel(space, col, bias, weight, floor, self.mean)
+        return LinearModel(space, col, bias, weight, floor, self.mean, self.w, self.s)
 
 
 def _per_label(space: LabelSpace, per_column: tuple) -> tuple:

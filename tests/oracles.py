@@ -39,8 +39,8 @@ def retrieval_probs(activations, params: ActrParams, apply_threshold: bool = Tru
     acts = np.asarray(list(activations), dtype=float)
     if not apply_threshold:
         return list(softmax(acts, params.s)), False
-    probs, _, degenerate = _softmax_retained(acts, params)
-    return list(probs), degenerate
+    probs, retained = _softmax_retained(acts, params)
+    return list(probs), retained == 0
 
 
 @dataclass(frozen=True)

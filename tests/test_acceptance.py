@@ -14,17 +14,18 @@ import json
 import math
 import random
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taskinfer.actr import IbModel
-from taskinfer.baselines import logreg_objective, nb_train
+from taskinfer.baselines import dt_train, logreg_objective, logreg_train, nb_train, rf_train
 from taskinfer.core import ActrParams, Sample, build_corpus, canonical_json, label_space
 from taskinfer.evaluation import score_sample, split_trials
 from taskinfer.ingest import parse_report
-from taskinfer.methods import train_method
+from taskinfer.methods import predict, train_method
 from taskinfer.synthgen import (
     DEFAULT_ENCRYPT_FRACTION,
     GenSpec,
@@ -124,8 +125,8 @@ def test_04_family_and_direct_task_mass_agree():
         query = set(rng.choice(corpus.samples).attribs)
         if rng.random() < 0.3:
             query.add("novel-token")
-        fam = IbModel(corpus, params, mode="family").predict(query)
-        direct = IbModel(corpus, params, mode="direct").predict(query)
+        fam = predict(IbModel(corpus, params, mode="family"), query, params.task_threshold)
+        direct = predict(IbModel(corpus, params, mode="direct"), query, params.task_threshold)
         assert fam.degenerate == direct.degenerate
         mass = {t: 0.0 for t in corpus.tasks}
         for f, p in fam.class_probs.items():
@@ -158,7 +159,7 @@ def test_05_models_match_arbitrary_precision_oracles():
         if rng.random() < 0.3:
             query.add(f"novel{rng.randint(0, 5)}")
         for mode in ("family", "direct"):
-            pred = IbModel(corpus, params, mode).predict(query)
+            pred = predict(IbModel(corpus, params, mode), query, params.task_threshold)
             ref, ref_degenerate = reference_ib_probs(corpus, params, query, mode)
             assert pred.degenerate == ref_degenerate
             assert set(pred.class_probs) == set(ref)
@@ -167,7 +168,7 @@ def test_05_models_match_arbitrary_precision_oracles():
                 assert pred.class_probs[label] == pytest.approx(p, abs=1e-9)
         smoothing = rng.choice([0.5, 1.0, 2.0])
         model = nb_train(corpus, smoothing=smoothing)
-        pred = model.predict(query, 0.5)
+        pred = predict(model, query, 0.5)
         ref_posterior = reference_nb_posterior(corpus, smoothing, query)
         for label, p in ref_posterior.items():
             worst_nb = max(worst_nb, abs(pred.class_probs[label] - p))
@@ -258,25 +259,25 @@ def test_08_per_task_training_costs_more_than_per_family():
         {f: {f"task{n}" for n, run in enumerate(runs) if f in run} for f in fams})
     assert len(label_space(corpus, "direct").columns) == 15
 
-    def train_time(method, mode, hyper=None):
+    def train_time(train, mode):
         best = math.inf
         for _ in range(3):  # min over repeats to shed scheduler noise
             t0 = time.perf_counter()
-            train_method(method, corpus, mode=mode, hyper=hyper)
+            train(corpus, mode=mode)
             best = min(best, time.perf_counter() - t0)
         return best
 
     ratios = []
-    for method, hyper in (("dt", None), ("rf", {"n_trees": 25}),
-                          ("logreg", {"epochs": 120})):
-        fam = train_time(method, "family", hyper)
-        direct = train_time(method, "direct", hyper)
+    for method, train in (("dt", dt_train), ("rf", partial(rf_train, n_trees=25)),
+                          ("logreg", partial(logreg_train, epochs=120))):
+        fam = train_time(train, "family")
+        direct = train_time(train, "direct")
         ratios.append(f"{method}={direct / fam:.1f}x")
         # measured dt 1.8x-5.0x, rf 6.1x-13x here; logreg 3.3x-4.7x over 6 runs
         # since one ascent fits all 15 columns
         assert direct > fam
-    ib_family = train_time("actr-ib", "family")
-    ib_direct = train_time("actr-ib", "direct")
+    ib_family = train_time(IbModel, "family")
+    ib_direct = train_time(IbModel, "direct")
     _note(8, "training cost asymmetry",
           f"direct/family ratios {' '.join(ratios)}; instance build "
           f"family={ib_family * 1e3:.1f}ms direct={ib_direct * 1e3:.1f}ms")

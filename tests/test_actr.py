@@ -24,7 +24,8 @@ from oracles import (
     retrieval_probs,
 )
 from taskinfer.actr import IbModel, rb_train
-from taskinfer.core import MODES, ActrParams, Sample, build_corpus
+from taskinfer.core import MODES, ActrParams, Sample, build_corpus, query_cols
+from taskinfer.methods import predict
 
 from conftest import make_corpus
 
@@ -161,7 +162,7 @@ class TestRetrievalProbs:
 class TestIbModel:
     def test_two_chunk_worked_example(self, tiny_corpus):
         # Activation gap 40.69 vs 19.31 at s = 0.1 -> all mass on chunk 0.
-        pred = IbModel(tiny_corpus, ActrParams()).predict({"a", "b"})
+        pred = predict(IbModel(tiny_corpus, ActrParams()), {"a", "b"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(1.0, abs=1e-12)
         assert pred.class_probs["F2"] == pytest.approx(0.0, abs=1e-12)
         assert pred.predicted_family == "F1"
@@ -170,12 +171,12 @@ class TestIbModel:
         assert not pred.degenerate
 
     def test_threshold_between_chunks_retains_one(self, tiny_corpus):
-        pred = IbModel(tiny_corpus, ActrParams(tau=30.0)).predict({"a", "b"})
+        pred = predict(IbModel(tiny_corpus, ActrParams(tau=30.0)), {"a", "b"}, 0.5)
         assert pred.retained_chunks == 1
         assert pred.class_probs == {"F1": 1.0, "F2": 0.0}
 
     def test_unreachable_threshold_flags_degenerate(self, tiny_corpus):
-        pred = IbModel(tiny_corpus, ActrParams(tau=100.0)).predict({"a", "b"})
+        pred = predict(IbModel(tiny_corpus, ActrParams(tau=100.0)), {"a", "b"}, 0.5)
         assert pred.degenerate
         assert pred.retained_chunks == 0
         assert sum(pred.class_probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -188,7 +189,7 @@ class TestIbModel:
             model = IbModel(c, params)
             vocab = sorted(c.fan)
             q = frozenset(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
-            vec = model.activations(q)
+            vec = model.activations(*query_cols(model.col, q))
             for j in range(len(c)):
                 assert vec[j] == pytest.approx(
                     ib_activation(c, params, q, j).total, abs=1e-10
@@ -205,22 +206,23 @@ class TestIbModel:
                 q.add("novel")
             for mode in ("family", "direct"):
                 ref, ref_degenerate = reference_ib_probs(c, params, q, mode)
-                got = IbModel(c, params, mode).predict(q)
+                got = predict(IbModel(c, params, mode), q, params.task_threshold)
                 assert got.degenerate == ref_degenerate
                 for label, p in ref.items():
                     assert got.class_probs[label] == pytest.approx(p, abs=1e-10)
             ref_tasks = reference_ib_tasks(c, params, q)
-            assert IbModel(c, params, "family").predict(q).predicted_tasks == ref_tasks
+            model = IbModel(c, params, "family")
+            assert predict(model, q, params.task_threshold).predicted_tasks == ref_tasks
 
     def test_sample_order_does_not_change_probabilities(self, shared_task_corpus):
         from taskinfer.core import Corpus
 
         params = ActrParams()
-        fwd = IbModel(shared_task_corpus, params).predict({"a", "b"})
+        fwd = predict(IbModel(shared_task_corpus, params), {"a", "b"}, 0.5)
         rev_corpus = Corpus(
             tuple(reversed(shared_task_corpus.samples)), shared_task_corpus.families
         )
-        rev = IbModel(rev_corpus, params).predict({"a", "b"})
+        rev = predict(IbModel(rev_corpus, params), {"a", "b"}, 0.5)
         for f in fwd.class_probs:
             assert rev.class_probs[f] == pytest.approx(fwd.class_probs[f], abs=1e-12)
         assert rev.predicted_family == fwd.predicted_family
@@ -235,15 +237,15 @@ class TestIbModel:
             vocab = sorted(c.fan)
             q = frozenset(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
             kw = dict(beta=2.0, s=0.8, tau=-1e9, mp=3.0)
-            p_over = IbModel(c, ActrParams(partial_matching="overlap", **kw)).predict(q)
-            p_def = IbModel(c, ActrParams(partial_matching="deficit", **kw)).predict(q)
+            p_over = predict(IbModel(c, ActrParams(partial_matching="overlap", **kw)), q, 0.5)
+            p_def = predict(IbModel(c, ActrParams(partial_matching="deficit", **kw)), q, 0.5)
             for f in p_over.class_probs:
                 assert p_def.class_probs[f] == pytest.approx(
                     p_over.class_probs[f], abs=1e-10
                 )
 
     def test_direct_mode_reports_per_task_mass(self, shared_task_corpus):
-        pred = IbModel(shared_task_corpus, ActrParams(), "direct").predict({"a", "b"})
+        pred = predict(IbModel(shared_task_corpus, ActrParams(), "direct"), {"a", "b"}, 0.5)
         assert pred.predicted_family is None
         assert set(pred.class_probs) == {"t1", "t2", "t3"}
         # Task masses need not sum to 1: families carry several tasks each.
@@ -255,7 +257,7 @@ class TestIbModel:
         with pytest.raises(ValueError, match="empty corpus"):
             IbModel(Corpus((), {}), ActrParams())
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            IbModel(tiny_corpus, ActrParams()).predict(set())
+            predict(IbModel(tiny_corpus, ActrParams()), set(), 0.5)
         with pytest.raises(ValueError, match="mode must be one of"):
             IbModel(tiny_corpus, ActrParams(), mode="both")
 
@@ -302,9 +304,9 @@ class TestIbModelMatchesScalarReference:
         params = replace(params, tau=params.tau if tau is None else tau)
 
         model = IbModel(c, params, mode)
-        for got, want in zip(model.activations(q), acts):
+        for got, want in zip(model.activations(*query_cols(model.col, q)), acts):
             assert got == pytest.approx(want, abs=1e-12)
-        pred = model.predict(q)
+        pred = predict(model, q, params.task_threshold)
         ref_probs, ref_degenerate = reference_ib_probs(c, params, q, mode)
         assert pred.class_probs.keys() == ref_probs.keys()
         for label, p in ref_probs.items():
@@ -327,9 +329,10 @@ class TestIbModelMatchesScalarReference:
                 assert (t in pred.predicted_tasks) == (t in ref.predicted_tasks), t
 
 
-def rb_predict(rules, params, query):
-    """A rule model's prediction under params, as the method registry makes it."""
-    return rules.predict(query, params.task_threshold, params.w, params.s)
+def rb_predict(corpus, params, query, **train):
+    """The prediction of the rule model trained under params, as the method
+    registry makes it."""
+    return predict(rb_train(corpus, params, **train), query, params.task_threshold)
 
 
 class TestRuleTable:
@@ -362,15 +365,14 @@ class TestRuleTable:
         assert math.exp(-rules.weight[f1, a]) == pytest.approx(0.0, abs=1e-8)
         assert math.exp(rules.weight[f1, c]) == pytest.approx(0.0, abs=1e-8)
         assert rules.weight[f1, b] == pytest.approx(0.0, abs=1e-15)
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"a"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"a"}, smoothing=1e-9)
         assert pred.class_probs["F1"] == pytest.approx(1.0, abs=1e-8)
 
     def test_discriminative_attribute_worked_example(self, two_family_corpus):
         # w = 1, s = 1, query {a}:
         #   assoc(F1) = ln(3/4 / 1/4) = ln 3, assoc(F2) = -ln 3
         #   A_F1 - A_F2 = 2 ln 3 = ln 9  ->  p(F1) = 9/10 exactly.
-        rules = rb_train(two_family_corpus)
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"a"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"a"})
         assert pred.class_probs["F1"] == pytest.approx(0.9, abs=1e-12)
         assert pred.class_probs["F2"] == pytest.approx(0.1, abs=1e-12)
         assert pred.predicted_family == "F1"
@@ -378,33 +380,29 @@ class TestRuleTable:
 
     def test_balanced_attribute_splits_mass_evenly(self, two_family_corpus):
         # b appears once per family: associations cancel exactly.
-        rules = rb_train(two_family_corpus)
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"b"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"b"})
         assert pred.class_probs["F1"] == pytest.approx(0.5, abs=1e-15)
         assert pred.class_probs["F2"] == pytest.approx(0.5, abs=1e-15)
 
     def test_unknown_attributes_dilute_but_do_not_score(self, two_family_corpus):
         # Query {a, zz}: assoc halves (divided by full query size) ->
         # gap ln 3 -> p(F1) = 3/4 exactly.
-        rules = rb_train(two_family_corpus)
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"a", "zz"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"a", "zz"})
         assert pred.class_probs["F1"] == pytest.approx(0.75, abs=1e-12)
 
     def test_fully_unknown_query_ties_on_priors(self, two_family_corpus):
-        rules = rb_train(two_family_corpus)
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"zz", "yy"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"zz", "yy"})
         assert pred.class_probs["F1"] == pytest.approx(0.5, abs=1e-15)
         assert pred.predicted_family == "F1"  # lexicographic tie-break
 
     def test_default_temperature_saturates_the_same_example(self, two_family_corpus):
-        rules = rb_train(two_family_corpus)
-        pred = rb_predict(rules, ActrParams(), {"a"})
+        pred = rb_predict(two_family_corpus, ActrParams(), {"a"})
         assert pred.class_probs["F1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_mode_thresholds_each_task(self, two_family_corpus):
         rules = rb_train(two_family_corpus, mode="direct")
         assert list(rules.bias) == [0.0, 0.0]  # the logits of priors 1/2
-        pred = rb_predict(rules, ActrParams(w=1.0, s=0.1), {"a"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=0.1), {"a"}, mode="direct")
         assert pred.predicted_family is None
         assert pred.class_probs["t1"] > 0.99
         assert pred.class_probs["t2"] < 0.01
@@ -412,8 +410,7 @@ class TestRuleTable:
 
     def test_direct_mode_antisymmetry(self, two_family_corpus):
         # t1 and t2 partition this corpus, so their scores mirror exactly.
-        rules = rb_train(two_family_corpus, mode="direct")
-        pred = rb_predict(rules, ActrParams(w=1.0, s=1.0), {"a"})
+        pred = rb_predict(two_family_corpus, ActrParams(w=1.0, s=1.0), {"a"}, mode="direct")
         assert pred.class_probs["t1"] + pred.class_probs["t2"] == pytest.approx(
             1.0, abs=1e-12
         )
@@ -423,8 +420,7 @@ class TestRuleTable:
             [("s1", {"a"}, "F"), ("s2", {"b"}, "F")],
             {"F": {"t"}},
         )
-        rules = rb_train(c, mode="direct")
-        pred = rb_predict(rules, ActrParams(), {"a"})
+        pred = rb_predict(c, ActrParams(), {"a"}, mode="direct")
         assert pred.class_probs["t"] == 1.0
         assert pred.predicted_tasks == frozenset({"t"})
 
@@ -436,8 +432,7 @@ class TestRuleTable:
             vocab = sorted(c.fan)
             q = frozenset(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
             for mode in ("family", "direct"):
-                rules = rb_train(c, mode=mode)
-                pred = rb_predict(rules, params, q)
+                pred = rb_predict(c, params, q, mode=mode)
                 assert all(0.0 <= p <= 1.0 for p in pred.class_probs.values())
                 if mode == "family":
                     assert sum(pred.class_probs.values()) == pytest.approx(
@@ -456,7 +451,7 @@ class TestRuleTable:
                 q.add("novel")
             for mode in ("family", "direct"):
                 ref = reference_rb_probs(c, params, q, mode, smoothing)
-                got = rb_predict(rb_train(c, smoothing=smoothing, mode=mode), params, q)
+                got = rb_predict(c, params, q, smoothing=smoothing, mode=mode)
                 assert got.class_probs.keys() == ref.keys()
                 for label, p in ref.items():
                     assert got.class_probs[label] == pytest.approx(p, abs=1e-12)
@@ -474,6 +469,5 @@ class TestRuleTable:
             rb_train(two_family_corpus, smoothing=0.0)
         with pytest.raises(ValueError, match="mode must be one of"):
             rb_train(two_family_corpus, mode="both")
-        rules = rb_train(two_family_corpus)
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            rules.predict(set(), 0.5)
+            rb_predict(two_family_corpus, ActrParams(), set())

@@ -6,6 +6,7 @@ Expected numbers are frozen from hand arithmetic over four-sample corpora
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from taskinfer.baselines import (
     logreg_objective,
     logreg_train,
     nb_train,
-    rf_predict,
     rf_train,
 )
 
 from taskinfer.core import MODES
+from taskinfer.methods import predict
 
 from conftest import make_corpus
 
@@ -46,7 +47,7 @@ class TestNaiveBayes:
 
     def test_hand_worked_posterior(self, two_family_corpus):
         model = nb_train(two_family_corpus)
-        pred = model.predict({"a"}, 0.5)
+        pred = predict(model, {"a"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.9, abs=1e-12)
         assert pred.class_probs["F2"] == pytest.approx(0.1, abs=1e-12)
         assert pred.predicted_family == "F1"
@@ -78,7 +79,7 @@ class TestNaiveBayes:
             [("s1", {"a"}, "F1"), ("s2", {"a"}, "F2")],
             {"F1": {"t1"}, "F2": {"t2"}},
         )
-        pred = nb_train(c).predict({"a"}, 0.5)
+        pred = predict(nb_train(c), {"a"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.5, abs=1e-15)
         assert pred.predicted_family == "F1"  # lexicographic tie-break
 
@@ -89,7 +90,7 @@ class TestNaiveBayes:
             sm = rng.choice((0.5, 1.0, 2.0))
             q = _random_query(rng, c)
             ref = reference_nb_posterior(c, sm, q)
-            got = nb_train(c, smoothing=sm).predict(q, 0.5)
+            got = predict(nb_train(c, smoothing=sm), q, 0.5)
             for f, p in ref.items():
                 assert got.class_probs[f] == pytest.approx(p, abs=1e-10)
 
@@ -97,7 +98,7 @@ class TestNaiveBayes:
         # t1/t2 partition the corpus symmetrically; the t1-vs-rest log-odds
         # for query {a} is ln 9, so p(t1) = 9/10 exactly (mirror for t2).
         model = nb_train(two_family_corpus, mode="direct")
-        pred = model.predict({"a"}, 0.5)
+        pred = predict(model, {"a"}, 0.5)
         assert pred.class_probs["t1"] == pytest.approx(0.9, abs=1e-12)
         assert pred.class_probs["t2"] == pytest.approx(0.1, abs=1e-12)
         assert pred.predicted_family is None
@@ -113,7 +114,7 @@ class TestNaiveBayes:
              Sample(id="s2", attribs={"b"}, family="G")],
             {"F": frozenset({"t", "v"}), "G": frozenset({"t"})},
         )
-        pred = nb_train(c, mode="direct").predict({"b"}, 0.5)
+        pred = predict(nb_train(c, mode="direct"), {"b"}, 0.5)
         assert pred.class_probs["t"] == 1.0
         assert pred.predicted_tasks == frozenset({"t"})
 
@@ -124,7 +125,7 @@ class TestNaiveBayes:
             sm = rng.choice((0.5, 1.0, 2.0))
             q = _random_query(rng, c)
             ref = reference_nb_task_probs(c, sm, q)
-            got = nb_train(c, smoothing=sm, mode="direct").predict(q, 0.5)
+            got = predict(nb_train(c, smoothing=sm, mode="direct"), q, 0.5)
             assert tuple(got.class_probs) == tuple(ref)
             for t, p in ref.items():
                 assert got.class_probs[t] == pytest.approx(p, abs=1e-10)
@@ -136,7 +137,7 @@ class TestNaiveBayes:
         rows = [(f"f{i}", {"a", f"x{i}"}, "F") for i in range(5)]
         rows += [(f"g{i}", {f"g{k}" for k in range(800)}, "G") for i in range(5)]
         c = make_corpus(rows, {"F": {"t"}, "G": {"u"}})
-        pred = nb_train(c, mode="direct").predict({f"g{k}" for k in range(800)}, 0.5)
+        pred = predict(nb_train(c, mode="direct"), {f"g{k}" for k in range(800)}, 0.5)
         assert pred.class_probs == {"t": 0.0, "u": 1.0}
         assert pred.predicted_tasks == frozenset({"u"})
 
@@ -146,26 +147,26 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="mode must be one of"):
             nb_train(two_family_corpus, mode="both")
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            nb_train(two_family_corpus).predict(set(), 0.5)
+            predict(nb_train(two_family_corpus), set(), 0.5)
 
 
 class TestDecisionTree:
     def test_conjunction_needs_two_nested_splits(self, and_corpus):
         model = dt_train(and_corpus)
         assert model.depth() == 2
-        assert rf_predict(model, {"a", "b"}).predicted_family == "F2"
+        assert predict(model, {"a", "b"}, 0.5).predicted_family == "F2"
         for q in ({"a"}, {"b"}, {"z"}):
-            assert rf_predict(model, q).predicted_family == "F1"
+            assert predict(model, q, 0.5).predicted_family == "F1"
         # Training accuracy 1 on all 24 rows.
         for s in and_corpus.samples:
-            assert rf_predict(model, s.attribs).predicted_family == s.family
+            assert predict(model, s.attribs, 0.5).predicted_family == s.family
 
     def test_balanced_xor_is_invisible_to_greedy_gain(self, xor_corpus):
         # Every root split leaves both children at 50/50, so the tree stays
         # a single majority leaf rather than fitting the interaction.
         model = dt_train(xor_corpus)
         assert model.depth() == 0
-        pred = rf_predict(model, {"a", "z"})
+        pred = predict(model, {"a", "z"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.5)
         assert pred.class_probs["F2"] == pytest.approx(0.5)
 
@@ -190,7 +191,7 @@ class TestDecisionTree:
         big = make_corpus(rows, {"F1": {"t1"}, "F2": {"t2"}})
         model = dt_train(big)
         assert model.depth() == 2
-        pred = rf_predict(model, {"x", "w"})
+        pred = predict(model, {"x", "w"}, 0.5)
         assert pred.class_probs == {"F1": 0.5, "F2": 0.5}
         # The same tail alone clears the 5% floor and is split immediately.
         small = make_corpus(
@@ -200,7 +201,7 @@ class TestDecisionTree:
         )
         model_small = dt_train(small)
         assert model_small.depth() == 1
-        assert rf_predict(model_small, {"x", "w"}).class_probs["F1"] == 1.0
+        assert predict(model_small, {"x", "w"}, 0.5).class_probs["F1"] == 1.0
 
     def test_attributes_are_not_reused_along_a_path(self):
         rng = random.Random(52)
@@ -223,7 +224,7 @@ class TestDecisionTree:
         model = dt_train(shared_task_corpus, mode="direct")
         assert model.space.labels == ("t1", "t2", "t3")
         assert len(model._roots) == 3
-        pred = rf_predict(model, {"a", "b"})
+        pred = predict(model, {"a", "b"}, 0.5)
         assert pred.predicted_family is None
         assert set(pred.class_probs) == {"t1", "t2", "t3"}
 
@@ -231,7 +232,7 @@ class TestDecisionTree:
         with pytest.raises(ValueError, match="mode must be one of"):
             dt_train(two_family_corpus, mode="both")
         with pytest.raises(ValueError, match="query attribute set is empty"):
-            rf_predict(dt_train(two_family_corpus), set())
+            predict(dt_train(two_family_corpus), set(), 0.5)
 
 
 class TestRandomForest:
@@ -244,14 +245,14 @@ class TestRandomForest:
                               max_features=len(c.fan))
             for _ in range(5):
                 q = _random_query(rng, c)
-                assert rf_predict(forest, q).class_probs == \
-                    rf_predict(tree, q).class_probs
+                assert predict(forest, q, 0.5).class_probs == \
+                    predict(tree, q, 0.5).class_probs
 
     def test_same_seed_same_forest(self, and_corpus):
         a = rf_train(and_corpus, n_trees=20, seed=9)
         b = rf_train(and_corpus, n_trees=20, seed=9)
         for q in ({"a", "b"}, {"a"}, {"b"}, {"z"}, {"a", "z"}):
-            assert rf_predict(a, q).class_probs == rf_predict(b, q).class_probs
+            assert predict(a, q, 0.5).class_probs == predict(b, q, 0.5).class_probs
 
     def test_family_distribution_normalizes(self):
         rng = random.Random(54)
@@ -259,24 +260,30 @@ class TestRandomForest:
             c = random_corpus(rng)
             model = rf_train(c, n_trees=15, seed=3)
             q = _random_query(rng, c)
-            pred = rf_predict(model, q)
+            pred = predict(model, q, 0.5)
             assert sum(pred.class_probs.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(p >= 0 for p in pred.class_probs.values())
 
     def test_learns_the_conjunction_the_single_tree_learns(self, and_corpus):
         model = rf_train(and_corpus, n_trees=50, seed=1)
-        assert rf_predict(model, {"a", "b"}).predicted_family == "F2"
-        assert rf_predict(model, {"a"}).predicted_family == "F1"
+        assert predict(model, {"a", "b"}, 0.5).predicted_family == "F2"
+        assert predict(model, {"a"}, 0.5).predicted_family == "F1"
 
     def test_direct_mode_probabilities(self, shared_task_corpus):
         model = rf_train(shared_task_corpus, n_trees=10, seed=2, mode="direct")
-        pred = rf_predict(model, {"a", "b"})
+        pred = predict(model, {"a", "b"}, 0.5)
         assert pred.predicted_family is None
         assert all(0.0 <= p <= 1.0 for p in pred.class_probs.values())
 
     def test_rejects_bad_tree_count(self, two_family_corpus):
         with pytest.raises(ValueError, match="n_trees must be >= 1"):
             rf_train(two_family_corpus, n_trees=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, two_family_corpus, seed):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a non-negative int, got {re.escape(repr(seed))}$"):
+            rf_train(two_family_corpus, n_trees=2, seed=seed)
 
 
 _TREE_TRAINERS = {
@@ -301,7 +308,7 @@ class TestFlatForest:
         for _ in range(5):
             q = _random_query(rng, c)
             expected = reference_forest_probs(model, q)
-            got = rf_predict(model, q).class_probs
+            got = predict(model, q, 0.5).class_probs
             assert [p.hex() for p in got.values()] == [float(p).hex() for p in expected]
             assert tuple(got) == model.space.labels
 
@@ -350,7 +357,7 @@ class TestLogisticRegression:
     def test_separable_corpus_is_fit_perfectly(self, two_family_corpus):
         model = logreg_train(two_family_corpus)
         for s in two_family_corpus.samples:
-            pred = model.predict(s.attribs, 0.5)
+            pred = predict(model, s.attribs, 0.5)
             assert pred.predicted_family == s.family
             assert sum(pred.class_probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert model.grad_norm < 0.05
@@ -359,7 +366,7 @@ class TestLogisticRegression:
         # t1/t2 partition the corpus and mirror each other, so their sigmoid
         # scores are complementary.
         model = logreg_train(two_family_corpus, mode="direct")
-        pred = model.predict({"a"}, 0.5)
+        pred = predict(model, {"a"}, 0.5)
         assert pred.class_probs["t1"] > 0.9
         assert pred.class_probs["t1"] + pred.class_probs["t2"] == pytest.approx(
             1.0, abs=1e-9
@@ -376,7 +383,7 @@ class TestLogisticRegression:
         assert np.allclose(model.bias, bias, rtol=0, atol=1e-12)
         vocab = sorted(c.fan)
         for s in c.samples:
-            pred = model.predict(s.attribs, 0.5)
+            pred = predict(model, s.attribs, 0.5)
             want = {}
             for t, wt, bt in zip(sorted(c.tasks), weight, bias):
                 z = bt + sum(wt[j] for j, a in enumerate(vocab) if a in s.attribs)

@@ -218,6 +218,15 @@ class TestPredict:
         assert "error: probability of family" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["predict"], ["eval", "--protocol", "loocv"]])
+    def test_negative_rf_seed_exits_1_naming_the_seed(self, tmp_path, capsys, command):
+        corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
+        rc = main([*command, "--method", "rf", "--seed", "-1", "--corpus", corpus_path,
+                   *(["--in", corpus_path] if command == ["predict"] else [])])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative int, got -1\n"
+
     def test_missing_corpus_exits_1(self, tmp_path, capsys):
         rc = main(["predict", "--method", "nb",
                    "--corpus", str(tmp_path / "nope.jsonl"),

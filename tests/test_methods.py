@@ -8,19 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskinfer import synthgen
-from taskinfer.actr import IbModel
-from taskinfer.baselines import nb_train
+from taskinfer.actr import IbModel, rb_train
+from taskinfer.baselines import logreg_train, nb_train, rf_train
 from taskinfer.core import MODES, Sample, build_corpus, label_space
-from taskinfer.methods import METHODS, leave_one_out, train_method
+from taskinfer.methods import METHODS, leave_one_out, predict, train_method
 
 from conftest import make_corpus
 from oracles import random_corpus, random_params, reference_loocv_predictions
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_unknown_hyperparameters_are_rejected(method, two_family_corpus):
-    with pytest.raises(ValueError, match=rf"unknown hyperparameters for {method}: \['bogus'\]"):
-        train_method(method, two_family_corpus, hyper={"bogus": 1})
+# The trainer of each method that has hyperparameters of its own.
+TRAINERS = {"actr-r": rb_train, "nb": nb_train, "rf": rf_train, "logreg": logreg_train}
 
 
 @pytest.mark.parametrize("method,name,value", [
@@ -43,7 +41,7 @@ def test_unknown_hyperparameters_are_rejected(method, two_family_corpus):
 ])
 def test_bad_hyperparameters_are_rejected_by_name(method, name, value, two_family_corpus):
     with pytest.raises(ValueError, match=f"^{name} must be .*, got {value!r}$"):
-        train_method(method, two_family_corpus, hyper={name: value})
+        TRAINERS[method](two_family_corpus, **{name: value})
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -86,6 +84,19 @@ def test_an_empty_corpus_is_rejected(method, mode, families):
     # What a corpus file holding only its header loads as.
     with pytest.raises(ValueError, match="^cannot train on an empty corpus$"):
         train_method(method, build_corpus([], families), mode=mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_edge_case_queries(method, mode, two_family_corpus):
+    predictor = train_method(method, two_family_corpus, mode=mode)
+    with pytest.raises(ValueError, match="^query attribute set is empty$"):
+        predictor(frozenset())
+    # No attribute of the query was seen in training.
+    pred = predictor(frozenset({"unseen1", "unseen2"}))
+    labels = label_space(two_family_corpus, mode).labels
+    assert tuple(pred.class_probs) == labels
+    assert all(math.isfinite(p) for p in pred.class_probs.values())
 
 
 def _assert_same_predictions(got, want):
@@ -165,10 +176,10 @@ class TestLeaveOneOut:
         assert merging.without(2)[0].column_of.tolist() == [0, 0, 1]
         nb = nb_train(corpus("a task every remaining sample performs"), mode="direct")
         assert "d" in nb.col and "d" not in nb.without(3).col
-        probs = nb.without(3).predict({"a"}, 0.5).class_probs
+        probs = predict(nb.without(3), {"a"}, 0.5).class_probs
         assert probs["t1"] == probs["t2"] == 1.0
         ib = IbModel(corpus("attributes only the held-out sample has"))
-        assert ib.without(0)._fan[[ib._col["x"], ib._col["y"]]].tolist() == [0, 0]
+        assert ib.without(0)._fan[[ib.col["x"], ib.col["y"]]].tolist() == [0, 0]
 
     def test_retraining_methods_do_not_downdate(self, two_family_corpus):
         for method in ("dt", "rf", "logreg"):
