@@ -23,7 +23,13 @@ Conventions shared across the baselines:
     ceil(sqrt(|attributes|)) candidate attributes per node; the decision
     tree (`dt`) is a forest of one tree grown on every sample with every
     attribute a candidate at every node;
-  - trees are flat node arrays, and a query walks every tree at once;
+  - a forest's trees are grown in lockstep, one forest at a time: each
+    step tests, counts and scores the next node (in preorder) of every tree
+    still growing as one batch, while each tree keeps its own seed, draws its
+    bootstrap and per-node candidates from it in preorder, and so is the
+    tree that growing it alone would give;
+  - trees are flat node arrays, numbered tree by tree in preorder, and a
+    query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
     log-likelihood with an L2 penalty on the weights (bias unpenalized); in
     direct mode one ascent fits every column's binary model at once.
@@ -87,55 +93,126 @@ def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> Co
 
 # ------------------------------------------------------------ trees and forests
 
-def _row_entropy(counts: np.ndarray) -> np.ndarray:
-    totals = counts.sum(axis=1, keepdims=True)
+def _row_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Natural-log entropy of every class-count row (the last axis), given
+    each row's total (that axis kept, of length 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(totals > 0, counts / totals, 0.0)
         logs = np.where(p > 0, np.log(p), 0.0)
-    return -(p * logs).sum(axis=1)
+    return -(p * logs).sum(axis=-1)
 
 
 _GAIN_TOL = 1e-12
 _MIN_LEAF_FRAC = 0.05
+_BATCH_CELLS = 2**18            # gathered cells (rows or samples x candidates) per batch
 
 
-def _grow_tree(nodes: list, x: np.ndarray, y: np.ndarray, n_classes: int,
-               idx: np.ndarray, avail: np.ndarray, min_count: float,
-               rng: np.random.Generator, max_features: int, depth: int = 0) -> int:
-    """Append the tree grown on rows idx to `nodes` and return its root.
+def _best_splits(x: np.ndarray, rows: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
+                 cands: list) -> tuple:
+    """(column, gain) of the best split of each node, given its rows (grouped
+    node by node and, within a node, by class), its class counts and its
+    ascending candidate columns; the first maximal gain wins, so ties go to
+    the smallest column.  The gains are one batch, padded to the widest
+    candidate set; a batch that would gather more than _BATCH_CELLS cells is
+    scored in halves, so a step's memory does not grow with the corpus."""
+    n, k = counts.shape
+    width = np.array([c.size for c in cands])
+    if n > 1 and (rows.size + x.shape[0] * n) * width.max() > _BATCH_CELLS:
+        half = n // 2
+        cut = int(sizes[:half].sum())
+        first = _best_splits(x, rows[:cut], sizes[:half], counts[:half], cands[:half])
+        rest = _best_splits(x, rows[cut:], sizes[half:], counts[half:], cands[half:])
+        return tuple(np.concatenate(pair) for pair in zip(first, rest))
+    valid = np.arange(width.max()) < width[:, None]
+    cand = np.zeros(valid.shape, dtype=int)
+    cand[valid] = np.concatenate(cands)
+    node = np.repeat(np.arange(n), sizes)
+    gathered = x[:, cand][rows, node]                       # (rows, candidates)
+    seg = counts.ravel()                                    # rows per (node, class)
+    filled = seg > 0
+    present = np.zeros((n * k, cand.shape[1]), dtype=np.int64)
+    present[filled] = np.add.reduceat(gathered, (np.cumsum(seg) - seg)[filled],
+                                      axis=0, dtype=np.int64)
+    present = present.reshape(n, k, -1)
+    n_p = present.sum(axis=1).astype(float)                 # (nodes, candidates)
+    n_a = sizes[:, None] - n_p
+    present = present.transpose(0, 2, 1).astype(float, order="C")
+    total = counts.astype(float)
+    h_p = _row_entropy(present, n_p[..., None])
+    h_a = _row_entropy(total[:, None, :] - present, n_a[..., None])
+    h = _row_entropy(total, sizes[:, None])
+    gains = h[:, None] - (n_p * h_p + n_a * h_a) / sizes[:, None]
+    gains[~valid] = -np.inf
+    best = gains.argmax(axis=1)
+    at = np.arange(n)
+    return cand[at, best], gains[at, best]
 
-    A node is (split column, present child, absent child, class distribution,
-    depth), and a leaf is its own present and absent child.
+
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: list,
+                 rngs: list, min_count: float, max_features: int) -> tuple:
+    """Grow one forest's trees in lockstep from their root rows, each
+    grouped by class (a subset keeps that order, as `_best_splits` needs).
+
+    Each tree keeps its own depth-first stack (present child first); every
+    step takes the next node of every tree still growing and tests, counts
+    and scores them as one batch.  What runs node by node is a tree's
+    candidate draw (`rng.choice` and sort, at a node that passes the leaf
+    tests and has more available attributes than max_features), in the
+    tree's preorder, and the split of a node's rows between its children.
+    A node is a leaf when it holds fewer than min_count rows or a single
+    class, has no attribute left on its path, or its best gain is at most
+    _GAIN_TOL; a leaf is its own present and absent child.
+
+    Returns (roots, split, present, absent, dist, depth) with the nodes
+    numbered tree by tree in preorder, so a split's present child follows it.
     """
-    counts = np.bincount(y[idx], minlength=n_classes).astype(float)
-    at = len(nodes)
-    nodes.append((0, at, at, counts / idx.size, depth))
-    if idx.size < min_count or (counts > 0).sum() <= 1 or not avail.any():
-        return at
-    cand = np.flatnonzero(avail)
-    if cand.size > max_features:
-        cand = np.sort(rng.choice(cand, size=max_features, replace=False))
-    onehot = (y[idx][:, None] == np.arange(n_classes)).astype(float)
-    xc = x[np.ix_(idx, cand)]
-    present_counts = xc.T.astype(float) @ onehot           # (c, K)
-    n_p = present_counts.sum(axis=1)
-    n_a = idx.size - n_p
-    h = _row_entropy(np.vstack([counts, present_counts, counts - present_counts]))
-    h_p, h_a = h[1:cand.size + 1], h[cand.size + 1:]
-    gains = h[0] - (n_p * h_p + n_a * h_a) / idx.size
-    best = int(np.argmax(gains))                           # first max: smallest column
-    if gains[best] <= _GAIN_TOL:
-        return at
-    split_col = int(cand[best])
-    mask = x[idx, split_col]
-    child_avail = avail.copy()
-    child_avail[split_col] = False
-    present = _grow_tree(nodes, x, y, n_classes, idx[mask], child_avail,
-                         min_count, rng, max_features, depth + 1)
-    absent = _grow_tree(nodes, x, y, n_classes, idx[~mask], child_avail,
-                        min_count, rng, max_features, depth + 1)
-    nodes[at] = (split_col, present, absent, nodes[at][3], depth)
-    return at
+    n_attrs = x.shape[1]
+    # A pending node: (rows, the columns split on along its path, the node it
+    # is the absent child of, or -1).
+    stacks = [[(rows, (), -1)] for rows in roots]
+    made = np.zeros(len(roots), dtype=int)      # nodes each tree has made so far
+    steps = []
+    while trees := [t for t, stack in enumerate(stacks) if stack]:
+        rows_of, paths, parent = zip(*(stacks[t].pop() for t in trees))
+        sizes = np.array([r.size for r in rows_of])
+        depth = np.array([len(p) for p in paths])
+        rows = np.concatenate(rows_of)
+        node = np.repeat(np.arange(len(trees)), sizes)
+        counts = np.bincount(node * n_classes + y[rows],
+                             minlength=len(trees) * n_classes).reshape(-1, n_classes)
+        gid = sum(s[0].size for s in steps) + np.arange(len(trees))   # creation order
+        is_inner = ((sizes >= min_count) & ((counts > 0).sum(axis=1) > 1)
+                    & (depth < n_attrs))
+        inner = np.flatnonzero(is_inner)
+        split = np.full(len(trees), -1)
+        if inner.size:
+            cands = []
+            for b in inner:
+                cand = np.delete(np.arange(n_attrs), paths[b])
+                if cand.size > max_features:
+                    cand = np.sort(rngs[trees[b]].choice(cand, size=max_features,
+                                                          replace=False))
+                cands.append(cand)
+            col, gain = _best_splits(x, rows[is_inner[node]], sizes[inner], counts[inner],
+                                     cands)
+            for b, c in zip(inner[gain > _GAIN_TOL], col[gain > _GAIN_TOL].tolist()):
+                r = rows_of[b]
+                mask = x[r, c]
+                stacks[trees[b]] += [(r[~mask], paths[b] + (c,), gid[b]),
+                                     (r[mask], paths[b] + (c,), -1)]
+                split[b] = c
+        tree = np.array(trees)
+        steps.append((tree, made[tree], depth, counts / sizes[:, None], split,
+                      np.array(parent)))
+        made[tree] += 1
+    tree, local, depth, dist, split, parent = (np.concatenate(a) for a in zip(*steps))
+    start = np.cumsum(made) - made
+    at = start[tree] + local                    # each node's number, by creation order
+    absent = at.copy()
+    absent[parent[parent >= 0]] = at[parent >= 0]
+    order = np.argsort(at)
+    return (start, np.maximum(split, 0)[order], (at + (split >= 0))[order],
+            absent[order], dist[order], depth[order])
 
 
 @dataclass(frozen=True)
@@ -185,19 +262,20 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     else:                               # one binary forest per column
         targets, n_classes = space.member.T.astype(int), 2
     master = np.random.default_rng(seed)
-    nodes, roots = [], []
-    for y in targets:
-        for _ in range(n_trees):
-            rng = np.random.default_rng(int(master.integers(2**63 - 1)))
-            idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
-            roots.append(_grow_tree(nodes, x, y, n_classes, idx,
-                                    np.ones(len(vocab), dtype=bool),
-                                    _MIN_LEAF_FRAC * m, rng, max_features))
-    split, present, absent, dist, depth = zip(*nodes)
+    forests, size = [], 0
+    for y in targets:                   # one forest at a time bounds the batch
+        rngs = [np.random.default_rng(int(master.integers(2**63 - 1)))
+                for _ in range(n_trees)]
+        roots = [rng.integers(0, m, size=m) if bootstrap else np.arange(m) for rng in rngs]
+        roots = [r[np.argsort(y[r], kind="stable")] for r in roots]    # rows by class
+        roots, split, present, absent, dist, depth = _grow_forest(
+            x, y, n_classes, roots, rngs, _MIN_LEAF_FRAC * m, max_features)
+        forests.append((roots + size, split, present + size, absent + size, dist, depth))
+        size += split.size
+    roots, split, present, absent, dist, depth = (np.concatenate(a) for a in zip(*forests))
     return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, col=col,
-                   _roots=np.array(roots), _split=np.array(split),
-                   _present=np.array(present), _absent=np.array(absent),
-                   _dist=np.array(dist), _depth=max(depth))
+                   _roots=roots, _split=split, _present=present, _absent=absent,
+                   _dist=dist, _depth=int(depth.max()))
 
 
 def _check_count(name: str, value) -> None:

@@ -14,10 +14,11 @@ built on first use and kept, so every model and every fold shares it.
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
 the mode and enumerates its labels (each carried by some sample) and their
-tasks, and rejects an empty corpus; `LabelSpace.without` derives, through
-the same numbering, the label space of the corpus less one sample;
-`LabelSpace.prediction` is the one path from label probabilities to a
-Prediction (the family, and each task's summed label mass thresholded).
+tasks, and rejects an empty corpus and a direct mode without tasks;
+`LabelSpace.without` derives, through the same numbering, the label space of
+the corpus less one sample; `LabelSpace.prediction` is the one path from
+label probabilities to a Prediction (the family, and each task's summed
+label mass thresholded).
 
 `LinearModel` is the one scorer of the models that are linear in the query's
 attributes (naive Bayes, the rule model, logistic regression): a bias per
@@ -430,13 +431,16 @@ class LabelSpace:
 
 
 def label_space(corpus: Corpus, mode: str) -> LabelSpace:
-    """The family or direct-task label space of a corpus; an empty corpus, or
-    a label no sample carries, raises ValueError (naming the label)."""
+    """The family or direct-task label space of a corpus; an empty corpus, a
+    direct mode with no task to label, or a label no sample carries (named)
+    raises ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if corpus.size == 0:
         raise ValueError("cannot train on an empty corpus")
     tasks = tuple(sorted(corpus.tasks))
+    if mode == "direct" and not tasks:
+        raise ValueError("direct mode needs a task, but the corpus's families perform none")
     members = {f: np.array(corpus.members(f), dtype=int) for f in corpus.families}
     if mode == "family":
         labels = tuple(sorted(corpus.families))

@@ -4,11 +4,13 @@ Everything here recomputes model outputs from first principles with plain
 Python loops over sets and dicts (mpmath for the exponentials, so overflow
 is impossible at any parameter scale).  No code is shared with the package
 internals beyond the public data types; the tree oracles take a trained
-model's node arrays and redo only the walk and the averaging.  Two
+model's node arrays and redo only the walk and the averaging.  Three
 exceptions: `retrieval_probs`, the list-in, list-out face of the retrieval
-softmax that the distribution property tests drive, and
+softmax that the distribution property tests drive;
 `reference_loocv_predictions`, which retrains through the public
-`train_method` once per held-out sample.
+`train_method` once per held-out sample; and `reference_grow_forests`, which
+reads its targets and design matrix from `core.label_space` and
+`core.attribute_matrix`, as the forest trainer does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import mpmath
 import numpy as np
 
 from taskinfer.actr import _softmax_retained
-from taskinfer.core import ActrParams, Corpus, Prediction, Sample, build_corpus, softmax
+from taskinfer.core import (ActrParams, Corpus, Prediction, Sample, attribute_matrix,
+                            build_corpus, label_space, softmax)
 from taskinfer.methods import train_method
 
 
@@ -305,6 +308,82 @@ def reference_forest_depth(model) -> int:
         else:
             stack += [(present, depth + 1), (absent, depth + 1)]
     return deepest
+
+
+def _entropy_rows(counts: np.ndarray) -> np.ndarray:
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(totals > 0, counts / totals, 0.0)
+        logs = np.where(p > 0, np.log(p), 0.0)
+    return -(p * logs).sum(axis=1)
+
+
+def _grow_tree(nodes: list, x: np.ndarray, y: np.ndarray, n_classes: int,
+               idx: np.ndarray, avail: np.ndarray, min_count: float,
+               rng: np.random.Generator, max_features: int, depth: int = 0) -> int:
+    """Append the tree grown on rows idx to `nodes` and return its root.
+
+    A node is (split column, present child, absent child, class distribution,
+    depth), and a leaf is its own present and absent child.
+    """
+    counts = np.bincount(y[idx], minlength=n_classes).astype(float)
+    at = len(nodes)
+    nodes.append((0, at, at, counts / idx.size, depth))
+    if idx.size < min_count or (counts > 0).sum() <= 1 or not avail.any():
+        return at
+    cand = np.flatnonzero(avail)
+    if cand.size > max_features:
+        cand = np.sort(rng.choice(cand, size=max_features, replace=False))
+    onehot = (y[idx][:, None] == np.arange(n_classes)).astype(float)
+    xc = x[np.ix_(idx, cand)]
+    present_counts = xc.T.astype(float) @ onehot           # (c, K)
+    n_p = present_counts.sum(axis=1)
+    n_a = idx.size - n_p
+    h = _entropy_rows(np.vstack([counts, present_counts, counts - present_counts]))
+    h_p, h_a = h[1:cand.size + 1], h[cand.size + 1:]
+    gains = h[0] - (n_p * h_p + n_a * h_a) / idx.size
+    best = int(np.argmax(gains))                           # first max: smallest column
+    if gains[best] <= 1e-12:
+        return at
+    split_col = int(cand[best])
+    mask = x[idx, split_col]
+    child_avail = avail.copy()
+    child_avail[split_col] = False
+    present = _grow_tree(nodes, x, y, n_classes, idx[mask], child_avail,
+                         min_count, rng, max_features, depth + 1)
+    absent = _grow_tree(nodes, x, y, n_classes, idx[~mask], child_avail,
+                        min_count, rng, max_features, depth + 1)
+    nodes[at] = (split_col, present, absent, nodes[at][3], depth)
+    return at
+
+
+def reference_grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
+                           bootstrap: bool, max_features: int) -> tuple:
+    """The node arrays (roots, split, present, absent, dist) and the depth of
+    the forests `rf_train` grows, one tree at a time by recursion: each tree's
+    seed drawn from the `seed` stream, forest by forest, then its bootstrap
+    and its per-node candidate draws from its own stream in preorder, and
+    the nodes numbered tree by tree in preorder.  `dt_train` is n_trees=1,
+    seed=0, no bootstrap and every attribute a candidate."""
+    space = label_space(corpus, mode)
+    vocab, _, x = attribute_matrix(corpus)
+    m = corpus.size
+    if mode == "family":
+        targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
+    else:
+        targets, n_classes = space.member.T.astype(int), 2
+    master = np.random.default_rng(seed)
+    nodes, roots = [], []
+    for y in targets:
+        for _ in range(n_trees):
+            rng = np.random.default_rng(int(master.integers(2**63 - 1)))
+            idx = rng.integers(0, m, size=m) if bootstrap else np.arange(m)
+            roots.append(_grow_tree(nodes, x, y, n_classes, idx,
+                                    np.ones(len(vocab), dtype=bool),
+                                    0.05 * m, rng, max_features))
+    split, present, absent, dist, depth = zip(*nodes)
+    return (np.array(roots), np.array(split), np.array(present), np.array(absent),
+            np.array(dist), max(depth))
 
 
 def reference_index(corpus: Corpus) -> tuple:

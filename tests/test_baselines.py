@@ -7,6 +7,7 @@ Expected numbers are frozen from hand arithmetic over four-sample corpora
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
-                     reference_logreg_direct, reference_nb_posterior,
-                     reference_nb_task_probs)
+                     reference_grow_forests, reference_logreg_direct,
+                     reference_nb_posterior, reference_nb_task_probs)
+from taskinfer import baselines, synthgen
 from taskinfer.baselines import (
     TrainingError,
     dt_train,
@@ -27,6 +29,7 @@ from taskinfer.baselines import (
 
 from taskinfer.core import MODES
 from taskinfer.methods import predict
+from taskinfer.synthgen import GenSpec
 
 from conftest import make_corpus
 
@@ -286,24 +289,44 @@ class TestRandomForest:
             rf_train(two_family_corpus, n_trees=2, seed=seed)
 
 
-_TREE_TRAINERS = {
-    "dt": lambda c, mode, seed: dt_train(c, mode=mode),
-    "rf": lambda c, mode, seed: rf_train(c, n_trees=7, seed=seed, mode=mode),
-    "rf-no-bootstrap": lambda c, mode, seed: rf_train(c, n_trees=4, seed=seed,
-                                                      mode=mode, bootstrap=False),
+# The forest trainer's arguments for each tree case but `dt`.  A random
+# corpus has at most 10 attributes, so max_features 12 makes every available
+# attribute a candidate at every node without a draw.
+_FOREST_CASES = {
+    "rf": dict(n_trees=7),
+    "rf-no-bootstrap": dict(n_trees=4, bootstrap=False),
+    "rf-all-features": dict(n_trees=5, max_features=12),
+    "rf-one-tree": dict(n_trees=1),
 }
+_TREE_CASES = ["dt", *_FOREST_CASES]
+
+
+def _train(case, corpus, mode, seed=0):
+    if case == "dt":
+        return dt_train(corpus, mode=mode)
+    return rf_train(corpus, seed=seed, mode=mode, **_FOREST_CASES[case])
+
+
+def _reference_nodes(case, corpus, mode, seed=0) -> tuple:
+    """The oracle's node arrays for the model `_train` gives."""
+    vocab = len(corpus.index.vocab)
+    if case == "dt":
+        return reference_grow_forests(corpus, mode, 1, 0, False, vocab)
+    kw = {"bootstrap": True, "max_features": math.ceil(math.sqrt(vocab)),
+          **_FOREST_CASES[case]}
+    return reference_grow_forests(corpus, mode, kw["n_trees"], seed, kw["bootstrap"],
+                                  kw["max_features"])
 
 
 class TestFlatForest:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("trainer", sorted(_TREE_TRAINERS))
+    @pytest.mark.parametrize("case", _TREE_CASES)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_walking_all_trees_at_once_matches_one_tree_at_a_time(self, trainer, mode,
-                                                                  seed):
+    def test_walking_all_trees_at_once_matches_one_tree_at_a_time(self, case, mode, seed):
         rng = random.Random(seed)
         c = random_corpus(rng)
-        model = _TREE_TRAINERS[trainer](c, mode, seed)
+        model = _train(case, c, mode, seed)
         assert model.depth() == reference_forest_depth(model)
         for _ in range(5):
             q = _random_query(rng, c)
@@ -311,6 +334,96 @@ class TestFlatForest:
             got = predict(model, q, 0.5).class_probs
             assert [p.hex() for p in got.values()] == [float(p).hex() for p in expected]
             assert tuple(got) == model.space.labels
+
+
+def _assert_same_nodes(model, expected):
+    roots, split, present, absent, dist, depth = expected
+    for got, want in ((model._roots, roots), (model._split, split),
+                      (model._present, present), (model._absent, absent)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert model._dist.shape == dist.shape
+    assert [p.hex() for p in model._dist.ravel().tolist()] == \
+        [p.hex() for p in dist.ravel().tolist()]
+    assert model._depth == depth
+
+
+def _triage_corpus(samples_per_family=12):
+    """A corpus of the triage spec: 5 families, one direct-mode column each."""
+    corpus, _ = synthgen.generate(GenSpec(n_carriers=5, tasks_per_carrier=7,
+                                          samples_per_family=samples_per_family,
+                                          overlap_target=0.4, seed=1))
+    return corpus
+
+
+class TestLockstepGrower:
+    """The lockstep grower builds exactly the trees the recursive one did."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", _TREE_CASES)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_node_arrays_match_the_recursive_grower(self, case, mode, seed):
+        corpus = random_corpus(random.Random(seed))
+        _assert_same_nodes(_train(case, corpus, mode, seed),
+                           _reference_nodes(case, corpus, mode, seed))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("case", _TREE_CASES)
+    def test_single_class_roots_are_leaves(self, case, mode):
+        rng = random.Random(7)
+        corpus = make_corpus([(f"s{i}", set(rng.sample("abcdef", 3)), "F") for i in range(12)],
+                             {"F": {"t1", "t2"}})
+        model = _train(case, corpus, mode, seed=5)
+        _assert_same_nodes(model, _reference_nodes(case, corpus, mode, seed=5))
+        assert model._split.size == model._roots.size
+        assert model._present.tolist() == list(range(model._roots.size))
+
+    def test_nodes_with_fewer_attributes_than_max_features(self, monkeypatch):
+        # Seven patterns over three attributes, one family each: with two
+        # candidates per node, a depth-2 node has one attribute left, and the
+        # batch that scores it pads it beside nodes with two.
+        rows = [(f"s{p}{i}", {a for k, a in enumerate("abc") if p >> k & 1}, f"F{p}")
+                for p in range(1, 8) for i in range(3)]
+        corpus = make_corpus(rows, {f"F{p}": {f"t{p}"} for p in range(1, 8)})
+        widths = []
+        best_splits = baselines._best_splits
+
+        def spy(x, rows, sizes, counts, cands):
+            widths.append({c.size for c in cands})
+            return best_splits(x, rows, sizes, counts, cands)
+
+        monkeypatch.setattr(baselines, "_best_splits", spy)
+        for mode in MODES:
+            model = rf_train(corpus, n_trees=10, seed=3, mode=mode, max_features=2)
+            _assert_same_nodes(model, reference_grow_forests(corpus, mode, 10, 3, True, 2))
+        assert any(w == {1, 2} for w in widths)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_triage_spec_corpus(self, mode):
+        corpus = _triage_corpus()
+        vocab = len(corpus.index.vocab)
+        _assert_same_nodes(rf_train(corpus, mode=mode),
+                           reference_grow_forests(corpus, mode, 100, 0, True,
+                                                  math.ceil(math.sqrt(vocab))))
+        _assert_same_nodes(dt_train(corpus, mode=mode),
+                           reference_grow_forests(corpus, mode, 1, 0, False, vocab))
+
+    @pytest.mark.parametrize("samples_per_family,mode", [(12, "direct"), (60, "family")])
+    def test_growing_stays_within_a_memory_bound(self, samples_per_family, mode):
+        # One forest at a time, in batches of at most _BATCH_CELLS gathered
+        # cells: the peaks are about 1.7 MB (60 samples, five direct-mode
+        # forests) and 2.2 MB (300 samples, one family forest).  Unbatched,
+        # they were 2.1 and 8.4 MB, and 9.4 MB for one batch of all five
+        # forests' 500 trees at 60 samples.
+        corpus = _triage_corpus(samples_per_family)
+        corpus.index                                # built outside the measurement
+        tracemalloc.start()
+        try:
+            rf_train(corpus, mode=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestLogisticRegression:

@@ -254,6 +254,17 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err == "error: cannot train on an empty corpus\n"
 
+    def test_direct_mode_without_tasks_exits_1(self, tmp_path, capsys):
+        corpus_path = tmp_path / "taskless.jsonl"
+        corpus_path.write_text(
+            '{"families":{"F":[]}}\n'
+            '{"attributes":["a"],"family":"F","id":"s1","tasks":[]}\n', encoding="utf-8")
+        rc = main(["predict", "--method", "rf", "--mode", "direct",
+                   "--corpus", str(corpus_path), "--in", run_gen(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: direct mode needs a task, but the corpus's families perform none\n")
+
     def test_closed_stdout_pipe_is_silent(self, tmp_path, capsys, monkeypatch):
         # `taskinfer predict ... | head` closes stdout early; that must not
         # produce an error message, only a quiet nonzero exit.

@@ -86,6 +86,20 @@ def test_an_empty_corpus_is_rejected(method, mode, families):
         train_method(method, build_corpus([], families), mode=mode)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_direct_mode_without_tasks_is_rejected(method):
+    # The families perform no task, so direct mode has no label to score.
+    corpus = build_corpus(
+        [Sample(id="s1", attribs={"a"}, family="F"),
+         Sample(id="s2", attribs={"b"}, family="F")],
+        {"F": frozenset()},
+    )
+    with pytest.raises(ValueError, match="^direct mode needs a task, but the corpus's "
+                                         "families perform none$"):
+        train_method(method, corpus, mode="direct")
+    assert train_method(method, corpus, mode="family")({"a"}).predicted_family == "F"
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("method", METHODS)
 def test_edge_case_queries(method, mode, two_family_corpus):
