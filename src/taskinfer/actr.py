@@ -19,13 +19,13 @@ mp * (overlap - 1), a penalty in [-mp, 0]; ordering is unchanged but the
 interaction with tau differs.
 
 The memory is an inverted index from each attribute to the chunks that
-contain it (CSC form: one indptr/indices pair), ACT-R's associative links,
-so fan(a) is the number of a's links.  A query gathers only the links of its
-known attributes: two bincounts over their chunk ids give every chunk's
-|query & chunk| and its summed log(|M| / fan(a)), so a chunk sharing nothing
-gets the miss term alone, and an attribute unseen in training is a miss for
-every chunk.  Chunks at or above the threshold tau enter a Boltzmann
-retrieval distribution
+contain it, ACT-R's associative links: the corpus index's sparse matrix in
+CSC form (one indptr/indices pair), so fan(a) is the number of a's links.  A
+query gathers only the links of its known attributes: two bincounts over
+their chunk ids give every chunk's |query & chunk| and its summed
+log(|M| / fan(a)), so a chunk sharing nothing gets the miss term alone, and
+an attribute unseen in training is a miss for every chunk.  Chunks at or
+above the threshold tau enter a Boltzmann retrieval distribution
 
     Pr(j) = exp(A_j / s) / sum_k exp(A_k / s)
 
@@ -75,7 +75,6 @@ import copy
 import math
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     ActrParams,
@@ -126,12 +125,11 @@ class IbModel:
         self.params = params or ActrParams()
         ix, m = corpus.index, corpus.size
         self.col = ix.col
-        self._sizes = np.bincount(ix.rows, minlength=m)
+        # int64, so that |query| * |chunk| cannot overflow for a large chunk.
+        self._sizes = np.diff(ix.matrix.indptr).astype(np.int64)
         # scipy's CSR -> CSC conversion is a counting sort of the links by
         # attribute, stable in sample order.
-        row_start = np.concatenate(([0], np.cumsum(self._sizes)))
-        memory = sparse.csr_matrix((np.ones(ix.cols.size, dtype=bool), ix.cols, row_start),
-                                   shape=(m, len(ix.col))).tocsc()
+        memory = ix.matrix.tocsc()
         self._start, self._chunks = memory.indptr, memory.indices
         self._fan = np.diff(self._start)
         self._log_hit = np.log(m / self._fan)

@@ -5,11 +5,11 @@ decision tree is a forest of one), and multinomial logistic regression, each
 trainable in family mode (one multiclass model) or direct-task mode (binary
 relevance: one binary model per distinct task column, the samples performing
 a task, so tasks a family always performs together share one model and equal
-probabilities).  All of them consume the same boolean design matrix
-(`core.attribute_matrix`), take their labels and targets (`LabelSpace.member`)
-from `core.label_space`, and keep the scoring contract of the activation
-models (`space`, `col`, `scores`), which `methods.predict` turns into a
-Prediction.
+probabilities).  All of them read the corpus's one sparse boolean design
+matrix (`core.attribute_matrix`), which the trees and logistic regression
+densify, take their labels and targets (`LabelSpace.member`) from
+`core.label_space`, and keep the scoring contract of the activation models
+(`space`, `col`, `scores`), which `methods.predict` turns into a Prediction.
 
 Conventions shared across the baselines:
   - attribute absence is informative for NB (the Bernoulli event model);
@@ -222,7 +222,6 @@ class RfModel:
     task column, in column order (direct mode)."""
 
     space: LabelSpace
-    vocab: tuple
     n_trees: int
     col: Mapping[str, int]
     _roots: np.ndarray              # the root of every tree, forest by forest
@@ -241,7 +240,7 @@ class RfModel:
         or of each column's forest at its positive class, read by every
         label of that column (direct mode).  Every tree is walked at once;
         after `_depth` steps each walk rests on a leaf."""
-        q = np.zeros(len(self.vocab), dtype=bool)
+        q = np.zeros(len(self.col), dtype=bool)
         q[cols] = True
         node = self._roots
         for _ in range(self._depth):
@@ -255,7 +254,8 @@ class RfModel:
 def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                   bootstrap: bool, max_features: int) -> RfModel:
     space = label_space(corpus, mode)
-    vocab, col, x = attribute_matrix(corpus)
+    _, col, x = attribute_matrix(corpus)
+    x = x.toarray()                     # the trees test and gather dense columns
     m = corpus.size
     if space.mode == "family":          # one forest over every label
         targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
@@ -273,7 +273,7 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
         forests.append((roots + size, split, present + size, absent + size, dist, depth))
         size += split.size
     roots, split, present, absent, dist, depth = (np.concatenate(a) for a in zip(*forests))
-    return RfModel(space=space, vocab=tuple(vocab), n_trees=n_trees, col=col,
+    return RfModel(space=space, n_trees=n_trees, col=col,
                    _roots=roots, _split=split, _present=present, _absent=absent,
                    _dist=dist, _depth=int(depth.max()))
 
@@ -364,7 +364,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     y = space.member
     if space.mode == "direct":
         y = np.stack([1.0 - y, y], axis=2)
-    xf = x.astype(float)
+    xf = x.astype(float).toarray()
     k = y[0].size                   # classes: one per label, or two per column
     w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
     for epoch in range(epochs):

@@ -7,9 +7,10 @@ that family performs.  Attribute tokens are opaque to every model; only set
 membership matters.
 
 A corpus is an immutable collection of fully labeled samples together with
-the family -> task-set map.  Its attribute index (vocabulary, columns, the
-sample-attribute links, each family's rows; the fan is read from it) is
-built on first use and kept, so every model and every fold shares it.
+the family -> task-set map.  Its attribute index (vocabulary, columns, one
+sparse samples x vocab presence matrix, each family's rows; the fan is read
+from it) is built on first use and kept, so every model and every fold
+shares it; only the trees and logistic regression densify the matrix.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
@@ -57,11 +58,10 @@ from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
-AttributeId = str
 FamilyId = str
 TaskId = str
-AttributeSet = frozenset
 
 MODES = ("family", "direct")
 
@@ -160,8 +160,8 @@ class AttributeIndex:
 
     vocab: list                 # sorted attributes; column j is vocab[j]
     col: dict                   # attribute -> column
-    rows: np.ndarray            # link k joins row rows[k] to column cols[k],
-    cols: np.ndarray            # sample by sample (read-only)
+    matrix: sparse.csr_matrix   # samples x vocab presence (read-only); a row lists
+                                # its columns in its attribute set's order
     members: dict               # family -> its rows, ascending
 
 
@@ -181,14 +181,18 @@ class Corpus:
         """Built on first use and kept: the samples never change."""
         vocab = sorted(frozenset().union(*(s.attribs for s in self._samples)))
         col = {a: j for j, a in enumerate(vocab)}
-        rows = np.repeat(np.arange(self.size), [len(s.attribs) for s in self._samples])
-        cols = np.fromiter((col[a] for s in self._samples for a in s.attribs),
-                           dtype=np.intp, count=rows.size)
-        rows.flags.writeable = cols.flags.writeable = False
+        indptr = np.cumsum([0] + [len(s.attribs) for s in self._samples], dtype=np.intp)
+        indices = np.fromiter((col[a] for s in self._samples for a in s.attribs),
+                              dtype=np.intp, count=indptr[-1])
+        # Given intp arrays, csr_matrix picks int32 ones, which scipy reads fastest.
+        matrix = sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                                   shape=(self.size, len(vocab)))
+        for a in (matrix.data, matrix.indices, matrix.indptr):
+            a.flags.writeable = False
         members: dict[FamilyId, list] = {}
         for i, s in enumerate(self._samples):
             members.setdefault(s.family, []).append(i)
-        return AttributeIndex(vocab, col, rows, cols,
+        return AttributeIndex(vocab, col, matrix,
                               {f: tuple(ix) for f, ix in members.items()})
 
     @property
@@ -202,7 +206,7 @@ class Corpus:
     @property
     def fan(self) -> dict:
         """Per-attribute sample counts over the whole corpus."""
-        return dict(zip(self.index.vocab, np.bincount(self.index.cols).tolist()))
+        return dict(zip(self.index.vocab, np.bincount(self.index.matrix.indices).tolist()))
 
     @property
     def size(self) -> int:
@@ -276,19 +280,12 @@ def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable
 
 
 def attribute_matrix(corpus: Corpus) -> tuple:
-    """Sorted attribute vocabulary, column index, and boolean presence matrix
-    (the links of `corpus.index` set to True).  Shared by every model that
-    works against a design matrix.
+    """Sorted attribute vocabulary, column index, and the read-only sparse
+    boolean presence matrix of `corpus.index` (not a copy).  Shared by every
+    model that works against a design matrix.
     """
     ix = corpus.index
-    return ix.vocab, ix.col, _presence(ix, corpus.size)
-
-
-def _presence(ix: AttributeIndex, size: int) -> np.ndarray:
-    """The (samples x vocab) boolean matrix of an index's links."""
-    x = np.zeros((size, len(ix.vocab)), dtype=bool)
-    x[ix.rows, ix.cols] = True
-    return x
+    return ix.vocab, ix.col, ix.matrix
 
 
 def query_cols(col: Mapping[str, int], query) -> tuple:
@@ -349,13 +346,13 @@ class LabelSpace:
         """The sample count of each column."""
         return np.array([c.size for c in self.columns])
 
-    def presence_counts(self, x: np.ndarray) -> tuple:
-        """Presence counts over the design matrix x: (present, total), where
-        present[c, a] counts the samples of columns[c] holding attribute a
-        (whole numbers held as floats, as the rates read them) and total[a]
-        all the samples holding it."""
-        present = np.stack([x[c].sum(axis=0) for c in self.columns]).astype(float)
-        return present, x.sum(axis=0)
+    def presence_counts(self, x: sparse.csr_matrix) -> tuple:
+        """Presence counts over the sparse design matrix x: (present, total),
+        where present[c, a] counts the samples of columns[c] holding attribute
+        a (whole floats, as the rates read them; C order, so a fit sums a row
+        in column order) and total[a] all the samples holding it."""
+        present = np.ascontiguousarray(self.member.T @ x)
+        return present, np.bincount(x.indices, minlength=x.shape[1])
 
     def presence_rates(self, present: np.ndarray, total: np.ndarray,
                        smoothing: float) -> tuple:
@@ -543,7 +540,7 @@ class CountModel(LinearModel):
     def counts(self) -> tuple:
         """(present, total) of `LabelSpace.presence_counts`, recounted on first
         use: only leaving samples out reads them."""
-        return self.space.presence_counts(_presence(self.index, self.space.size))
+        return self.space.presence_counts(self.index.matrix)
 
     def without(self, i: int) -> LinearModel:
         """The model fitted on every sample of its corpus but i, as training on
@@ -553,8 +550,8 @@ class CountModel(LinearModel):
         space, source = self.space.without(i)
         present, total = self.counts
         own = np.zeros(total.size, dtype=int)
-        start, end = np.searchsorted(self.index.rows, (i, i + 1))  # rows ascend
-        own[self.index.cols[start:end]] = 1
+        x = self.index.matrix
+        own[x.indices[x.indptr[i]:x.indptr[i + 1]]] = 1
         lost = np.array([i in c for c in self.space.columns], dtype=int)[source]
         present, total = present[source] - np.outer(lost, own), total - own
         col = self.col

@@ -185,7 +185,7 @@ def _family_samples(rng: random.Random, family: str, n_samples: int,
 def measure_overlap(corpus: Corpus) -> tuple:
     """Mean pairwise Dice overlap (within families, across families)."""
     _, _, x = attribute_matrix(corpus)
-    xf = x.astype(np.float32)
+    xf = x.astype(np.float32).toarray()
     inter = xf @ xf.T
     sizes = xf.sum(axis=1)
     denom = sizes[:, None] + sizes[None, :]

@@ -281,11 +281,12 @@ def reference_forest_probs(model, query) -> np.ndarray:
     predictor took them: over the forest (family mode), or over each column's
     forest at its positive class (direct mode)."""
     query = set(query)
+    name = {j: a for a, j in model.col.items()}
     leaves = []
     for root in model._roots:
         node = int(root)
         while int(model._present[node]) != node:       # a leaf is its own child
-            attr = model.vocab[int(model._split[node])]
+            attr = name[int(model._split[node])]
             node = int(model._present[node] if attr in query else model._absent[node])
         leaves.append(node)
     t = model.n_trees
@@ -367,6 +368,7 @@ def reference_grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     seed=0, no bootstrap and every attribute a candidate."""
     space = label_space(corpus, mode)
     vocab, _, x = attribute_matrix(corpus)
+    x = x.toarray()
     m = corpus.size
     if mode == "family":
         targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
@@ -384,6 +386,19 @@ def reference_grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     split, present, absent, dist, depth = zip(*nodes)
     return (np.array(roots), np.array(split), np.array(present), np.array(absent),
             np.array(dist), max(depth))
+
+
+def reference_presence_counts(corpus: Corpus, space) -> tuple:
+    """`LabelSpace.presence_counts` by a dense per-column gather: the
+    (samples x vocab) boolean matrix filled in sample by sample, then each
+    column's rows summed.  Returns (present as floats, total)."""
+    col = {a: j for j, a in enumerate(sorted(set().union(*(s.attribs for s in corpus))))}
+    x = np.zeros((corpus.size, len(col)), dtype=bool)
+    for i, s in enumerate(corpus.samples):
+        for a in s.attribs:
+            x[i, col[a]] = True
+    present = np.stack([x[c].sum(axis=0) for c in space.columns]).astype(float)
+    return present, x.sum(axis=0)
 
 
 def reference_index(corpus: Corpus) -> tuple:

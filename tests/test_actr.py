@@ -251,6 +251,18 @@ class TestIbModel:
         # Task masses need not sum to 1: families carry several tasks each.
         assert all(0.0 <= p <= 1.0 + 1e-12 for p in pred.class_probs.values())
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_large_sample_queried_with_itself(self, mode):
+        # |query| * |chunk| = 47,000^2 exceeds the int32 range: the chunk sizes
+        # must be wide enough that the overlap term stays finite.
+        big = frozenset(f"a{i}" for i in range(47_000))
+        c = make_corpus([("big", big, "F1"), ("s2", {"x"}, "F2"), ("s3", {"y"}, "F2")],
+                        {"F1": {"t1"}, "F2": {"t2"}})
+        pred = predict(IbModel(c, ActrParams(), mode), big, 0.5)
+        assert all(math.isfinite(p) for p in pred.class_probs.values())
+        assert pred.predicted_tasks == frozenset({"t1"})
+        assert pred.predicted_family == ("F1" if mode == "family" else None)
+
     def test_rejects_empty_corpus_empty_query_bad_mode(self, tiny_corpus):
         from taskinfer.core import Corpus
 

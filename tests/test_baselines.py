@@ -181,7 +181,7 @@ class TestDecisionTree:
             {"F1": {"t1"}, "F2": {"t2"}},
         )
         model = dt_train(c)
-        assert model.vocab[model._split[model._roots[0]]] == "a"
+        assert model._split[model._roots[0]] == model.col["a"]
         assert model.depth() == 1
 
     def test_small_nodes_are_never_split(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_corpus, reference_index, reference_prediction,
-                     reference_task_groups)
+                     reference_presence_counts, reference_task_groups)
 from taskinfer.core import (
     MODES,
     ActrParams,
@@ -134,11 +134,13 @@ class TestCorpusIndexes:
         assert c.index is ix                    # built once, then kept
         assert ix.vocab == vocab
         assert ix.col == {a: j for j, a in enumerate(vocab)}
-        assert ix.rows.tolist() == sorted(ix.rows.tolist())
-        assert len(ix.rows) == len(ix.cols) == sum(len(a) for a in row_attrs)
-        links = [set() for _ in c.samples]
-        for i, j in zip(ix.rows.tolist(), ix.cols.tolist()):
-            links[i].add(vocab[j])
+        x = ix.matrix
+        assert x.shape == (len(c), len(vocab)) and x.dtype == bool
+        assert x.indices.dtype == x.indptr.dtype == np.int32
+        assert not any(a.flags.writeable for a in (x.data, x.indices, x.indptr))
+        assert x.data.all() and x.nnz == sum(len(a) for a in row_attrs)
+        links = [{vocab[j] for j in x.indices[x.indptr[i]:x.indptr[i + 1]].tolist()}
+                 for i in range(len(c))]
         assert links == row_attrs
         assert c.fan == fan
         assert {f: list(rows) for f, rows in ix.members.items()} == members
@@ -171,9 +173,11 @@ class TestAttributeMatrix:
         for _ in range(10):
             c = random_corpus(rng)
             vocab, col, x = attribute_matrix(c)
+            assert x is c.index.matrix          # the index's matrix, not a copy
             assert vocab == sorted(c.fan)
             assert x.shape == (len(c), len(vocab))
             assert x.dtype == bool
+            x = x.toarray()
             for i, s in enumerate(c.samples):
                 present = {vocab[j] for j in range(len(vocab)) if x[i, j]}
                 assert present == set(s.attribs)
@@ -318,6 +322,18 @@ class TestLabelColumns:
                 parent = space.columns[k]
                 kept = parent[parent != i]
                 assert g.tolist() == (kept - (kept > i)).tolist()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_presence_counts_match_the_dense_gather(self, seed, mode):
+        c = random_corpus(random.Random(seed))
+        space = label_space(c, mode)
+        present, total = space.presence_counts(attribute_matrix(c)[2])
+        ref_present, ref_total = reference_presence_counts(c, space)
+        assert present.dtype == ref_present.dtype and total.dtype == ref_total.dtype
+        assert present.flags.c_contiguous       # the fits sum its rows in column order
+        assert np.array_equal(present, ref_present)
+        assert np.array_equal(total, ref_total)
 
     def test_smoothed_presence_rates(self, two_family_corpus):
         # The rates naive Bayes and the rule model both read.  Hand counts for
