@@ -32,11 +32,11 @@ above the threshold tau enter a Boltzmann retrieval distribution
 computed deterministically (the temperature s stands in for noise; nothing
 is sampled) with max-subtraction for numerical stability.  If no chunk
 reaches tau, retrieval falls back to the softmax over all chunks and the
-prediction is flagged degenerate.  Family probability is the retained
-probability mass of the family's chunks (direct mode: a task's mass is that
-of the chunks performing it), read in one product with the label space's
-sample x column membership matrix; task probability sums the mass of every
-family performing the task, thresholded at task_threshold.
+prediction is flagged degenerate.  A label column's probability is the
+retained probability mass of its chunks (a family's, or in direct mode those
+performing a task), read in one product with the label space's sample x
+column membership matrix; a task's probability sums the mass of every family
+performing it, thresholded at task_threshold.
 
 The rule-based model (RB) compresses the corpus into per-(label, attribute)
 rules, the smoothed presence rates naive Bayes also reads.  With
@@ -49,9 +49,9 @@ add-`smoothing` counts,
 and a query scores A_f = log prior(f) + w * sum_a s_{a,f} / |query| over the
 query attributes that have rules, softmaxed over all labels with the same
 temperature (no tau filtering; every label competes).  In direct-task mode
-each task gets a binary rule table (samples with the task vs without); the
-complement label's association is the exact negation, so the pairwise
-softmax is the sigmoid
+each task column gets a binary rule table (samples with the task vs
+without), which the tasks sharing the column read; the complement label's
+association is the exact negation, so the pairwise softmax is the sigmoid
 
     p(t) = 1 / (1 + exp(-(logit prior(t) + 2 w * sum_a s_{a,t} / |query|) / s))
 
@@ -65,8 +65,8 @@ downdates the instance model's memory, and the rule model's counts, to what
 training on the other samples gives, so leave-one-out trains them once.
 
 Both models take their labels from `core.label_space` and keep the scoring
-contract of the baselines: `space`, `col` and `scores(cols, n_unseen)`,
-which `methods.predict` turns into a Prediction.
+contract of the baselines: `space`, `col` and `scores(cols, n_unseen)` per
+label column, which `methods.predict` turns into a Prediction.
 """
 
 from __future__ import annotations
@@ -174,10 +174,10 @@ class IbModel:
         return self.params.beta + spread + _partial_term(overlap, self.params)
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
-        """(label probabilities, retained chunk count) of a query: each
-        label's probability is the retrieval mass of its column's chunks."""
+        """(label column probabilities, retained chunk count) of a query:
+        each column's probability is the retrieval mass of its chunks."""
         probs, retained = _softmax_retained(self.activations(cols, n_unseen), self.params)
-        return (probs @ self.space.member)[self.space.column_of], retained
+        return probs @ self.space.member, retained
 
 
 def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
@@ -201,9 +201,9 @@ def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
 
 def rb_train(corpus: Corpus, params: ActrParams | None = None, smoothing: float = 1.0,
              mode: str = "family") -> CountModel:
-    """Compress a corpus into smoothed presence rules per label: a linear
-    model over the rules' log ratios, averaged over the query and scaled by
-    the association weight `params.w`, at temperature `params.s`."""
+    """Compress a corpus into smoothed presence rules per label column: a
+    linear model over the rules' log ratios, averaged over the query and
+    scaled by the association weight `params.w`, at temperature `params.s`."""
     params = params or ActrParams()
     return CountModel.train(corpus, mode, smoothing, _rules, mean=True, w=params.w,
                             s=params.s)

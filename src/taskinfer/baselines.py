@@ -9,7 +9,8 @@ probabilities).  All of them read the corpus's one sparse boolean design
 matrix (`core.attribute_matrix`), which the trees and logistic regression
 densify, take their labels and targets (`LabelSpace.member`) from
 `core.label_space`, and keep the scoring contract of the activation models
-(`space`, `col`, `scores`), which `methods.predict` turns into a Prediction.
+(`space`, `col`, `scores` per label column), which `methods.predict` turns
+into a Prediction.
 
 Conventions shared across the baselines:
   - attribute absence is informative for NB (the Bernoulli event model);
@@ -36,11 +37,12 @@ Conventions shared across the baselines:
 
 Naive Bayes and logistic regression are both linear in the query's
 attributes, so each trains a `core.LinearModel` (the scorer the rule model
-shares): a bias per label, a weight per label and attribute, and for NB the
-smoothing floor an unseen attribute adds; family mode softmaxes the scores
-and direct mode takes the sigmoid of each task's log odds against its
-complement.  NB's is a `core.CountModel`, fitted from the presence counts
-like the rule model, so it leaves a sample out by downdating them.
+shares): a bias per label column, a weight per label column and attribute,
+and for NB the smoothing floor an unseen attribute adds; family mode
+softmaxes the scores and direct mode takes the sigmoid of each column's log
+odds against its complement.  NB's is a `core.CountModel`, fitted from the
+presence counts like the rule model, so it leaves a sample out by
+downdating them.
 """
 
 from __future__ import annotations
@@ -218,8 +220,8 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: list,
 @dataclass(frozen=True)
 class RfModel:
     """Information-gain trees as flat node arrays: one forest of n_trees
-    trees over all labels (family mode), or one binary forest per distinct
-    task column, in column order (direct mode)."""
+    trees over all families (family mode), or one binary forest per label
+    column, in column order (direct mode); it scores per label column."""
 
     space: LabelSpace
     n_trees: int
@@ -235,11 +237,10 @@ class RfModel:
         return self._depth
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
-        """(label probabilities, None: every label competes) of a query: the
-        mean leaf distribution of the forest over all labels (family mode),
-        or of each column's forest at its positive class, read by every
-        label of that column (direct mode).  Every tree is walked at once;
-        after `_depth` steps each walk rests on a leaf."""
+        """(column probabilities, None: every label competes) of a query:
+        the mean leaf distribution of the family forest (family mode), or of
+        each column's forest at its positive class (direct mode).  Every tree
+        is walked at once; after `_depth` steps each walk rests on a leaf."""
         q = np.zeros(len(self.col), dtype=bool)
         q[cols] = True
         node = self._roots
@@ -247,8 +248,7 @@ class RfModel:
             node = np.where(q[self._split[node]], self._present[node], self._absent[node])
         if self.space.mode == "family":
             return self._dist[node].mean(axis=0), None
-        probs = self._dist[node, 1].reshape(-1, self.n_trees).mean(axis=1)
-        return probs[self.space.column_of], None
+        return self._dist[node, 1].reshape(-1, self.n_trees).mean(axis=1), None
 
 
 def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
@@ -258,7 +258,7 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     x = x.toarray()                     # the trees test and gather dense columns
     m = corpus.size
     if space.mode == "family":          # one forest over every label
-        targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
+        targets, n_classes = space.member.argmax(axis=1)[None], len(space.columns)
     else:                               # one binary forest per column
         targets, n_classes = space.member.T.astype(int), 2
     master = np.random.default_rng(seed)
@@ -319,9 +319,9 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class LogRegModel(LinearModel):
-    """Logistic regression: a linear model (direct mode: per-task log odds)
-    and the gradient norm its training ended at, the norm of the whole
-    stacked gradient (direct mode: over every column's two-class fit)."""
+    """Logistic regression: a linear model per label column (direct mode:
+    its log odds) and the gradient norm its training ended at, the norm of
+    the whole stacked gradient (direct mode: of every column's fit)."""
 
     grad_norm: float
 
@@ -350,9 +350,9 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
                  epochs: int = 500, mode: str = "family") -> LogRegModel:
     """Full-batch ascent from zero weights; deterministic, so it takes no seed.
 
-    Family mode fits one softmax over the labels; direct mode fits every
-    column's two-class softmax (absent, present) in the same ascent, and a
-    task's weights are the present class's minus the absent class's.
+    Family mode fits one softmax over the families; direct mode fits every
+    label column's two-class softmax (absent, present) in one ascent, and a
+    column's weights are the present class's minus the absent class's.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
@@ -365,7 +365,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     if space.mode == "direct":
         y = np.stack([1.0 - y, y], axis=2)
     xf = x.astype(float).toarray()
-    k = y[0].size                   # classes: one per label, or two per column
+    k = y[0].size                   # classes: one per family, or two per column
     w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
     for epoch in range(epochs):
         obj, gw, gb = logreg_objective(w, b, xf, y, l2)
@@ -375,7 +375,6 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
         b += learning_rate * gb
     grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
     if space.mode == "direct":
-        w = (w[1::2] - w[0::2])[space.column_of]
-        b = (b[1::2] - b[0::2])[space.column_of]
+        w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]
     return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,
                        w=1.0, s=1.0, grad_norm=grad_norm)

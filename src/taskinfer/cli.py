@@ -100,9 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="target within-family pairwise overlap")
     p.add_argument("--encrypted", action="store_true",
                    help="apply payload encryption after generation")
-    p.add_argument("--encrypt-fraction", type=float,
-                   default=synthgen.DEFAULT_ENCRYPT_FRACTION,
-                   help="payload replacement probability when --encrypted")
+    p.add_argument("--encrypt-fraction", type=float, default=None,
+                   help="payload replacement probability; needs --encrypted "
+                        f"(default {synthgen.DEFAULT_ENCRYPT_FRACTION})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="corpus file to write")
 
@@ -155,6 +155,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.encrypt_fraction is not None and not args.encrypted:
+        raise ValueError("--encrypt-fraction is read only with --encrypted")
     single = args.regime == "single-task"
     spec = synthgen.GenSpec(
         n_carriers=(args.carriers if args.carriers is not None else (1 if single else 5)),
@@ -170,8 +172,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     generate = synthgen.generate_single_task if single else synthgen.generate
     corpus, report = generate(spec)
     if args.encrypted:
-        corpus = synthgen.encrypt_variant(corpus, args.encrypt_fraction,
-                                          seed=args.seed)
+        fraction = (args.encrypt_fraction if args.encrypt_fraction is not None
+                    else synthgen.DEFAULT_ENCRYPT_FRACTION)
+        corpus = synthgen.encrypt_variant(corpus, fraction, seed=args.seed)
     save_corpus(corpus, args.out)
     sidecar = args.out + ".gen.json"
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:

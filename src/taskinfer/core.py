@@ -14,22 +14,22 @@ shares it; only the trees and logistic regression densify the matrix.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
-the mode and enumerates its labels (each carried by some sample) and their
-tasks, and rejects an empty corpus and a direct mode without tasks;
-`LabelSpace.without` derives, through the same numbering, the label space of
-the corpus less one sample; `LabelSpace.prediction` is the one path from
-label probabilities to a Prediction (the family, and each task's summed
-label mass thresholded).
+the mode and enumerates its labels (each carried by some sample), their
+tasks and their columns (the distinct sample sets), and rejects an empty
+corpus and a direct mode without tasks; `LabelSpace.without` derives,
+through the same numbering, the label space of the corpus less one sample.
+Models score label columns; `LabelSpace.prediction` alone maps them to
+labels (the family, and each task's summed label mass thresholded).
 
 `LinearModel` is the one scorer of the models that are linear in the query's
 attributes (naive Bayes, the rule model, logistic regression): a bias per
-label, a weight per label and attribute, a floor per unseen attribute, and
-optionally the mean over the query instead of the sum, scaled by w, then a
-softmax over families or a sigmoid per task at temperature s.  Like every
-model it keeps the scoring contract that `methods.predict` reads (`space`,
-`col`, `scores(cols, n_unseen)`; `query_cols` gives the columns).  A
-`CountModel` is a LinearModel fitted from presence counts (naive Bayes, the
-rule model); `without(i)` refits it from the counts less sample i's, so
+label column, a weight per label column and attribute, a floor per unseen
+attribute, and optionally the mean over the query instead of the sum, scaled
+by w, then a softmax over families or a sigmoid per task at temperature s.
+Like every model it keeps the scoring contract that `methods.predict` reads
+(`space`, `col`, `scores(cols, n_unseen)`; `query_cols` gives the columns).
+A `CountModel` is a LinearModel fitted from presence counts (naive Bayes,
+the rule model); `without(i)` refits it from the counts less sample i's, so
 leave-one-out never recounts a corpus.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
@@ -316,9 +316,9 @@ class LabelSpace:
 
     columns are the distinct sample groups, as sorted sample-index arrays in
     the order of their first label, and labels[i] owns columns[column_of[i]]:
-    tasks a family performs together share one column, so direct-mode models
-    fit each column once and read its result for all of them.  size is the
-    corpus's sample count.  Labels and tasks are sorted.
+    tasks a family performs together share one column, so models fit and
+    score each column once and `prediction` reads it for all of them.  size
+    is the corpus's sample count.  Labels and tasks are sorted.
     """
 
     mode: str
@@ -398,7 +398,7 @@ class LabelSpace:
 
     def prediction(self, probs, task_threshold: float,
                    retained_chunks: int | None = None) -> Prediction:
-        """Prediction from probabilities aligned with `labels`.
+        """Prediction from one probability per column, given to its labels.
 
         A task's mass is the summed probability of the labels performing it
         (direct mode: its own probability), added in label order; the tasks
@@ -406,9 +406,13 @@ class LabelSpace:
         family is the first most probable label.  retained_chunks defaults to
         the label count, for models in which every label competes; the
         prediction is degenerate when it is 0 (no chunk reached tau).  A
-        non-finite probability raises ValueError naming its label.
+        non-finite probability raises ValueError naming its label, and one
+        probability too many or too few raises it too.
         """
         probs = np.asarray(probs, dtype=float)
+        if probs.shape != (len(self.columns),):
+            raise ValueError(f"{probs.size} probabilities for {len(self.columns)} columns")
+        probs = probs[self.column_of]
         if not np.isfinite(probs).all():
             i = int(np.flatnonzero(~np.isfinite(probs))[0])
             kind = "family" if self.mode == "family" else "task"
@@ -480,7 +484,7 @@ def _numbered(mode: str, labels: tuple, groups: list, group_of: Sequence[int],
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """A model that scores each label linearly in the query's attributes.
+    """A model that scores each label column linearly in the query's attributes.
 
     For a query with known columns K and n_unseen attributes outside `col`,
 
@@ -494,15 +498,15 @@ class LinearModel:
 
     space: LabelSpace
     col: Mapping[str, int]
-    bias: np.ndarray                # (L,): the score of a query with no attributes
-    weight: np.ndarray              # (L, d): the score a present attribute adds
+    bias: np.ndarray                # (C,): the score of a query with no attributes
+    weight: np.ndarray              # (C, d): the score a present attribute adds
     floor: np.ndarray | float       # the score an unseen attribute adds
     mean: bool                      # divide the weight sum by the query size
     w: float                        # the scale of the weight sum
     s: float                        # the temperature
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
-        """(label probabilities, None: every label competes) of a query."""
+        """(column probabilities, None: every label competes) of a query."""
         total = self.weight[:, cols].sum(axis=1)
         if self.mean:
             total = total / (cols.size + n_unseen)
@@ -517,10 +521,9 @@ class LinearModel:
 class CountModel(LinearModel):
     """A linear model fitted from the presence counts of its training corpus
     (naive Bayes, the rule model): `fit(space, present, total, smoothing)`
-    gives its (bias, weight, floor) per column, which each label of the
-    column reads.  Leaving a sample out downdates the counts instead of
-    recounting the rest of the corpus, so the model keeps the corpus's
-    attribute index (not its samples)."""
+    gives its (bias, weight, floor) per label column.  Leaving a sample out
+    downdates the counts instead of recounting the rest of the corpus, so
+    the model keeps the corpus's attribute index (not its samples)."""
 
     index: AttributeIndex
     smoothing: float
@@ -531,10 +534,8 @@ class CountModel(LinearModel):
               mean: bool, w: float, s: float) -> "CountModel":
         space = label_space(corpus, mode)
         _, col, x = attribute_matrix(corpus)
-        bias, weight, floor = _per_label(space, fit(space, *space.presence_counts(x),
-                                                     smoothing))
-        return cls(space, col, bias, weight, floor, mean, w, s, corpus.index,
-                   smoothing, fit)
+        return cls(space, col, *fit(space, *space.presence_counts(x), smoothing),
+                   mean, w, s, corpus.index, smoothing, fit)
 
     @cached_property
     def counts(self) -> tuple:
@@ -559,14 +560,8 @@ class CountModel(LinearModel):
             kept = total > 0
             present, total = np.ascontiguousarray(present[:, kept]), total[kept]
             col = dict(zip(compress(self.col, kept.tolist()), range(total.size)))
-        bias, weight, floor = _per_label(space, self.fit(space, present, total,
-                                                         self.smoothing))
-        return LinearModel(space, col, bias, weight, floor, self.mean, self.w, self.s)
-
-
-def _per_label(space: LabelSpace, per_column: tuple) -> tuple:
-    """Arrays over a space's columns, read for each label (scalars pass)."""
-    return tuple(a[space.column_of] if np.ndim(a) else a for a in per_column)
+        return LinearModel(space, col, *self.fit(space, present, total, self.smoothing),
+                           self.mean, self.w, self.s)
 
 
 def canonical_json(obj) -> str:

@@ -2,10 +2,10 @@
 
 Every classifier is reachable by a short method id.  Every trained model
 keeps one contract: its `space` (the `core.LabelSpace` it scores over), its
-`col` (attribute -> column) and `scores(cols, n_unseen)`, which gives the
-label probabilities of a query and the chunks it retained (None when every
-label competes).  `predict` is the one path from a model and a query to a
-Prediction, and training returns a closure over it.  The evaluation
+`col` (attribute -> column) and `scores(cols, n_unseen)`, which gives a
+query's label column probabilities and the chunks it retained (None when
+every label competes).  `predict` is the one path from a model and a query
+to a Prediction, and training returns a closure over it.  The evaluation
 protocols and the CLI both go through here so a method id means the same
 model everywhere.  The count models (`actr-ib`, `actr-r`, `nb`) also leave
 one sample out without retraining: their `without(i)` downdates the model

@@ -76,9 +76,9 @@ class GenerationError(ValueError):
 class GenSpec:
     """Generation parameters.
 
-    samples_per_family applies to every family; carrier_attr_pool and
-    payload_attrs_per_task size the disjoint attribute pools; overlap_target
-    is the expected within-family pairwise Dice overlap.
+    samples_per_family (at least 2) applies to every family;
+    carrier_attr_pool and payload_attrs_per_task size the disjoint attribute
+    pools; overlap_target is the expected within-family pairwise Dice overlap.
     """
 
     n_carriers: int = 5
@@ -92,8 +92,8 @@ class GenSpec:
     def __post_init__(self):
         if self.n_carriers < 1 or self.tasks_per_carrier < 1:
             raise GenerationError("need at least one carrier and one task each")
-        if self.samples_per_family < 1:
-            raise GenerationError("samples_per_family must be >= 1")
+        if self.samples_per_family < 2:
+            raise GenerationError("samples_per_family must be >= 2 to measure overlap")
         if self.carrier_attr_pool < 1 or self.payload_attrs_per_task < 1:
             raise GenerationError("attribute pools must be non-empty")
         if not 0.0 < self.overlap_target <= 1.0:

@@ -492,8 +492,9 @@ class TestLogisticRegression:
         c = random_corpus(random.Random(seed), max_families=5, max_tasks=6)
         model = logreg_train(c, mode="direct", epochs=40)
         weight, bias = reference_logreg_direct(c, 0.1, 1e-3, 40)
-        assert np.allclose(model.weight, weight, rtol=0, atol=1e-12)
-        assert np.allclose(model.bias, bias, rtol=0, atol=1e-12)
+        per_task = model.space.column_of
+        assert np.allclose(model.weight[per_task], weight, rtol=0, atol=1e-12)
+        assert np.allclose(model.bias[per_task], bias, rtol=0, atol=1e-12)
         vocab = sorted(c.fan)
         for s in c.samples:
             pred = predict(model, s.attribs, 0.5)

@@ -75,6 +75,20 @@ class TestGen:
         sidecar = json.loads((tmp_path / "enc.jsonl.gen.json").read_text())
         assert abs(sidecar["within_family_overlap"] - 0.5) <= OVERLAP_TOLERANCE
 
+    def test_encrypt_fraction_without_encrypted_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        rc = main(["gen", *GEN_SMALL, "--encrypt-fraction", "2.0", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--encrypt-fraction" in err and "--encrypted" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_sample_per_family_exits_1(self, tmp_path, capsys):
+        rc = main(["gen", "--samples-per-family", "1", "--out", str(tmp_path / "x.jsonl")])
+        assert rc == 1
+        assert "samples_per_family must be >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_infeasible_target_exits_1(self, tmp_path, capsys):
         rc = main(["gen", "--overlap", "0.001", "--out",
                    str(tmp_path / "x.jsonl")])

@@ -230,6 +230,15 @@ class TestMakePrediction:
         with pytest.raises(ValueError, match=f"'{space.labels[1]}' is .*not a finite"):
             space.prediction([0.5, bad], 0.5)
 
+    def test_gives_each_label_its_columns_probability(self):
+        # t and u are both performed by F alone: one column, two labels.
+        space = _space({"F": {"t", "u"}, "G": {"v"}}, "direct")
+        p = space.prediction([0.75, 0.25], 0.5)
+        assert p.class_probs == {"t": 0.75, "u": 0.75, "v": 0.25}
+        assert p.predicted_tasks == frozenset({"t", "u"})
+        with pytest.raises(ValueError, match="^3 probabilities for 2 columns$"):
+            space.prediction([0.75, 0.75, 0.25], 0.5)
+
     def test_mass_on_the_threshold_from_several_labels(self):
         # s: 0.25 + 0.25 lands exactly on 0.5; x: 0.25 stays below it.
         space = _space({"f0": {"s", "x"}, "f1": {"s"}, "f2": {"y"}})
@@ -249,13 +258,14 @@ class TestMakePrediction:
                 space = label_space(c, mode)
                 for _ in range(4):
                     probs = [rng.choice(grid) if rng.random() < 0.7 else rng.random()
-                             for _ in space.labels]
+                             for _ in space.columns]
                     thr = rng.choice((0.25, 0.5, rng.uniform(0.05, 1.0)))
                     retained = rng.randint(0, 5)
                     got = space.prediction(probs, thr, retained)
+                    per_label = np.array(probs)[space.column_of]
                     want = reference_prediction(
-                        c, mode, dict(zip(space.labels, probs)), thr, retained,
-                        retained == 0)
+                        c, mode, dict(zip(space.labels, per_label.tolist())), thr,
+                        retained, retained == 0)
                     assert got == want
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from taskinfer import synthgen
 from taskinfer.actr import IbModel, rb_train
-from taskinfer.baselines import logreg_train, nb_train, rf_train
-from taskinfer.core import MODES, Sample, build_corpus, label_space
+from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
+from taskinfer.core import MODES, LinearModel, Sample, build_corpus, label_space, query_cols
 from taskinfer.methods import METHODS, leave_one_out, predict, train_method
 
 from conftest import make_corpus
@@ -75,6 +75,40 @@ def test_tasks_sharing_a_column_get_equal_probabilities(method):
     for k in range(10):
         probs = predict(frozenset(rng.sample(pool, 3))).class_probs
         assert probs["t"] == probs["u"], k
+
+
+# Each method's trained model, small enough to grow quickly.
+MODELS = {
+    "actr-ib": lambda corpus, mode: IbModel(corpus, mode=mode),
+    "actr-r": lambda corpus, mode: rb_train(corpus, mode=mode),
+    "nb": lambda corpus, mode: nb_train(corpus, mode=mode),
+    "dt": lambda corpus, mode: dt_train(corpus, mode=mode),
+    "rf": lambda corpus, mode: rf_train(corpus, n_trees=4, mode=mode),
+    "logreg": lambda corpus, mode: logreg_train(corpus, epochs=20, mode=mode),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+def test_models_score_one_probability_per_label_column(method, mode):
+    # Each carrier's three tasks always occur together: 9 tasks in 3 columns.
+    corpus, _ = synthgen.generate(synthgen.GenSpec(
+        n_carriers=3, tasks_per_carrier=3, samples_per_family=6,
+        carrier_attr_pool=12, payload_attrs_per_task=3, seed=2))
+    assert sorted(MODELS) == sorted(METHODS)
+    model = MODELS[method](corpus, mode)
+    space = model.space
+    assert len(space.labels) == (9 if mode == "direct" else 3)
+    assert len(space.columns) == 3
+    if isinstance(model, LinearModel):
+        assert model.weight.shape == (3, len(model.col))
+        assert model.bias.shape == (3,)
+    for s in corpus.samples[::5]:
+        probs, _ = model.scores(*query_cols(model.col, s.attribs))
+        assert probs.shape == (3,)
+        got = predict(model, s.attribs, 0.5).class_probs
+        assert tuple(got) == space.labels
+        assert list(got.values()) == probs[space.column_of].tolist()
 
 
 @pytest.mark.parametrize("families", [{}, {"F": frozenset({"t"})}])

@@ -61,6 +61,7 @@ class TestGenSpec:
             {"n_carriers": 0},
             {"tasks_per_carrier": 0},
             {"samples_per_family": 0},
+            {"samples_per_family": 1},
             {"carrier_attr_pool": 0},
             {"payload_attrs_per_task": 0},
             {"overlap_target": 0.0},
