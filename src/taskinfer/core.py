@@ -224,6 +224,17 @@ class Corpus:
         """Indices of the samples labeled with `family`."""
         return self.index.members.get(family, ())
 
+    def subset(self, rows: Sequence[int]) -> Corpus:
+        """The corpus of `rows`, in order, keeping as labels only the
+        families present there (the rows were validated with this corpus, so
+        they are not checked again); this corpus itself when that is every
+        row and family."""
+        samples = tuple(self._samples[i] for i in rows)
+        present = {s.family for s in samples}
+        if samples == self._samples and present == self._families.keys():
+            return self
+        return Corpus(samples, {f: t for f, t in self._families.items() if f in present})
+
     def __len__(self) -> int:
         return len(self._samples)
 

@@ -8,14 +8,15 @@ protocol makes it meaningless (leave-one-family-out) or the mode never
 predicts a family (direct).
 
 Three protocols: leave-one-out cross-validation over samples, repeated
-stratified train/test splits, and leave-one-family-out; each picks its folds
-and one fold runner trains and scores them.  Leave-one-out is exact but
-trains the count models (`actr-ib`, `actr-r`, `nb`) only once, on the whole
-corpus: each held-out sample is scored by that model downdated to leave it
-out, with the same results as retraining without it.  Splits stratify per
-family and draw their randomness positionally from a master seed stream, so
-two methods evaluated with the same seed see byte-for-byte identical folds
-and their per-sample scores align for paired significance testing.
+stratified train/test splits, and leave-one-family-out.  One loop scores
+them, timing the build of each tested row's predictor as training and its
+call as prediction: a split or family fold trains one predictor for all its
+rows, and leave-one-out takes each row's from `methods.leave_one_out`.  A
+family whose samples perform no task is rejected before any training.
+Splits stratify per family and draw their randomness positionally from a
+master seed stream, so two methods evaluated with the same seed see
+byte-for-byte identical folds and their per-sample scores align for paired
+significance testing.
 
 Reports serialize as one canonical JSON object per line, like the corpus
 format.  Wall-clock timings are kept out of the file (they are the one
@@ -114,30 +115,32 @@ class TrialReport:
         return [s.f1 for s in self.scores]
 
 
-def _fold_corpus(corpus: Corpus, rows: Sequence[int]) -> Corpus:
-    """The corpus of `rows`, keeping as labels only the families present
-    there (the rows were validated with the parent, so they are not checked
-    again); the parent itself when that is every row and family."""
-    train = [corpus.samples[i] for i in rows]
-    present = {s.family for s in train}
-    if len(train) == corpus.size and present == corpus.families.keys():
-        return corpus
-    return Corpus(train, {f: t for f, t in corpus.families.items() if f in present})
+def _check_tasks(corpus: Corpus) -> None:
+    """Reject, before any training, the first family (in sorted order) whose
+    samples perform no task: they have no truth to score against."""
+    for f in sorted(corpus.families):
+        if corpus.members(f) and not corpus.families[f]:
+            raise ValueError(f"family {f!r} performs no task, so its samples have "
+                             "no truth to score against")
 
 
-def _scored(corpus: Corpus, test_ix: Sequence[int], predict, method: str, mode: str,
+def _scored(corpus: Corpus, test_ix: Sequence[int], predictor_of, method: str, mode: str,
             seed: int, protocol: str, label: str, train_time: float) -> TrialReport:
-    """Score predict(i) for the rows test_ix in order.  Family accuracy is
-    tracked in family mode, except under lofo, where the held-out family is
-    no label."""
+    """Score predictor_of(i)(row i's attributes) for the rows test_ix in
+    order, adding the time of building each predictor to train_time.  Family
+    accuracy is tracked in family mode, except under lofo, where the
+    held-out family is no label."""
     track_family = mode == "family" and protocol != "lofo"
     scores = []
     predict_time = 0.0
     for i in test_ix:
         held = corpus.samples[i]
         t0 = time.perf_counter()
-        pred = predict(i)
-        predict_time += time.perf_counter() - t0
+        predictor = predictor_of(i)
+        t1 = time.perf_counter()
+        pred = predictor(held.attribs)
+        predict_time += time.perf_counter() - t1
+        train_time += t1 - t0
         sc = score_sample(pred.predicted_tasks, held.tasks)
         fam = pred.predicted_family == held.family if track_family else None
         scores.append(replace(sc, family_correct=fam, sample_id=held.id))
@@ -150,33 +153,23 @@ def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
           method: str, mode: str, params: ActrParams | None, seed: int,
           train_seed: int, protocol: str, label: str = "") -> TrialReport:
     """Train on the rows train_ix and score the rows test_ix in order."""
-    sub = _fold_corpus(corpus, train_ix)
     t0 = time.perf_counter()
-    predictor = train_method(method, sub, mode=mode, params=params, seed=train_seed)
-    train_time = time.perf_counter() - t0
-    return _scored(corpus, test_ix, lambda i: predictor(corpus.samples[i].attribs),
-                   method, mode, seed, protocol, label, train_time)
+    predictor = train_method(method, corpus.subset(train_ix), mode, params, train_seed)
+    return _scored(corpus, test_ix, lambda i: predictor, method, mode, seed, protocol,
+                   label, time.perf_counter() - t0)
 
 
 def loocv(corpus: Corpus, method: str, mode: str = "family",
           params: ActrParams | None = None, seed: int = 0) -> TrialReport:
     """Leave-one-out: predict every sample by the method trained on all the
-    others.  The count models (`actr-ib`, `actr-r`, `nb`) train once, on the
-    whole corpus, and downdate that model for each held-out sample, which
-    gives exactly the predictions of retraining; the others retrain once per
-    sample."""
+    others, each row's predictor coming from `methods.leave_one_out`."""
     if corpus.size < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
-    n = corpus.size
+    _check_tasks(corpus)
     t0 = time.perf_counter()
-    held_out = leave_one_out(method, _fold_corpus(corpus, range(n)), mode, params, seed)
-    if held_out is None:
-        folds = [_fold(corpus, [*range(i), *range(i + 1, n)], [i], method, mode,
-                       params, seed, seed, "loocv")
-                 for i in range(n)]
-        return replace(combine(folds, label=""), trials=())
-    return _scored(corpus, range(n), held_out, method, mode, seed, "loocv", "",
-                   time.perf_counter() - t0)
+    held_out = leave_one_out(method, corpus, mode, params, seed)
+    return _scored(corpus, range(corpus.size), held_out, method, mode, seed, "loocv",
+                   "", time.perf_counter() - t0)
 
 
 def stratified_split(corpus: Corpus, train_frac: float,
@@ -235,6 +228,7 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    _check_tasks(corpus)
     master = random.Random(seed)
     trial_seeds = [master.getrandbits(63) for _ in range(n_trials)]
     reports = []
@@ -257,6 +251,7 @@ def leave_one_family_out(corpus: Corpus, method: str, mode: str = "family",
     """
     if len(corpus.families) < 2:
         raise ValueError("leave-one-family-out needs at least 2 families")
+    _check_tasks(corpus)
     for f in sorted(corpus.families):
         if not corpus.members(f):
             raise ValueError(f"family {f!r} has no samples to hold out")

@@ -7,9 +7,9 @@ query's label column probabilities and the chunks it retained (None when
 every label competes).  `predict` is the one path from a model and a query
 to a Prediction, and training returns a closure over it.  The evaluation
 protocols and the CLI both go through here so a method id means the same
-model everywhere.  The count models (`actr-ib`, `actr-r`, `nb`) also leave
-one sample out without retraining: their `without(i)` downdates the model
-of a whole corpus to the one trained on every sample but i.
+model everywhere.  `leave_one_out` holds a row out for every method: the
+count models (`actr-ib`, `actr-r`, `nb`) downdate one model of the whole
+corpus with `without(i)`, and the others retrain on the other rows.
 """
 
 from __future__ import annotations
@@ -53,6 +53,10 @@ def predict(model, query, task_threshold: float) -> Prediction:
     return model.space.prediction(probs, task_threshold, retained)
 
 
+def _predictor(model, task_threshold: float) -> Predictor:
+    return lambda q: predict(model, q, task_threshold)
+
+
 def train_method(method: str, corpus: Corpus, mode: str = "family",
                  params: ActrParams | None = None, seed: int = 0) -> Predictor:
     """Train `method` on `corpus` and return its query -> Prediction closure.
@@ -63,21 +67,21 @@ def train_method(method: str, corpus: Corpus, mode: str = "family",
     """
     train, _ = _entry(method)
     params = params or ActrParams()
-    model = train(corpus, mode, params, seed)
-    return lambda q: predict(model, q, params.task_threshold)
+    return _predictor(train(corpus, mode, params, seed), params.task_threshold)
 
 
 def leave_one_out(method: str, corpus: Corpus, mode: str = "family",
                   params: ActrParams | None = None,
-                  seed: int = 0) -> Callable[[int], Prediction] | None:
-    """Row i of `corpus` -> its Prediction by `method` trained on every other
-    row, for a method that downdates: it trains once, on the whole corpus.
-    None, before any training, for a method that has to retrain for every
-    row."""
+                  seed: int = 0) -> Callable[[int], Predictor]:
+    """Row i of `corpus` -> the predictor of `method` trained on every other
+    row, keeping as labels only the families present there.  A method that
+    downdates trains once, on the whole corpus, and downdates that model for
+    row i; any other trains on the other rows when row i is asked for."""
     train, downdates = _entry(method)
-    if not downdates:
-        return None
     params = params or ActrParams()
-    model = train(corpus, mode, params, seed)
-    return lambda i: predict(model.without(i), corpus.samples[i].attribs,
-                             params.task_threshold)
+    rows = range(corpus.size)
+    if not downdates:
+        return lambda i: train_method(method, corpus.subset([*rows[:i], *rows[i + 1:]]),
+                                      mode, params, seed)
+    model = train(corpus.subset(rows), mode, params, seed)
+    return lambda i: _predictor(model.without(i), params.task_threshold)

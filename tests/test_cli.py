@@ -416,6 +416,24 @@ class TestEval:
         assert not out.exists()
         assert not (tmp_path / "lofo.jsonl.csv").exists()
 
+    @pytest.mark.parametrize("protocol", ["loocv", "split", "lofo"])
+    def test_family_without_tasks_exits_1_naming_it(self, tmp_path, capsys, protocol):
+        corpus_path = tmp_path / "taskless.jsonl"
+        corpus_path.write_text(
+            '{"families":{"F":["t"],"G":[]}}\n'
+            + "".join(f'{{"attributes":["a","{k}"],"family":"{f}","id":"{f}{k}",'
+                      f'"tasks":{json.dumps(sorted(tasks))}}}\n'
+                      for f, tasks in (("F", ["t"]), ("G", [])) for k in "xy"),
+            encoding="utf-8")
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--method", "nb", "--corpus", str(corpus_path),
+                   "--protocol", protocol, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: family 'G' performs no task, so its samples have no truth "
+            "to score against\n")
+        assert not out.exists()
+
     def test_direct_mode_and_overrides_parse(self, tmp_path):
         corpus_path = run_gen(tmp_path)
         rc = main(["eval", "--method", "actr-r", "--corpus", corpus_path,

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import evaluation, synthgen
-from taskinfer.core import ActrParams, Sample, attribute_matrix, build_corpus
+from taskinfer import baselines, evaluation, methods, synthgen
+from taskinfer.core import ActrParams, CountModel, Sample, attribute_matrix, build_corpus
 from taskinfer.evaluation import (
     PROTOCOLS,
     TrialReport,
@@ -222,21 +223,83 @@ class TestLeaveOneFamilyOut:
             leave_one_family_out(c, "nb")
 
 
+class TestTasklessFamily:
+    # G and H have samples but perform no task; A performs none and has no
+    # sample, so it is no one's truth.
+    CORPUS = ([(f"{f.lower()}{k}", {"a", f"x{k}"}, f) for f in "FGH" for k in range(2)],
+              {"A": set(), "F": {"t"}, "G": set(), "H": set()})
+
+    @pytest.mark.parametrize("mode", ["family", "direct"])
+    @pytest.mark.parametrize("protocol", [
+        lambda c, mode: loocv(c, "nb", mode),
+        lambda c, mode: split_trials(c, "nb", mode, n_trials=2),
+        lambda c, mode: leave_one_family_out(c, "nb", mode),
+    ], ids=PROTOCOLS)
+    def test_is_rejected_before_training(self, monkeypatch, protocol, mode):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the taskless family")
+        monkeypatch.setattr(evaluation, "train_method", no_training)
+        monkeypatch.setattr(evaluation, "leave_one_out", no_training)
+        with pytest.raises(ValueError, match="^family 'G' performs no task"):
+            protocol(make_corpus(*self.CORPUS), mode)
+
+
+class TestTimings:
+    """Building a row's predictor is timed as training, calling it as
+    prediction.  The clock advances only by the work the models do: 1000 per
+    training, 100 per downdate and 1 per prediction."""
+
+    @pytest.fixture(autouse=True)
+    def clock(self, monkeypatch):
+        now = [0]
+        monkeypatch.setattr(evaluation, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def costing(fn, cost):
+            def run(*args, **kwargs):
+                now[0] += cost
+                return fn(*args, **kwargs)
+            return run
+        for name in ("nb_train", "dt_train"):
+            monkeypatch.setattr(baselines, name, costing(getattr(baselines, name), 1000))
+        monkeypatch.setattr(CountModel, "without", costing(CountModel.without, 100))
+        monkeypatch.setattr(methods, "predict", costing(methods.predict, 1))
+
+    def test_downdating_is_training(self, shared_task_corpus):
+        r = loocv(shared_task_corpus, "nb")
+        assert (r.train_time, r.predict_time) == (1000 + 100 * 6, 6)
+
+    def test_retraining_equals_the_sum_over_its_folds(self, shared_task_corpus):
+        c = shared_task_corpus
+        r = loocv(c, "dt")
+        folds = [evaluation._fold(c, [j for j in range(c.size) if j != i], [i], "dt",
+                                  "family", None, 0, 0, "loocv")
+                 for i in range(c.size)]
+        assert (r.train_time, r.predict_time) == (1000 * 6, 6)
+        assert r.train_time == sum(f.train_time for f in folds)
+        assert r.predict_time == sum(f.predict_time for f in folds)
+
+    def test_a_split_trains_once_per_trial(self, shared_task_corpus):
+        r = split_trials(shared_task_corpus, "nb", n_trials=2, train_frac=0.5)
+        assert [(t.train_time, t.predict_time) for t in r.trials] == [(1000, 3)] * 2
+
+
 class TestFoldCorpus:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_training_corpus_equals_the_validated_one(self, seed):
         # Every fold trains on the parent's rows without re-validating them;
         # its corpus must be the one build_corpus makes of the same rows.
-        # loocv runs dt, which retrains per fold (the count models downdate).
+        # loocv runs dt, which methods.leave_one_out retrains per row (the
+        # count models downdate).
         c = random_corpus(random.Random(seed))
         trained_on = []
         train = evaluation.train_method
 
-        def spy(method, corpus, **kwargs):
+        def spy(method, corpus, *args, **kwargs):
             trained_on.append(corpus)
-            return train(method, corpus, **kwargs)
-        with mock.patch.object(evaluation, "train_method", spy):
+            return train(method, corpus, *args, **kwargs)
+        with mock.patch.object(evaluation, "train_method", spy), \
+                mock.patch.object(methods, "train_method", spy):
             if c.size >= 2:
                 loocv(c, "dt")
             if all(len(c.members(f)) >= 2 for f in c.families):

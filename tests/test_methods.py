@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import synthgen
+from taskinfer import methods, synthgen
 from taskinfer.actr import IbModel, rb_train
 from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
 from taskinfer.core import MODES, LinearModel, Sample, build_corpus, label_space, query_cols
@@ -158,12 +158,13 @@ def _assert_same_predictions(got, want):
         assert g.degenerate == w.degenerate
 
 
-def _downdated(corpus, method, mode, params=None):
+def _held_out(corpus, method, mode, params=None):
     held_out = leave_one_out(method, corpus, mode, params)
-    return [held_out(i) for i in range(corpus.size)]
+    return [held_out(i)(s.attribs) for i, s in enumerate(corpus.samples)]
 
 
 DOWNDATING = [(m, mode) for m in ("actr-ib", "actr-r", "nb") for mode in MODES]
+RETRAINING = [(m, mode) for m in ("dt", "rf", "logreg") for mode in MODES]
 
 
 class TestLeaveOneOut:
@@ -177,7 +178,7 @@ class TestLeaveOneOut:
         if corpus.size < 2:
             return
         want = reference_loocv_predictions(corpus, method, mode, params)
-        _assert_same_predictions(_downdated(corpus, method, mode, params), want)
+        _assert_same_predictions(_held_out(corpus, method, mode, params), want)
 
     # Each corpus holds one case that changes the label space or vocabulary
     # of the fold that leaves out one of its samples.
@@ -206,12 +207,12 @@ class TestLeaveOneOut:
             {"F1": {"t1", "t2"}, "F2": {"t1", "t2"}, "F3": {"t1"}}),
     }
 
-    @pytest.mark.parametrize("method,mode", DOWNDATING)
+    @pytest.mark.parametrize("method,mode", DOWNDATING + RETRAINING)
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_cases_equal_retraining(self, method, mode, case):
         rows, families = self.EDGE_CASES[case]
         corpus = make_corpus(rows, families)
-        _assert_same_predictions(_downdated(corpus, method, mode),
+        _assert_same_predictions(_held_out(corpus, method, mode),
                                  reference_loocv_predictions(corpus, method, mode))
 
     def test_edge_cases_are_what_they_say(self):
@@ -229,11 +230,25 @@ class TestLeaveOneOut:
         ib = IbModel(corpus("attributes only the held-out sample has"))
         assert ib.without(0)._fan[[ib.col["x"], ib.col["y"]]].tolist() == [0, 0]
 
-    def test_retraining_methods_do_not_downdate(self, two_family_corpus):
+    def test_retraining_methods_do_not_downdate(self, monkeypatch, two_family_corpus):
+        # They train nothing up front, then one model per row asked for, on
+        # every other row.
+        trained_on = []
+        train = methods.train_method
+
+        def spy(method, corpus, *args):
+            trained_on.append(corpus)
+            return train(method, corpus, *args)
+        monkeypatch.setattr(methods, "train_method", spy)
+        c = two_family_corpus
         for method in ("dt", "rf", "logreg"):
-            assert leave_one_out(method, two_family_corpus) is None
+            trained_on.clear()
+            held_out = leave_one_out(method, c)
+            assert trained_on == []
+            held_out(2)
+            assert [s.samples for s in trained_on] == [c.samples[:2] + c.samples[3:]]
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            leave_one_out("bogus", two_family_corpus)
+            leave_one_out("bogus", c)
 
     def test_evaluate_corpus(self):
         # The benchmark's corpus shape (five 7-task carriers, 12 samples each).
@@ -241,5 +256,5 @@ class TestLeaveOneOut:
             n_carriers=5, tasks_per_carrier=7, samples_per_family=12,
             overlap_target=0.4, seed=1))
         for method, mode in DOWNDATING:
-            _assert_same_predictions(_downdated(corpus, method, mode),
+            _assert_same_predictions(_held_out(corpus, method, mode),
                                      reference_loocv_predictions(corpus, method, mode))
