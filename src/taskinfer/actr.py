@@ -60,9 +60,10 @@ are a `core.CountModel`, fitted from the presence counts as naive Bayes is
 (bias the log prior or its logit, weight the log ratios, doubled in direct
 mode, averaged over the query).
 
-Both models leave a training sample out without retraining: `without(i)`
+Both models leave training samples out without retraining: `without(rows)`
 downdates the instance model's memory, and the rule model's counts, to what
-training on the other samples gives, so leave-one-out trains them once.
+training on the other samples gives, so a protocol that holds samples out
+trains them once.
 
 Both models take their labels from `core.label_space` and keep the scoring
 contract of the baselines: `space`, `col` and `scores(cols, n_unseen)` per
@@ -82,6 +83,7 @@ from .core import (
     Corpus,
     LabelSpace,
     label_space,
+    renumbering,
     softmax,
 )
 
@@ -124,33 +126,31 @@ class IbModel:
         self.space = label_space(corpus, mode)
         self.params = params or ActrParams()
         ix, m = corpus.index, corpus.size
-        self.col = ix.col
+        self.col, self._index = ix.col, ix
         # int64, so that |query| * |chunk| cannot overflow for a large chunk.
         self._sizes = np.diff(ix.matrix.indptr).astype(np.int64)
         # scipy's CSR -> CSC conversion is a counting sort of the links by
-        # attribute, stable in sample order.
+        # attribute, stable in sample order.  Chunk ids are intp, which numpy
+        # gathers through fastest.
         memory = ix.matrix.tocsc()
-        self._start, self._chunks = memory.indptr, memory.indices
+        self._start, self._chunks = memory.indptr, memory.indices.astype(np.intp)
         self._fan = np.diff(self._start)
         self._log_hit = np.log(m / self._fan)
         self._log_miss = math.log(1.0 / m)
 
-    def without(self, i: int) -> "IbModel":
-        """The model of every sample of its corpus but i, scoring as training
-        on them does: chunk i is dropped and the chunks above it move down
-        one, and m and the fans of i's attributes fall by one.  An attribute
-        only i held keeps its column with no chunk, so, like an unseen one, it
-        is a miss for every chunk."""
+    def without(self, rows) -> "IbModel":
+        """The model of every sample of its corpus but the distinct `rows`,
+        scoring as training on the others does: the rows' chunks are dropped
+        and the rest renumbered in order, and m and the fans of the rows'
+        attributes fall.  An attribute only the rows held keeps its column
+        with no chunk, so, like an unseen one, it is a miss for every chunk."""
         out = copy.copy(self)
-        out.space = self.space.without(i)[0]
-        own = self._chunks == i                 # chunk i's links
-        held = np.searchsorted(self._start, np.flatnonzero(own), side="right") - 1
-        out._fan = self._fan.copy()
-        out._fan[held] -= 1
+        out.space = self.space.without(rows)[0]
+        out._fan = self._fan - np.bincount(self._index.links(rows)[1], minlength=self._fan.size)
         out._start = np.concatenate(([0], np.cumsum(out._fan)))
-        chunks = self._chunks[~own]
-        out._chunks = chunks - (chunks > i)
-        out._sizes = np.delete(self._sizes, i)
+        chunks = renumbering(self._sizes.size, rows)[self._chunks]
+        out._chunks = chunks[chunks >= 0]
+        out._sizes = np.delete(self._sizes, rows)
         m = out._sizes.size
         with np.errstate(divide="ignore"):      # a column with no chunk left
             out._log_hit = np.log(m / out._fan)

@@ -17,7 +17,7 @@ tasks follow) or "direct" (one label per task).  `label_space` alone checks
 the mode and enumerates its labels (each carried by some sample), their
 tasks and their columns (the distinct sample sets), and rejects an empty
 corpus and a direct mode without tasks; `LabelSpace.without` derives,
-through the same numbering, the label space of the corpus less one sample.
+through the same numbering, the label space of the corpus less a set of rows.
 Models score label columns; `LabelSpace.prediction` alone maps them to
 labels (the family, and each task's summed label mass thresholded).
 
@@ -29,8 +29,8 @@ by w, then a softmax over families or a sigmoid per task at temperature s.
 Like every model it keeps the scoring contract that `methods.predict` reads
 (`space`, `col`, `scores(cols, n_unseen)`; `query_cols` gives the columns).
 A `CountModel` is a LinearModel fitted from presence counts (naive Bayes,
-the rule model); `without(i)` refits it from the counts less sample i's, so
-leave-one-out never recounts a corpus.
+the rule model); `without(rows)` refits it from the counts less those rows',
+so holding samples out never recounts a corpus.
 
 Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
 first line is a header carrying the family map:
@@ -163,6 +163,21 @@ class AttributeIndex:
     matrix: sparse.csr_matrix   # samples x vocab presence (read-only); a row lists
                                 # its columns in its attribute set's order
     members: dict               # family -> its rows, ascending
+
+    def links(self, rows: Sequence[int]) -> tuple:
+        """(row, column) of every attribute the given rows hold, row after row,
+        sliced through the matrix's indptr (cheaper than a scipy row slice)."""
+        rows, x = np.asarray(rows, dtype=np.intp), self.matrix
+        held = [x.indices[x.indptr[r]:x.indptr[r + 1]] for r in rows.tolist()]
+        return np.repeat(rows, [c.size for c in held]), np.concatenate([x.indices[:0], *held])
+
+
+def renumbering(size: int, rows: Sequence[int]) -> np.ndarray:
+    """The index of each of `size` rows once the distinct `rows` leave, the
+    rest keeping their order: -1 for a row that leaves."""
+    kept = np.ones(size, dtype=bool)
+    kept[np.asarray(rows, dtype=np.intp)] = False     # a tuple is no multi-axis index
+    return np.where(kept, np.cumsum(kept) - 1, -1)
 
 
 class Corpus:
@@ -382,19 +397,25 @@ class LabelSpace:
         not_given = (total - present + sm) / ((self.size - sizes)[:, None] + 2 * sm)
         return given, not_given
 
-    def without(self, i: int) -> tuple:
-        """(the label space of the corpus without sample i, the column of this
-        space each of its columns comes from).
+    def without(self, rows) -> tuple:
+        """(the label space of the corpus without the distinct `rows`, given as
+        any sequence of sample indices, the column of this space each of its
+        columns comes from).
 
-        Samples above i move down one; a label whose only sample was i goes,
-        and so does, in family mode, a task no remaining label performs;
-        columns that differed only by i merge, in first-label order.  The
-        result is numbered by the code that numbers `label_space`, so it
-        equals the label space of the remaining samples.
+        The remaining samples are renumbered in order; a label none of them
+        carries goes, and so does, in family mode, a task no remaining label
+        performs; columns that differed only by the rows merge, in first-label
+        order.  The result is numbered by the code that numbers `label_space`,
+        so it equals the label space of the remaining samples.  Leaving no
+        labeled sample (no sample, or in direct mode none performing a task)
+        raises ValueError, as training on the remaining samples does.
         """
-        reduced = [np.concatenate((c[c < i], c[c > i] - 1)) for c in self.columns]
+        number = renumbering(self.size, rows)
+        reduced = [g[g >= 0] for g in (number[c] for c in self.columns)]
         keep = [k for k, c in enumerate(self.column_of.tolist()) if reduced[c].size]
         labels = tuple(self.labels[k] for k in keep)
+        if not labels:
+            raise ValueError("no label keeps a sample once these rows leave")
         tasks, incidence = self.tasks, self.incidence
         if len(labels) < len(self.labels):
             tasks = labels
@@ -403,7 +424,7 @@ class LabelSpace:
                 tasks = tuple(compress(self.tasks, performed))
                 incidence = np.ascontiguousarray(self.incidence[np.ix_(keep, performed)])
         space = _numbered(self.mode, labels, reduced, self.column_of[keep].tolist(),
-                          self.size - 1, tasks, incidence)
+                          self.size - len(rows), tasks, incidence)
         first = np.unique(space.column_of, return_index=True)[1]
         return space, self.column_of[keep][first]
 
@@ -532,7 +553,7 @@ class LinearModel:
 class CountModel(LinearModel):
     """A linear model fitted from the presence counts of its training corpus
     (naive Bayes, the rule model): `fit(space, present, total, smoothing)`
-    gives its (bias, weight, floor) per label column.  Leaving a sample out
+    gives its (bias, weight, floor) per label column.  Leaving samples out
     downdates the counts instead of recounting the rest of the corpus, so
     the model keeps the corpus's attribute index (not its samples)."""
 
@@ -554,18 +575,19 @@ class CountModel(LinearModel):
         use: only leaving samples out reads them."""
         return self.space.presence_counts(self.index.matrix)
 
-    def without(self, i: int) -> LinearModel:
-        """The model fitted on every sample of its corpus but i, as training on
-        them gives it: i's attributes are subtracted from the counts of the
-        columns holding it and from the totals, and an attribute only i held
-        leaves the vocabulary, so a query's copy of it is unseen."""
-        space, source = self.space.without(i)
+    def without(self, rows) -> LinearModel:
+        """The model fitted on every sample of its corpus but the distinct
+        `rows`, as training on them gives it: the rows' attributes are
+        subtracted from the counts of the columns holding them and from the
+        totals, and an attribute only they held leaves the vocabulary, so a
+        query's copy of it is unseen."""
+        space, source = self.space.without(rows)
         present, total = self.counts
-        own = np.zeros(total.size, dtype=int)
-        x = self.index.matrix
-        own[x.indices[x.indptr[i]:x.indptr[i + 1]]] = 1
-        lost = np.array([i in c for c in self.space.columns], dtype=int)[source]
-        present, total = present[source] - np.outer(lost, own), total - own
+        row, attr = self.index.links(rows)
+        link, c = np.nonzero(self.space.member[row][:, source])
+        present = present[source]
+        np.subtract.at(present, (c, attr[link]), 1)
+        total = total - np.bincount(attr, minlength=total.size)
         col = self.col
         if not total.all():
             kept = total > 0

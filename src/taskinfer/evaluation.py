@@ -9,10 +9,12 @@ predicts a family (direct).
 
 Three protocols: leave-one-out cross-validation over samples, repeated
 stratified train/test splits, and leave-one-family-out.  One loop scores
-them, timing the build of each tested row's predictor as training and its
-call as prediction: a split or family fold trains one predictor for all its
-rows, and leave-one-out takes each row's from `methods.leave_one_out`.  A
-family whose samples perform no task is rejected before any training.
+them, timing the build of each fold's predictor as training and its calls as
+prediction.  Leave-one-out and leave-one-family-out take each fold's
+predictor from `methods.leave_out`, which holds the fold's rows out of one
+model of the whole corpus (or retrains without them), and a split trains one
+predictor on its training rows.  A family whose samples perform no task is
+rejected before any training.
 Splits stratify per family and draw their randomness positionally from a
 master seed stream, so two methods evaluated with the same seed see
 byte-for-byte identical folds and their per-sample scores align for paired
@@ -37,7 +39,7 @@ from typing import Iterable, Sequence
 from scipy import stats as _scipy_stats
 
 from .core import ActrParams, Corpus, canonical_json
-from .methods import leave_one_out, train_method
+from .methods import leave_out, train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
 
@@ -124,52 +126,41 @@ def _check_tasks(corpus: Corpus) -> None:
                              "no truth to score against")
 
 
-def _scored(corpus: Corpus, test_ix: Sequence[int], predictor_of, method: str, mode: str,
-            seed: int, protocol: str, label: str, train_time: float) -> TrialReport:
-    """Score predictor_of(i)(row i's attributes) for the rows test_ix in
-    order, adding the time of building each predictor to train_time.  Family
-    accuracy is tracked in family mode, except under lofo, where the
-    held-out family is no label."""
+def _scored(corpus: Corpus, folds: Iterable[Sequence[int]], held_out, method: str,
+            mode: str, seed: int, protocol: str, label: str) -> TrialReport:
+    """Score each fold's rows, in order, by held_out(fold), timing its build
+    as training and its calls as prediction.  Family accuracy is tracked in
+    family mode, except under lofo, where the held-out family is no label."""
     track_family = mode == "family" and protocol != "lofo"
     scores = []
-    predict_time = 0.0
-    for i in test_ix:
-        held = corpus.samples[i]
+    train_time = predict_time = 0.0
+    for fold in folds:
         t0 = time.perf_counter()
-        predictor = predictor_of(i)
-        t1 = time.perf_counter()
-        pred = predictor(held.attribs)
-        predict_time += time.perf_counter() - t1
-        train_time += t1 - t0
-        sc = score_sample(pred.predicted_tasks, held.tasks)
-        fam = pred.predicted_family == held.family if track_family else None
-        scores.append(replace(sc, family_correct=fam, sample_id=held.id))
+        predictor = held_out(fold)
+        train_time += time.perf_counter() - t0
+        for i in fold:
+            held = corpus.samples[i]
+            t0 = time.perf_counter()
+            pred = predictor(held.attribs)
+            predict_time += time.perf_counter() - t0
+            sc = score_sample(pred.predicted_tasks, held.tasks)
+            fam = pred.predicted_family == held.family if track_family else None
+            scores.append(replace(sc, family_correct=fam, sample_id=held.id))
     return TrialReport(method=method, protocol=protocol, mode=mode, seed=seed,
                        scores=tuple(scores), train_time=train_time,
                        predict_time=predict_time, label=label)
 
 
-def _fold(corpus: Corpus, train_ix: Sequence[int], test_ix: Sequence[int],
-          method: str, mode: str, params: ActrParams | None, seed: int,
-          train_seed: int, protocol: str, label: str = "") -> TrialReport:
-    """Train on the rows train_ix and score the rows test_ix in order."""
-    t0 = time.perf_counter()
-    predictor = train_method(method, corpus.subset(train_ix), mode, params, train_seed)
-    return _scored(corpus, test_ix, lambda i: predictor, method, mode, seed, protocol,
-                   label, time.perf_counter() - t0)
-
-
 def loocv(corpus: Corpus, method: str, mode: str = "family",
           params: ActrParams | None = None, seed: int = 0) -> TrialReport:
     """Leave-one-out: predict every sample by the method trained on all the
-    others, each row's predictor coming from `methods.leave_one_out`."""
+    others, each row's predictor coming from `methods.leave_out`."""
     if corpus.size < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
     _check_tasks(corpus)
-    t0 = time.perf_counter()
-    held_out = leave_one_out(method, corpus, mode, params, seed)
-    return _scored(corpus, range(corpus.size), held_out, method, mode, seed, "loocv",
-                   "", time.perf_counter() - t0)
+    return _scored(corpus, [[i] for i in range(corpus.size)],
+                   leave_out(method, corpus, mode, params, seed), method, mode, seed,
+                   "loocv", "")
 
 
 def stratified_split(corpus: Corpus, train_frac: float,
@@ -234,8 +225,11 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     reports = []
     for t, tseed in enumerate(trial_seeds):
         train_ix, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
-        reports.append(_fold(corpus, train_ix, test_ix, method, mode, params,
-                             seed, tseed, "split", f"trial{t}"))
+        # Split trains through train_method, not methods.leave_out, until ROADMAP
+        # item 1 traces the predictions made outside that closure.
+        trained = lambda _: train_method(method, corpus.subset(train_ix), mode, params, tseed)
+        reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
+                               f"trial{t}"))
     return combine(reports)
 
 
@@ -243,6 +237,7 @@ def leave_one_family_out(corpus: Corpus, method: str, mode: str = "family",
                          params: ActrParams | None = None,
                          seed: int = 0) -> list:
     """Hold out each family in turn; train on the rest, test on the holdout.
+    Each fold's predictor comes from `methods.leave_out`.
 
     The held-out family's identity is never available to the model, so
     family accuracy is not applicable (family_correct stays None); what the
@@ -255,13 +250,9 @@ def leave_one_family_out(corpus: Corpus, method: str, mode: str = "family",
     for f in sorted(corpus.families):
         if not corpus.members(f):
             raise ValueError(f"family {f!r} has no samples to hold out")
-    reports = []
-    for f in sorted(corpus.families):
-        held = set(corpus.members(f))
-        train_ix = [i for i in range(corpus.size) if i not in held]
-        reports.append(_fold(corpus, train_ix, sorted(held), method, mode, params,
-                             seed, seed, "lofo", f))
-    return reports
+    held_out = leave_out(method, corpus, mode, params, seed)
+    return [_scored(corpus, [corpus.members(f)], held_out, method, mode, seed, "lofo", f)
+            for f in sorted(corpus.families)]
 
 
 @dataclass(frozen=True)

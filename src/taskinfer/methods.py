@@ -7,14 +7,15 @@ query's label column probabilities and the chunks it retained (None when
 every label competes).  `predict` is the one path from a model and a query
 to a Prediction, and training returns a closure over it.  The evaluation
 protocols and the CLI both go through here so a method id means the same
-model everywhere.  `leave_one_out` holds a row out for every method: the
+model everywhere.  `leave_out` holds a set of rows out for every method: the
 count models (`actr-ib`, `actr-r`, `nb`) downdate one model of the whole
-corpus with `without(i)`, and the others retrain on the other rows.
+corpus with `without(rows)`, and the others retrain on the other rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import cache
+from typing import Callable, Sequence
 
 from . import actr, baselines
 from .core import ActrParams, Corpus, Prediction, query_cols
@@ -22,8 +23,8 @@ from .core import ActrParams, Corpus, Prediction, query_cols
 Predictor = Callable[[frozenset], Prediction]
 
 # method -> (train(corpus, mode, params, seed) with the trainer's own default
-# hyperparameters, downdates: whether the model's `without(i)` is the model
-# trained without sample i).  Trainers are looked up at call time, so
+# hyperparameters, downdates: whether the model's `without(rows)` is the model
+# trained without those rows).  Trainers are looked up at call time, so
 # wrappers installed on their modules (the benchmark tracer's) take effect.
 _REGISTRY = {
     "actr-ib": (lambda corpus, mode, params, seed: actr.IbModel(corpus, params, mode), True),
@@ -70,18 +71,18 @@ def train_method(method: str, corpus: Corpus, mode: str = "family",
     return _predictor(train(corpus, mode, params, seed), params.task_threshold)
 
 
-def leave_one_out(method: str, corpus: Corpus, mode: str = "family",
-                  params: ActrParams | None = None,
-                  seed: int = 0) -> Callable[[int], Predictor]:
-    """Row i of `corpus` -> the predictor of `method` trained on every other
-    row, keeping as labels only the families present there.  A method that
-    downdates trains once, on the whole corpus, and downdates that model for
-    row i; any other trains on the other rows when row i is asked for."""
+def leave_out(method: str, corpus: Corpus, mode: str = "family",
+              params: ActrParams | None = None,
+              seed: int = 0) -> Callable[[Sequence[int]], Predictor]:
+    """Distinct rows of `corpus` -> the predictor of `method` trained on every
+    other row, keeping as labels only the families present there.  A method
+    that downdates trains one model of the whole corpus, when first asked,
+    and downdates it for the rows; any other trains on the other rows when
+    they are asked for."""
     train, downdates = _entry(method)
     params = params or ActrParams()
-    rows = range(corpus.size)
     if not downdates:
-        return lambda i: train_method(method, corpus.subset([*rows[:i], *rows[i + 1:]]),
-                                      mode, params, seed)
-    model = train(corpus.subset(rows), mode, params, seed)
-    return lambda i: _predictor(model.without(i), params.task_threshold)
+        return lambda rows: train_method(
+            method, corpus.subset(sorted(set(range(corpus.size)) - set(rows))), mode, params, seed)
+    whole = cache(lambda: train(corpus.subset(range(corpus.size)), mode, params, seed))
+    return lambda rows: _predictor(whole().without(rows), params.task_threshold)

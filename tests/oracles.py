@@ -7,8 +7,9 @@ internals beyond the public data types; the tree oracles take a trained
 model's node arrays and redo only the walk and the averaging.  Three
 exceptions: `retrieval_probs`, the list-in, list-out face of the retrieval
 softmax that the distribution property tests drive;
-`reference_loocv_predictions`, which retrains through the public
-`train_method` once per held-out sample; and `reference_grow_forests`, which
+`reference_held_out_predictions` and its one-row loop
+`reference_loocv_predictions`, which retrain through the public
+`train_method` on the samples not held out; and `reference_grow_forests`, which
 reads its targets and design matrix from `core.label_space` and
 `core.attribute_matrix`, as the forest trainer does.
 """
@@ -449,18 +450,41 @@ def reference_logreg_direct(corpus: Corpus, learning_rate: float, l2: float,
     return np.array(weights), np.array(biases)
 
 
+def reference_held_out_predictions(corpus: Corpus, method: str, mode: str, rows,
+                                   params: ActrParams | None = None) -> list:
+    """The Prediction of each of `rows`, in their order, by `method` retrained
+    on every other sample, the fold keeping as labels only the families
+    present in it: the fold the evaluation trained before the count models
+    downdated."""
+    held = set(rows)
+    rest = [s for j, s in enumerate(corpus.samples) if j not in held]
+    present = {s.family for s in rest}
+    fold = Corpus(rest, {f: t for f, t in corpus.families.items() if f in present})
+    predictor = train_method(method, fold, mode=mode, params=params)
+    return [predictor(corpus.samples[i].attribs) for i in rows]
+
+
 def reference_loocv_predictions(corpus: Corpus, method: str, mode: str,
                                 params: ActrParams | None = None) -> list:
-    """Each sample's Prediction by `method` retrained on every other sample,
-    the fold keeping as labels only the families present in it: the
-    leave-one-out loop the evaluation ran before the count models downdated."""
-    out = []
-    for i, held in enumerate(corpus.samples):
-        rest = [s for j, s in enumerate(corpus.samples) if j != i]
-        present = {s.family for s in rest}
-        fold = Corpus(rest, {f: t for f, t in corpus.families.items() if f in present})
-        out.append(train_method(method, fold, mode=mode, params=params)(held.attribs))
-    return out
+    """Each sample's Prediction by `method` retrained on every other sample:
+    the leave-one-out loop of `reference_held_out_predictions`."""
+    return [reference_held_out_predictions(corpus, method, mode, [i], params)[0]
+            for i in range(corpus.size)]
+
+
+def held_out_row_sets(corpus: Corpus, rng: random.Random) -> list:
+    """Row sets to hold out of `corpus`, each leaving some row: a random subset
+    in random order, each family's samples, the samples performing each task
+    (which empties that task), and every row but one."""
+    n = corpus.size
+    if n < 2:
+        return []
+    keep = rng.randrange(n)
+    sets = [rng.sample(range(n), rng.randint(1, n - 1)), [i for i in range(n) if i != keep]]
+    sets += [list(corpus.members(f)) for f in sorted(corpus.families)]
+    sets += [[i for i, s in enumerate(corpus.samples) if t in s.tasks]
+             for t in sorted(corpus.tasks)]
+    return [rows for rows in sets if 0 < len(rows) < n]
 
 
 def random_corpus(rng: random.Random, max_samples: int = 20, max_attrs: int = 10,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (random_corpus, reference_index, reference_prediction,
+from oracles import (held_out_row_sets, random_corpus, reference_index, reference_prediction,
                      reference_presence_counts, reference_task_groups)
 from taskinfer.core import (
     MODES,
@@ -341,16 +341,18 @@ class TestLabelColumns:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
     @settings(max_examples=100, deadline=None)
     def test_without_is_the_label_space_of_the_other_samples(self, seed, mode):
-        c = random_corpus(random.Random(seed))
+        # Every single row, and the row sets of `held_out_row_sets`.
+        rng = random.Random(seed)
+        c = random_corpus(rng)
         space = label_space(c, mode)
-        for i in range(c.size):
-            rest = [s for j, s in enumerate(c.samples) if j != i]
+        for rows in [[i] for i in range(c.size)] + held_out_row_sets(c, rng):
+            rest = [s for j, s in enumerate(c.samples) if j not in rows]
             if not rest:
                 continue
             present = {s.family for s in rest}
             want = label_space(Corpus(rest, {f: t for f, t in c.families.items()
                                              if f in present}), mode)
-            got, source = space.without(i)
+            got, source = space.without(rows)
             assert (got.mode, got.labels, got.size, got.tasks) == \
                 (want.mode, want.labels, want.size, want.tasks)
             assert [g.tolist() for g in got.columns] == \
@@ -361,11 +363,11 @@ class TestLabelColumns:
                 assert got.incidence.flags.c_contiguous
             else:
                 assert got.incidence is None
-            # Each fold column is its source column less sample i.
+            # Each fold column is its source column less the rows, the
+            # samples above a row moving down one per row below them.
             for g, k in zip(got.columns, source):
-                parent = space.columns[k]
-                kept = parent[parent != i]
-                assert g.tolist() == (kept - (kept > i)).tolist()
+                kept = [j for j in space.columns[k].tolist() if j not in rows]
+                assert g.tolist() == [j - sum(r < j for r in rows) for j in kept]
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
     @settings(max_examples=200, deadline=None)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import baselines, evaluation, methods, synthgen
+from taskinfer import actr, baselines, evaluation, methods, synthgen
 from taskinfer.core import ActrParams, CountModel, Sample, attribute_matrix, build_corpus
 from taskinfer.evaluation import (
     PROTOCOLS,
@@ -218,9 +218,32 @@ class TestLeaveOneFamilyOut:
 
         def no_training(*args, **kwargs):
             raise AssertionError("trained before rejecting the empty family")
-        monkeypatch.setattr(evaluation, "train_method", no_training)
+        monkeypatch.setattr(evaluation, "leave_out", no_training)
         with pytest.raises(ValueError, match="family 'ghost' has no samples"):
             leave_one_family_out(c, "nb")
+
+    @pytest.mark.parametrize("method", ["actr-ib", "actr-r", "nb"])
+    def test_count_models_train_once_on_the_whole_corpus(self, monkeypatch, method,
+                                                         shared_task_corpus):
+        trained_on = []
+
+        def spy(fn):
+            def run(corpus, *args, **kwargs):
+                trained_on.append(corpus)
+                return fn(corpus, *args, **kwargs)
+            return run
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained a fold")
+        monkeypatch.setattr(methods, "train_method", no_training)
+        monkeypatch.setattr(actr, "IbModel", spy(actr.IbModel))
+        monkeypatch.setattr(actr, "rb_train", spy(actr.rb_train))
+        monkeypatch.setattr(baselines, "nb_train", spy(baselines.nb_train))
+        for mode in ("family", "direct"):
+            trained_on.clear()
+            reports = leave_one_family_out(shared_task_corpus, method, mode)
+            assert len(reports) == 3
+            assert [c.samples for c in trained_on] == [shared_task_corpus.samples]
 
 
 class TestTasklessFamily:
@@ -239,7 +262,7 @@ class TestTasklessFamily:
         def no_training(*args, **kwargs):
             raise AssertionError("trained before rejecting the taskless family")
         monkeypatch.setattr(evaluation, "train_method", no_training)
-        monkeypatch.setattr(evaluation, "leave_one_out", no_training)
+        monkeypatch.setattr(evaluation, "leave_out", no_training)
         with pytest.raises(ValueError, match="^family 'G' performs no task"):
             protocol(make_corpus(*self.CORPUS), mode)
 
@@ -271,12 +294,19 @@ class TestTimings:
     def test_retraining_equals_the_sum_over_its_folds(self, shared_task_corpus):
         c = shared_task_corpus
         r = loocv(c, "dt")
-        folds = [evaluation._fold(c, [j for j in range(c.size) if j != i], [i], "dt",
-                                  "family", None, 0, 0, "loocv")
+        folds = [evaluation._scored(c, [[i]], methods.leave_out("dt", c), "dt", "family",
+                                    0, "loocv", "")
                  for i in range(c.size)]
         assert (r.train_time, r.predict_time) == (1000 * 6, 6)
         assert r.train_time == sum(f.train_time for f in folds)
         assert r.predict_time == sum(f.predict_time for f in folds)
+
+    def test_lofo_trains_once_and_downdates_per_fold(self, shared_task_corpus):
+        # The first fold trains the whole-corpus model; every fold downdates it.
+        reports = leave_one_family_out(shared_task_corpus, "nb")
+        sizes = [len(shared_task_corpus.members(r.label)) for r in reports]
+        assert [(r.train_time, r.predict_time) for r in reports] == \
+            [(1000 + 100, sizes[0])] + [(100, n) for n in sizes[1:]]
 
     def test_a_split_trains_once_per_trial(self, shared_task_corpus):
         r = split_trials(shared_task_corpus, "nb", n_trials=2, train_frac=0.5)
@@ -289,7 +319,7 @@ class TestFoldCorpus:
     def test_training_corpus_equals_the_validated_one(self, seed):
         # Every fold trains on the parent's rows without re-validating them;
         # its corpus must be the one build_corpus makes of the same rows.
-        # loocv runs dt, which methods.leave_one_out retrains per row (the
+        # loocv and lofo run dt, which methods.leave_out retrains per fold (the
         # count models downdate).
         c = random_corpus(random.Random(seed))
         trained_on = []
@@ -305,7 +335,7 @@ class TestFoldCorpus:
             if all(len(c.members(f)) >= 2 for f in c.families):
                 split_trials(c, "nb", n_trials=2, train_frac=0.5, seed=seed)
             if len(c.families) >= 2:
-                leave_one_family_out(c, "nb")
+                leave_one_family_out(c, "dt")
         for sub in trained_on:
             ref = build_corpus(sub.samples, sub.families)
             assert sub == ref and sub.samples == ref.samples

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,11 @@ from taskinfer import methods, synthgen
 from taskinfer.actr import IbModel, rb_train
 from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
 from taskinfer.core import MODES, LinearModel, Sample, build_corpus, label_space, query_cols
-from taskinfer.methods import METHODS, leave_one_out, predict, train_method
+from taskinfer.methods import METHODS, leave_out, predict, train_method
 
 from conftest import make_corpus
-from oracles import random_corpus, random_params, reference_loocv_predictions
+from oracles import (held_out_row_sets, random_corpus, random_params,
+                     reference_held_out_predictions, reference_loocv_predictions)
 
 
 # The trainer of each method that has hyperparameters of its own.
@@ -159,8 +161,13 @@ def _assert_same_predictions(got, want):
 
 
 def _held_out(corpus, method, mode, params=None):
-    held_out = leave_one_out(method, corpus, mode, params)
-    return [held_out(i)(s.attribs) for i, s in enumerate(corpus.samples)]
+    held_out = leave_out(method, corpus, mode, params)
+    return [held_out([i])(s.attribs) for i, s in enumerate(corpus.samples)]
+
+
+def _rows_held_out(corpus, method, mode, rows, params=None):
+    predictor = leave_out(method, corpus, mode, params)(rows)
+    return [predictor(corpus.samples[i].attribs) for i in rows]
 
 
 DOWNDATING = [(m, mode) for m in ("actr-ib", "actr-r", "nb") for mode in MODES]
@@ -218,17 +225,17 @@ class TestLeaveOneOut:
     def test_edge_cases_are_what_they_say(self):
         def corpus(case):
             return make_corpus(*self.EDGE_CASES[case])
-        singleton = label_space(corpus("singleton family"), "family").without(0)[0]
+        singleton = label_space(corpus("singleton family"), "family").without([0])[0]
         assert singleton.labels == ("F2", "F3") and singleton.tasks == ("t2", "t3")
         merging = label_space(corpus("direct-mode columns that merge"), "direct")
         assert len(merging.columns) == 3
-        assert merging.without(2)[0].column_of.tolist() == [0, 0, 1]
+        assert merging.without([2])[0].column_of.tolist() == [0, 0, 1]
         nb = nb_train(corpus("a task every remaining sample performs"), mode="direct")
-        assert "d" in nb.col and "d" not in nb.without(3).col
-        probs = predict(nb.without(3), {"a"}, 0.5).class_probs
+        assert "d" in nb.col and "d" not in nb.without([3]).col
+        probs = predict(nb.without([3]), {"a"}, 0.5).class_probs
         assert probs["t1"] == probs["t2"] == 1.0
         ib = IbModel(corpus("attributes only the held-out sample has"))
-        assert ib.without(0)._fan[[ib.col["x"], ib.col["y"]]].tolist() == [0, 0]
+        assert ib.without([0])._fan[[ib.col["x"], ib.col["y"]]].tolist() == [0, 0]
 
     def test_retraining_methods_do_not_downdate(self, monkeypatch, two_family_corpus):
         # They train nothing up front, then one model per row asked for, on
@@ -243,12 +250,12 @@ class TestLeaveOneOut:
         c = two_family_corpus
         for method in ("dt", "rf", "logreg"):
             trained_on.clear()
-            held_out = leave_one_out(method, c)
+            held_out = leave_out(method, c)
             assert trained_on == []
-            held_out(2)
+            held_out([2])
             assert [s.samples for s in trained_on] == [c.samples[:2] + c.samples[3:]]
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            leave_one_out("bogus", c)
+            leave_out("bogus", c)
 
     def test_evaluate_corpus(self):
         # The benchmark's corpus shape (five 7-task carriers, 12 samples each).
@@ -258,3 +265,66 @@ class TestLeaveOneOut:
         for method, mode in DOWNDATING:
             _assert_same_predictions(_held_out(corpus, method, mode),
                                      reference_loocv_predictions(corpus, method, mode))
+
+
+class TestLeaveRowsOut:
+    @pytest.mark.parametrize("method", ["actr-ib", "actr-r", "nb"])
+    @pytest.mark.parametrize("mode", MODES)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_downdating_equals_retraining(self, method, mode, seed, random_params_too):
+        # Random subsets, whole families, every performer of a task and all
+        # rows but one.
+        rng = random.Random(seed)
+        corpus = random_corpus(rng)
+        params = random_params(rng) if random_params_too else None
+        for rows in held_out_row_sets(corpus, rng):
+            _assert_same_predictions(
+                _rows_held_out(corpus, method, mode, rows, params),
+                reference_held_out_predictions(corpus, method, mode, rows, params))
+
+    # t1 is F1's and F3's, t2 F1's alone: without s3 and s4 (F3's samples)
+    # their direct-mode columns hold the same samples and merge.
+    MERGING = ([("s1", {"a", "b"}, "F1"), ("s2", {"a"}, "F1"), ("s3", {"b", "c"}, "F3"),
+                ("s4", {"c", "x"}, "F3"), ("s5", {"c"}, "F2"), ("s6", {"c", "d"}, "F2")],
+               {"F1": {"t1", "t2"}, "F2": {"t3"}, "F3": {"t1"}})
+
+    @pytest.mark.parametrize("method", ["actr-ib", "actr-r", "nb"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("rows", [(2, 3), [2, 3], range(2, 4),
+                                      np.array([2, 3], dtype=np.intp)],
+                             ids=["tuple", "list", "range", "intp array"])
+    def test_rows_are_any_sequence(self, method, mode, rows):
+        corpus = make_corpus(*self.MERGING)
+        _assert_same_predictions(
+            _rows_held_out(corpus, method, mode, rows),
+            reference_held_out_predictions(corpus, method, mode, [2, 3]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_rows_leave_the_model_as_trained(self, mode):
+        corpus = make_corpus(*self.MERGING)
+        for model in (IbModel(corpus, mode=mode), rb_train(corpus, mode=mode),
+                      nb_train(corpus, mode=mode)):
+            _assert_same_predictions([predict(model.without([]), s.attribs, 0.5)
+                                      for s in corpus.samples],
+                                     [predict(model, s.attribs, 0.5) for s in corpus.samples])
+
+    def test_two_rows_merge_direct_mode_columns(self):
+        space = label_space(make_corpus(*self.MERGING), "direct")
+        assert space.column_of.tolist() == [0, 1, 2]
+        merged, source = space.without((2, 3))
+        assert merged.column_of.tolist() == [0, 0, 1]
+        assert source.tolist() == [0, 2]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_leaving_no_labeled_sample_is_rejected(self, mode):
+        # Direct mode labels no sample of G, which performs no task.
+        corpus = make_corpus([("f1", {"a"}, "F"), ("g1", {"b"}, "G"), ("g2", {"c"}, "G")],
+                             {"F": {"t"}, "G": set()})
+        space = label_space(corpus, mode)
+        rows = [0, 1, 2] if mode == "family" else [0]
+        with pytest.raises(ValueError, match="^no label keeps a sample"):
+            space.without(rows)
+        for model in (IbModel(corpus, mode=mode), nb_train(corpus, mode=mode)):
+            with pytest.raises(ValueError, match="^no label keeps a sample"):
+                model.without(rows)
