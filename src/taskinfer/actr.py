@@ -118,43 +118,50 @@ class IbModel:
 
     The chunks holding attribute vocab[j] are _chunks[_start[j]:_start[j + 1]]
     in sample order, so _fan[j] = _start[j + 1] - _start[j].  Chunk i is
-    corpus sample i, so space.member maps chunk mass to label columns.
+    sample i of the corpus the model holds (less the rows `without` dropped),
+    so space.member maps chunk mass to label columns; its attributes are row
+    _rows[i] of the corpus index.
     """
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
                  mode: str = "family"):
         self.space = label_space(corpus, mode)
         self.params = params or ActrParams()
-        ix, m = corpus.index, corpus.size
+        ix = corpus.index
         self.col, self._index = ix.col, ix
-        # int64, so that |query| * |chunk| cannot overflow for a large chunk.
-        self._sizes = np.diff(ix.matrix.indptr).astype(np.int64)
         # scipy's CSR -> CSC conversion is a counting sort of the links by
         # attribute, stable in sample order.  Chunk ids are intp, which numpy
-        # gathers through fastest.
-        memory = ix.matrix.tocsc()
-        self._start, self._chunks = memory.indptr, memory.indices.astype(np.intp)
-        self._fan = np.diff(self._start)
-        self._log_hit = np.log(m / self._fan)
+        # gathers through fastest; sizes are int64, so that |query| * |chunk|
+        # cannot overflow for a large chunk.
+        links = ix.matrix.tocsc()
+        self._hold(links.indptr, links.indices.astype(np.intp),
+                   np.diff(ix.matrix.indptr).astype(np.int64), np.arange(corpus.size))
+
+    def _hold(self, start, chunks, sizes, rows) -> None:
+        """Hold the memory of chunks of `sizes`, at `rows` of the corpus index,
+        whose links to attribute j are chunks[start[j]:start[j + 1]], with the
+        fans and log terms they give."""
+        self._start, self._chunks, self._sizes, self._rows = start, chunks, sizes, rows
+        self._fan = np.diff(start)
+        m = sizes.size
+        with np.errstate(divide="ignore"):      # a column with no chunk left
+            self._log_hit = np.log(m / self._fan)
         self._log_miss = math.log(1.0 / m)
 
     def without(self, rows) -> "IbModel":
-        """The model of every sample of its corpus but the distinct `rows`,
-        scoring as training on the others does: the rows' chunks are dropped
-        and the rest renumbered in order, and m and the fans of the rows'
-        attributes fall.  An attribute only the rows held keeps its column
-        with no chunk, so, like an unseen one, it is a miss for every chunk."""
+        """The model of every chunk of its memory but the distinct `rows`,
+        numbered as its chunks are, scoring as training on the others does:
+        the rows' links are dropped and the other chunks renumbered in order,
+        so m and the fans of the rows' attributes fall.  An attribute only
+        the rows held keeps its column with no chunk, so, like an unseen one,
+        it is a miss for every chunk."""
         out = copy.copy(self)
         out.space = self.space.without(rows)[0]
-        out._fan = self._fan - np.bincount(self._index.links(rows)[1], minlength=self._fan.size)
-        out._start = np.concatenate(([0], np.cumsum(out._fan)))
         chunks = renumbering(self._sizes.size, rows)[self._chunks]
-        out._chunks = chunks[chunks >= 0]
-        out._sizes = np.delete(self._sizes, rows)
-        m = out._sizes.size
-        with np.errstate(divide="ignore"):      # a column with no chunk left
-            out._log_hit = np.log(m / out._fan)
-        out._log_miss = math.log(1.0 / m)
+        lost = self._index.links(np.take(self._rows, rows))[1]
+        fan = self._fan - np.bincount(lost, minlength=self._fan.size)
+        out._hold(np.concatenate(([0], np.cumsum(fan))), chunks[chunks >= 0],
+                  np.delete(self._sizes, rows), np.delete(self._rows, rows))
         return out
 
     def activations(self, cols: np.ndarray, n_unseen: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def _write_reports(reports, out_path) -> None:
     for r in reports:
         flat.append(r)
         flat.extend(r.trials)
-    Path(csv_path).write_text(evaluation.metrics_table(flat), encoding="utf-8")
+    Path(csv_path).write_text(evaluation.metrics_table(flat), encoding="utf-8", newline="\n")
     print(f"report: {out_path}  table: {csv_path}")
 
 

@@ -9,8 +9,16 @@ membership matters.
 A corpus is an immutable collection of fully labeled samples together with
 the family -> task-set map.  Its attribute index (vocabulary, columns, one
 sparse samples x vocab presence matrix, each family's rows; the fan is read
-from it) is built on first use and kept, so every model and every fold
-shares it; only the trees and logistic regression densify the matrix.
+from it) is built on first use and kept, so every model of the corpus, and
+every fold downdated from one, shares it; only the trees and logistic
+regression densify the matrix.
+
+Rows leave one way.  `renumbering` reads every held-out row set: it checks
+that the rows are distinct rows of the object they leave (else ValueError
+naming one) and numbers the rows that stay, in order.  `Corpus.without`
+gives the corpus less the rows, with only the families that still have a
+sample (the corpus itself when none leaves), and `LabelSpace.without` and
+the models' `without` read their rows the same way.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
@@ -174,9 +182,16 @@ class AttributeIndex:
 
 def renumbering(size: int, rows: Sequence[int]) -> np.ndarray:
     """The index of each of `size` rows once the distinct `rows` leave, the
-    rest keeping their order: -1 for a row that leaves."""
+    rest keeping their order: -1 for a row that leaves.  Every held-out row
+    set is read here: a row outside range(size), or given twice, raises
+    ValueError naming it."""
+    rows = np.asarray(rows, dtype=np.intp)      # a tuple is no multi-axis index
+    if (bad := rows[(rows < 0) | (rows >= size)]).size:
+        raise ValueError(f"row {bad[0]} is outside range({size})")
     kept = np.ones(size, dtype=bool)
-    kept[np.asarray(rows, dtype=np.intp)] = False     # a tuple is no multi-axis index
+    kept[rows] = False
+    if np.count_nonzero(kept) + rows.size != size:
+        raise ValueError(f"row {np.flatnonzero(np.bincount(rows) > 1)[0]} is given twice")
     return np.where(kept, np.cumsum(kept) - 1, -1)
 
 
@@ -239,14 +254,14 @@ class Corpus:
         """Indices of the samples labeled with `family`."""
         return self.index.members.get(family, ())
 
-    def subset(self, rows: Sequence[int]) -> Corpus:
-        """The corpus of `rows`, in order, keeping as labels only the
-        families present there (the rows were validated with this corpus, so
-        they are not checked again); this corpus itself when that is every
-        row and family."""
-        samples = tuple(self._samples[i] for i in rows)
+    def without(self, rows: Sequence[int]) -> Corpus:
+        """The corpus less the distinct `rows` (read by `renumbering`), the
+        other samples keeping their order and only the families that still
+        have a sample; this corpus itself, index and all, when no row leaves
+        and every family has a sample."""
+        samples = tuple(compress(self._samples, (renumbering(self.size, rows) >= 0).tolist()))
         present = {s.family for s in samples}
-        if samples == self._samples and present == self._families.keys():
+        if len(samples) == self.size and present == self._families.keys():
             return self
         return Corpus(samples, {f: t for f, t in self._families.items() if f in present})
 
@@ -398,9 +413,9 @@ class LabelSpace:
         return given, not_given
 
     def without(self, rows) -> tuple:
-        """(the label space of the corpus without the distinct `rows`, given as
-        any sequence of sample indices, the column of this space each of its
-        columns comes from).
+        """(the label space of the corpus without the distinct `rows`, read by
+        `renumbering` in this space's sample numbering, the column of this
+        space each of its columns comes from).
 
         The remaining samples are renumbered in order; a label none of them
         carries goes, and so does, in family mode, a task no remaining label
@@ -408,7 +423,8 @@ class LabelSpace:
         order.  The result is numbered by the code that numbers `label_space`,
         so it equals the label space of the remaining samples.  Leaving no
         labeled sample (no sample, or in direct mode none performing a task)
-        raises ValueError, as training on the remaining samples does.
+        raises ValueError, as training on the remaining samples does, and so
+        does a row `renumbering` rejects.
         """
         number = renumbering(self.size, rows)
         reduced = [g[g >= 0] for g in (number[c] for c in self.columns)]

@@ -13,8 +13,8 @@ them, timing the build of each fold's predictor as training and its calls as
 prediction.  Leave-one-out and leave-one-family-out take each fold's
 predictor from `methods.leave_out`, which holds the fold's rows out of one
 model of the whole corpus (or retrains without them), and a split trains one
-predictor on its training rows.  A family whose samples perform no task is
-rejected before any training.
+predictor on `Corpus.without` its test rows.  A family whose samples perform
+no task is rejected before any training.
 Splits stratify per family and draw their randomness positionally from a
 master seed stream, so two methods evaluated with the same seed see
 byte-for-byte identical folds and their per-sample scores align for paired
@@ -224,10 +224,10 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     trial_seeds = [master.getrandbits(63) for _ in range(n_trials)]
     reports = []
     for t, tseed in enumerate(trial_seeds):
-        train_ix, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
+        _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
         # Split trains through train_method, not methods.leave_out, until ROADMAP
         # item 1 traces the predictions made outside that closure.
-        trained = lambda _: train_method(method, corpus.subset(train_ix), mode, params, tseed)
+        trained = lambda _: train_method(method, corpus.without(test_ix), mode, params, tseed)
         reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
                                f"trial{t}"))
     return combine(reports)

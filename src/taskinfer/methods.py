@@ -7,9 +7,10 @@ query's label column probabilities and the chunks it retained (None when
 every label competes).  `predict` is the one path from a model and a query
 to a Prediction, and training returns a closure over it.  The evaluation
 protocols and the CLI both go through here so a method id means the same
-model everywhere.  `leave_out` holds a set of rows out for every method: the
-count models (`actr-ib`, `actr-r`, `nb`) downdate one model of the whole
-corpus with `without(rows)`, and the others retrain on the other rows.
+model everywhere.  `leave_out` holds a set of rows out for every method, the
+rows read by `core.renumbering` alone: the count models (`actr-ib`,
+`actr-r`, `nb`) downdate one model of the whole corpus with `without(rows)`,
+and the others retrain on `Corpus.without(rows)`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from . import actr, baselines
-from .core import ActrParams, Corpus, Prediction, query_cols
+from .core import ActrParams, Corpus, Prediction, query_cols, renumbering
 
 Predictor = Callable[[frozenset], Prediction]
 
@@ -74,15 +75,19 @@ def train_method(method: str, corpus: Corpus, mode: str = "family",
 def leave_out(method: str, corpus: Corpus, mode: str = "family",
               params: ActrParams | None = None,
               seed: int = 0) -> Callable[[Sequence[int]], Predictor]:
-    """Distinct rows of `corpus` -> the predictor of `method` trained on every
-    other row, keeping as labels only the families present there.  A method
-    that downdates trains one model of the whole corpus, when first asked,
-    and downdates it for the rows; any other trains on the other rows when
-    they are asked for."""
+    """Distinct rows of `corpus` -> the predictor of `method` trained on
+    `corpus.without(rows)`, the other rows with only their families.  A
+    method that downdates trains one model of the whole corpus, when first
+    asked, and downdates it for the rows; any other trains on the other rows
+    when they are asked for.  A row `renumbering` rejects raises ValueError
+    before any training."""
     train, downdates = _entry(method)
     params = params or ActrParams()
     if not downdates:
-        return lambda rows: train_method(
-            method, corpus.subset(sorted(set(range(corpus.size)) - set(rows))), mode, params, seed)
-    whole = cache(lambda: train(corpus.subset(range(corpus.size)), mode, params, seed))
-    return lambda rows: _predictor(whole().without(rows), params.task_threshold)
+        return lambda rows: train_method(method, corpus.without(rows), mode, params, seed)
+    whole = cache(lambda: train(corpus.without(()), mode, params, seed))
+
+    def held_out(rows) -> Predictor:
+        renumbering(corpus.size, rows)          # a bad row fails before `whole` trains
+        return _predictor(whole().without(rows), params.task_threshold)
+    return held_out

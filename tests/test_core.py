@@ -167,38 +167,42 @@ class TestCorpusIndexes:
         assert other != two_family_corpus
 
 
-class TestSubset:
-    def test_every_row_and_family_is_the_corpus_itself(self, shared_task_corpus):
+class TestWithout:
+    def test_no_row_of_a_full_corpus_is_the_corpus_itself(self, shared_task_corpus):
         c = shared_task_corpus
-        assert c.subset(range(c.size)) is c
+        assert c.without(()) is c
+        assert c.without(np.array([], dtype=np.intp)) is c
 
-    def test_families_without_a_sample_in_the_rows_leave(self, shared_task_corpus):
+    def test_families_without_a_sample_left_leave(self, shared_task_corpus):
         c = shared_task_corpus
-        assert c.subset([0, 1, 4]).families == {"F1": frozenset({"t1", "t2"}),
-                                                "F3": frozenset({"t3"})}
-        # Every row, but a family of the header has no sample at all.
+        assert c.without([2, 3, 5]).families == {"F1": frozenset({"t1", "t2"}),
+                                                 "F3": frozenset({"t3"})}
+        # No row leaves, but a family of the header has no sample at all.
         ghost = Corpus(c.samples, {**c.families, "ghost": frozenset({"t9"})})
-        whole = ghost.subset(range(ghost.size))
+        whole = ghost.without(())
         assert whole is not ghost and whole.families == c.families
+        assert whole.samples == c.samples
 
-    def test_samples_keep_row_order(self, shared_task_corpus):
-        c = shared_task_corpus
-        assert c.subset([5, 0, 3]).samples == (c.samples[5], c.samples[0], c.samples[3])
-        # Every row, reordered: not the corpus itself, whose order differs.
-        rows = [1, 0, 2, 3, 4, 5]
-        assert c.subset(rows).samples == tuple(c.samples[i] for i in rows)
+    @pytest.mark.parametrize("rows,message", [
+        ([-1], r"^row -1 is outside range\(6\)$"),
+        ([6], r"^row 6 is outside range\(6\)$"),
+        ([4, 1, 4], "^row 4 is given twice$"),
+    ])
+    def test_bad_rows_are_rejected_by_name(self, shared_task_corpus, rows, message):
+        with pytest.raises(ValueError, match=message):
+            shared_task_corpus.without(rows)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_equals_the_corpus_of_its_samples_and_present_families(self, seed):
+    def test_equals_the_corpus_of_the_other_samples_and_their_families(self, seed):
         rng = random.Random(seed)
         c = random_corpus(rng)
-        rows = sorted(rng.sample(range(c.size), rng.randint(1, c.size)))
-        present = {c.samples[i].family for i in rows}
-        want = Corpus([c.samples[i] for i in rows],
-                      {f: t for f, t in c.families.items() if f in present})
-        assert c.subset(rows) == want
-        assert c.subset(rows).samples == want.samples
+        rows = rng.sample(range(c.size), rng.randint(0, c.size - 1))
+        rest = [s for i, s in enumerate(c.samples) if i not in rows]
+        present = {s.family for s in rest}
+        want = Corpus(rest, {f: t for f, t in c.families.items() if f in present})
+        assert c.without(rows) == want
+        assert c.without(rows).samples == want.samples
 
 
 class TestAttributeMatrix:

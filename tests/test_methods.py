@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import methods, synthgen
+from taskinfer import actr, baselines, methods, synthgen
 from taskinfer.actr import IbModel, rb_train
 from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
 from taskinfer.core import MODES, LinearModel, Sample, build_corpus, label_space, query_cols
@@ -309,6 +309,16 @@ class TestLeaveRowsOut:
                                       for s in corpus.samples],
                                      [predict(model, s.attribs, 0.5) for s in corpus.samples])
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_models_read_rows_in_their_own_numbering(self, mode):
+        corpus = make_corpus(*self.MERGING)
+        for model in (IbModel(corpus, mode=mode), rb_train(corpus, mode=mode),
+                      nb_train(corpus, mode=mode)):
+            with pytest.raises(ValueError, match=r"^row 6 is outside range\(6\)$"):
+                model.without([6])
+        with pytest.raises(ValueError, match=r"^row 5 is outside range\(5\)$"):
+            IbModel(corpus, mode=mode).without([0]).without([5])
+
     def test_two_rows_merge_direct_mode_columns(self):
         space = label_space(make_corpus(*self.MERGING), "direct")
         assert space.column_of.tolist() == [0, 1, 2]
@@ -328,3 +338,61 @@ class TestLeaveRowsOut:
         for model in (IbModel(corpus, mode=mode), nb_train(corpus, mode=mode)):
             with pytest.raises(ValueError, match="^no label keeps a sample"):
                 model.without(rows)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("method", METHODS)
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_bad_rows_fail_before_any_training(self, method, mode, seed):
+        rng = random.Random(seed)
+        corpus = random_corpus(rng)
+        n = corpus.size
+        trained = []
+        with pytest.MonkeyPatch.context() as mp:
+            # train_method and every trainer the registry looks up.
+            for module, name in [(methods, "train_method"), (actr, "IbModel"),
+                                 (actr, "rb_train"), (baselines, "nb_train"),
+                                 (baselines, "dt_train"), (baselines, "rf_train"),
+                                 (baselines, "logreg_train")]:
+                def spy(*args, _train=getattr(module, name), _name=name, **kwargs):
+                    trained.append(_name)
+                    return _train(*args, **kwargs)
+                mp.setattr(module, name, spy)
+            held_out = leave_out(method, corpus, mode)
+            for rows, message in [([-1], rf"^row -1 is outside range\({n}\)$"),
+                                  ([n], rf"^row {n} is outside range\({n}\)$"),
+                                  ([0, 0], "^row 0 is given twice$")]:
+                with pytest.raises(ValueError, match=message):
+                    held_out(rows)
+            assert trained == []
+            # Every form of a row set is read alike, and so is no row at all.
+            k = rng.randrange(n)
+            query = corpus.samples[0].attribs
+            got = [held_out(rows)(query) for rows in (list(range(k)), tuple(range(k)),
+                                                      range(k), np.arange(k, dtype=np.intp))]
+            _assert_same_predictions(got, got[:1] * 4)
+            held_out(())(query)
+            assert trained
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_chained_instance_model_without_equals_the_combined_call(
+            self, mode, seed, random_params_too):
+        # The second call numbers rows as the once held-out model does.
+        rng = random.Random(seed)
+        corpus = random_corpus(rng)
+        if corpus.size < 3:
+            return
+        model = IbModel(corpus, random_params(rng) if random_params_too else None, mode)
+        first = rng.sample(range(corpus.size), rng.randint(1, corpus.size - 2))
+        rest = [i for i in range(corpus.size) if i not in first]
+        second = rng.sample(range(len(rest)), rng.randint(1, len(rest) - 1))
+        chained = model.without(first).without(second)
+        combined = model.without(first + [rest[j] for j in second])
+        for s in corpus.samples:
+            cols = query_cols(model.col, s.attribs)
+            assert [a.hex() for a in chained.activations(*cols)] == \
+                [a.hex() for a in combined.activations(*cols)]
+            _assert_same_predictions([predict(chained, s.attribs, 0.5)],
+                                     [predict(combined, s.attribs, 0.5)])
