@@ -46,6 +46,7 @@ from .synthgen import (
     GenReport,
     GenSpec,
     GenerationError,
+    SINGLE_TASK_SPEC,
     encrypt_variant,
     generate,
     generate_single_task,

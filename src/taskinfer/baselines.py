@@ -55,7 +55,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (CountModel, Corpus, LabelSpace, LinearModel, attribute_matrix,
-                   label_space, softmax)
+                   check_finite, label_space, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -354,9 +354,11 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     label column's two-class softmax (absent, present) in one ascent, and a
     column's weights are the present class's minus the absent class's.
     """
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
+    check_finite("learning_rate", learning_rate)
+    if learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-    if not (math.isfinite(l2) and l2 >= 0):
+    check_finite("l2", l2)
+    if l2 < 0:
         raise ValueError(f"l2 must be non-negative and finite, got {l2}")
     _check_count("epochs", epochs)
     space = label_space(corpus, mode)

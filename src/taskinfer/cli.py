@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, ingest, synthgen
@@ -17,11 +18,11 @@ from .core import (
     MODES,
     ActrParams,
     CorpusError,
-    canonical_json,
     load_corpus,
     read_corpus_records,
     save_corpus,
     write_corpus_records,
+    write_json_lines,
 )
 from .methods import METHODS, train_method
 
@@ -54,6 +55,20 @@ def _params_from_args(args: argparse.Namespace) -> ActrParams:
     return ActrParams(**overrides)
 
 
+# gen flag -> the GenSpec field it sets; a flag left unset keeps the value of
+# its regime's spec in _GEN_SPECS, and is parsed as that value's type.
+_GEN_FLAGS = (
+    ("--carriers", "n_carriers", "carrier count; single-task takes only 1"),
+    ("--tasks-per-carrier", "tasks_per_carrier",
+     "tasks per carrier, or family count in single-task"),
+    ("--samples-per-family", "samples_per_family", "samples per family"),
+    ("--carrier-pool", "carrier_attr_pool", "carrier attribute pool size"),
+    ("--payload-attrs", "payload_attrs_per_task", "payload attributes per task"),
+    ("--overlap", "overlap_target", "target within-family pairwise overlap"),
+)
+_GEN_SPECS = {"carriers": synthgen.GenSpec(), "single-task": synthgen.SINGLE_TASK_SPEC}
+
+
 def _add_eval_flags(parser: argparse.ArgumentParser, with_protocol: bool) -> None:
     parser.add_argument("--corpus", required=True, help="training corpus file")
     parser.add_argument("--mode", choices=MODES, default="family",
@@ -83,21 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus file to write")
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
-    p.add_argument("--regime", choices=("carriers", "single-task"),
-                   default="carriers")
-    p.add_argument("--carriers", type=int, default=None,
-                   help="carrier count (defaults 5 / 1; single-task takes only 1)")
-    p.add_argument("--tasks-per-carrier", type=int, default=None,
-                   help="tasks per carrier, or family count in single-task "
-                        "(defaults 7 / 17)")
-    p.add_argument("--samples-per-family", type=int, default=None,
-                   help="samples per family (defaults 200 / 100)")
-    p.add_argument("--carrier-pool", type=int, default=100,
-                   help="carrier attribute pool size")
-    p.add_argument("--payload-attrs", type=int, default=5,
-                   help="payload attributes per task")
-    p.add_argument("--overlap", type=float, default=0.6,
-                   help="target within-family pairwise overlap")
+    p.add_argument("--regime", choices=tuple(_GEN_SPECS), default="carriers")
+    for flag, field, text in _GEN_FLAGS:
+        carriers, single = (getattr(spec, field) for spec in _GEN_SPECS.values())
+        shown = (f"defaults: carriers {carriers}, single-task {single}"
+                 if carriers != single else f"default {carriers}")
+        p.add_argument(flag, dest=field, type=type(carriers), default=None,
+                       help=f"{text} ({shown})", metavar=flag[2:].upper().replace("-", "_"))
     p.add_argument("--encrypted", action="store_true",
                    help="apply payload encryption after generation")
     p.add_argument("--encrypt-fraction", type=float, default=None,
@@ -157,19 +164,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.encrypt_fraction is not None and not args.encrypted:
         raise ValueError("--encrypt-fraction is read only with --encrypted")
-    single = args.regime == "single-task"
-    spec = synthgen.GenSpec(
-        n_carriers=(args.carriers if args.carriers is not None else (1 if single else 5)),
-        tasks_per_carrier=(args.tasks_per_carrier if args.tasks_per_carrier is not None
-                           else (17 if single else 7)),
-        samples_per_family=(args.samples_per_family if args.samples_per_family is not None
-                            else (100 if single else 200)),
-        carrier_attr_pool=args.carrier_pool,
-        payload_attrs_per_task=args.payload_attrs,
-        overlap_target=args.overlap,
-        seed=args.seed,
-    )
-    generate = synthgen.generate_single_task if single else synthgen.generate
+    overrides = {field: getattr(args, field) for _, field, _ in _GEN_FLAGS
+                 if getattr(args, field) is not None}
+    spec = replace(_GEN_SPECS[args.regime], seed=args.seed, **overrides)
+    generate = (synthgen.generate_single_task if args.regime == "single-task"
+                else synthgen.generate)
     corpus, report = generate(spec)
     if args.encrypted:
         fraction = (args.encrypt_fraction if args.encrypt_fraction is not None
@@ -177,8 +176,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         corpus = synthgen.encrypt_variant(corpus, fraction, seed=args.seed)
     save_corpus(corpus, args.out)
     sidecar = args.out + ".gen.json"
-    with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(report.to_dict()) + "\n")
+    write_json_lines(sidecar, [report.to_dict()])
     print(f"wrote {corpus.size} samples / {len(corpus.families)} families "
           f"to {args.out}")
     print(f"realized overlap: within {report.within_family_overlap:.4f}, "
@@ -192,23 +190,22 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = train_method(args.method, corpus, mode=args.mode,
                              params=params, seed=args.seed)
     _, records = read_corpus_records(args.records)
-    lines = []
+    out = []
     for s in records:
         pred = predictor(s.attribs)
-        lines.append(canonical_json({
+        out.append({
             "id": s.id,
             "family": pred.predicted_family,
             "tasks": sorted(pred.predicted_tasks),
             "degenerate": pred.degenerate,
             "class_probs": {k: round(v, 12) for k, v in pred.class_probs.items()},
-        }))
+        })
         shown = ", ".join(sorted(pred.predicted_tasks)) or "-"
         fam = pred.predicted_family or "-"
         print(f"{s.id}  family={fam}  tasks=[{shown}]")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        print(f"wrote {len(lines)} prediction(s) to {args.out}")
+    if args.out:        # written only once every record is built: a failure leaves no file
+        write_json_lines(args.out, out)
+        print(f"wrote {len(out)} prediction(s) to {args.out}")
     return 0
 
 

@@ -14,11 +14,11 @@ every fold downdated from one, shares it; only the trees and logistic
 regression densify the matrix.
 
 Rows leave one way.  `renumbering` reads every held-out row set: it checks
-that the rows are distinct rows of the object they leave (else ValueError
-naming one) and numbers the rows that stay, in order.  `Corpus.without`
-gives the corpus less the rows, with only the families that still have a
-sample (the corpus itself when none leaves), and `LabelSpace.without` and
-the models' `without` read their rows the same way.
+that the rows are distinct integer rows of the object they leave (else
+ValueError naming one) and numbers the rows that stay, in order.
+`Corpus.without` gives the corpus less the rows, with only the families
+that still have a sample (the corpus itself when none leaves), and
+`LabelSpace.without` and the models' `without` read their rows the same way.
 
 Models score in one of two modes: "family" (one label per family, whose
 tasks follow) or "direct" (one label per task).  `label_space` alone checks
@@ -52,7 +52,8 @@ and every following line is one sample record:
 ``family`` and ``tasks`` may be null for unlabeled records (as produced by
 report ingestion); ``load_corpus`` rejects those, ``read_corpus_records``
 tolerates them.  All objects are written with sorted keys and sorted value
-arrays so identical inputs serialize byte-identically.
+arrays so identical inputs serialize byte-identically; `write_json_lines` is
+the one writer of this and every other JSON-lines file the program writes.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -101,6 +102,14 @@ class Sample:
             object.__setattr__(self, "tasks", frozenset(self.tasks))
 
 
+def check_finite(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real number
+    (a bool is not one)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ActrParams:
     """Retrieval parameters shared by the activation models.
@@ -126,9 +135,7 @@ class ActrParams:
 
     def __post_init__(self):
         for name in ("beta", "s", "tau", "mp", "w", "task_threshold"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            check_finite(name, getattr(self, name))
         if self.s <= 0:
             raise ValueError(f"temperature s must be positive, got {self.s}")
         if self.mp < 0:
@@ -183,11 +190,18 @@ class AttributeIndex:
 def renumbering(size: int, rows: Sequence[int]) -> np.ndarray:
     """The index of each of `size` rows once the distinct `rows` leave, the
     rest keeping their order: -1 for a row that leaves.  Every held-out row
-    set is read here: a row outside range(size), or given twice, raises
-    ValueError naming it."""
+    set is read here: rows that are not a sequence (callers read them more
+    than once, so an iterator or a set is refused), a row that is not an
+    integer (a bool, a float, a string or a nested row set is not), outside
+    range(size), or given twice, raises ValueError naming it."""
+    if not (isinstance(rows, Sequence) or isinstance(rows, np.ndarray) and rows.ndim):
+        raise ValueError(f"rows must be a sequence of integers, got {rows!r}")
+    for row in rows:
+        if isinstance(row, bool) or not isinstance(row, numbers.Integral):
+            raise ValueError(f"row {row!r} is not an integer")
+        if not 0 <= row < size:
+            raise ValueError(f"row {row} is outside range({size})")
     rows = np.asarray(rows, dtype=np.intp)      # a tuple is no multi-axis index
-    if (bad := rows[(rows < 0) | (rows >= size)]).size:
-        raise ValueError(f"row {bad[0]} is outside range({size})")
     kept = np.ones(size, dtype=bool)
     kept[rows] = False
     if np.count_nonzero(kept) + rows.size != size:
@@ -404,7 +418,8 @@ class LabelSpace:
 
         Returns (p(a|c), p(a|~c)).
         """
-        if not (math.isfinite(smoothing) and smoothing > 0):
+        check_finite("smoothing", smoothing)
+        if smoothing <= 0:
             raise ValueError(f"smoothing must be positive and finite, got {smoothing}")
         sm = smoothing
         sizes = self.sizes
@@ -628,14 +643,20 @@ def _sample_record(s: Sample) -> dict:
     }
 
 
+def write_json_lines(path, objects: Iterable) -> None:
+    """The one writer of the program's JSON-lines files (corpora, reports,
+    predictions, generation reports): UTF-8, LF line ends, one
+    `canonical_json` object per line, so equal objects give equal bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for obj in objects:
+            fh.write(canonical_json(obj) + "\n")
+
+
 def write_corpus_records(path, samples: Iterable[Sample],
                          families: Mapping[FamilyId, Iterable[TaskId]]) -> None:
     """Write header + sample records; tolerates unlabeled samples."""
     header = {"families": {f: sorted(ts) for f, ts in families.items()}}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(canonical_json(header) + "\n")
-        for s in samples:
-            fh.write(canonical_json(_sample_record(s)) + "\n")
+    write_json_lines(path, chain([header], map(_sample_record, samples)))
 
 
 def save_corpus(corpus: Corpus, path) -> None:

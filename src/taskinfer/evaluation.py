@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .core import ActrParams, Corpus, canonical_json
+from .core import ActrParams, Corpus, write_json_lines
 from .methods import leave_out, train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
@@ -320,9 +320,7 @@ def report_to_dict(report: TrialReport) -> dict:
 
 def save_reports(reports: Iterable[TrialReport], path) -> None:
     """One canonical JSON object per report line (trials nested inside)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in reports:
-            fh.write(canonical_json(report_to_dict(r)) + "\n")
+    write_json_lines(path, map(report_to_dict, reports))
 
 
 _METRICS = ("mean_precision", "mean_recall", "mean_f1", "family_accuracy")

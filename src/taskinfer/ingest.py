@@ -23,6 +23,12 @@ Accepted report fields (everything else is ignored):
                                                        (only when the static
                                                         toggle is on)
 
+The three summary-fed kinds are defined in one place, the `_KINDS` table:
+each row names the kind, its ExtractionConfig toggle, the summary fields it
+reads and how one entry becomes a value (an empty value adds no token), and
+`parse_report` reads every kind through that table in one loop.  A new kind,
+or a new field of a kind, is one row or one name there.
+
 Path normalization makes attribute tokens comparable across runs: separators
 unified to backslashes, case folded, per-user profile directories collapsed
 to <user>, braced GUIDs to <guid>, cache-style tmpXXXX.tmp names to
@@ -146,23 +152,26 @@ def normalize_path(raw: str, config: ExtractionConfig | None = None) -> str:
     return s
 
 
-def _normalize_dll(raw: str, config: ExtractionConfig) -> str:
-    path = normalize_path(raw, config)
-    return path.rsplit("\\", 1)[-1]
+def _dll_name(raw: str, config: ExtractionConfig) -> str:
+    return normalize_path(raw, config).rsplit("\\", 1)[-1]
 
 
-def _normalize_regkey(raw: str, config: ExtractionConfig) -> str:
-    key = normalize_path(raw, config)
-    head, sep, rest = key.partition("\\")
-    short = _HIVES.get(head.lower())
-    if short:
-        return short + sep + rest
-    return key
+def _regkey(raw: str, config: ExtractionConfig) -> str:
+    head, sep, rest = normalize_path(raw, config).partition("\\")
+    return _HIVES.get(head.lower(), head) + sep + rest
 
 
-_REG_FIELDS = ("regkey_opened", "regkey_read", "regkey_written", "regkey_deleted")
-_FILE_FIELDS = ("file_created", "file_opened", "file_read", "file_written",
-                "file_deleted", "file_moved")
+# The one definition of each attribute kind read from behavior.summary: its
+# token prefix, its ExtractionConfig toggle, the summary fields it reads, and
+# the value of one entry (an empty value adds no token).
+_KINDS = (
+    ("usesDLL", "use_dlls", ("dll_loaded",), _dll_name),
+    ("regAct", "use_registry",
+     ("regkey_opened", "regkey_read", "regkey_written", "regkey_deleted"), _regkey),
+    ("fileAct", "use_files",
+     ("file_created", "file_opened", "file_read", "file_written", "file_deleted",
+      "file_moved"), normalize_path),
+)
 
 
 def _string_entries(summary: dict, field_name: str) -> Iterable:
@@ -236,19 +245,12 @@ def parse_report(data, config: ExtractionConfig | None = None,
     summary = _section(behavior, "behavior.summary", location)
 
     tokens: set = set()
-    if config.use_dlls:
-        for entry in _string_entries(summary, "dll_loaded"):
-            name = _normalize_dll(entry, config)
-            if name:
-                tokens.add("usesDLL:" + name)
-    if config.use_registry:
-        for field_name in _REG_FIELDS:
-            for entry in _string_entries(summary, field_name):
-                tokens.add("regAct:" + _normalize_regkey(entry, config))
-    if config.use_files:
-        for field_name in _FILE_FIELDS:
-            for entry in _string_entries(summary, field_name):
-                tokens.add("fileAct:" + normalize_path(entry, config))
+    for kind, toggle, fields, value in _KINDS:
+        if getattr(config, toggle):
+            for field_name in fields:
+                for entry in _string_entries(summary, field_name):
+                    if name := value(entry, config):
+                        tokens.add(kind + ":" + name)
     if config.use_process:
         processes = behavior.get("processes")
         if isinstance(processes, list) and processes:
@@ -258,8 +260,7 @@ def parse_report(data, config: ExtractionConfig | None = None,
         if isinstance(imports, list):
             for imp in imports:
                 if isinstance(imp, dict) and isinstance(imp.get("dll"), str):
-                    name = _normalize_dll(imp["dll"], config)
-                    if name:
+                    if name := _dll_name(imp["dll"], config):
                         tokens.add("usesDLL:" + name)
 
     if not tokens:

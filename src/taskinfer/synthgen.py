@@ -102,6 +102,11 @@ class GenSpec:
             )
 
 
+# The single-task regime's defaults (see generate_single_task): one carrier,
+# 17 single-task families of 100 samples; the other fields are GenSpec's.
+SINGLE_TASK_SPEC = GenSpec(n_carriers=1, tasks_per_carrier=17, samples_per_family=100)
+
+
 @dataclass(frozen=True)
 class GenReport:
     """Realized statistics of a generated corpus (measured pre-encryption)."""

@@ -5,12 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from taskinfer import synthgen
 from taskinfer.cli import main
-from taskinfer.core import load_corpus, read_corpus_records
-from taskinfer.synthgen import OVERLAP_TOLERANCE
+from taskinfer.core import canonical_json, load_corpus, read_corpus_records
+from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenSpec
 
 GEN_SMALL = ["--carriers", "2", "--tasks-per-carrier", "2",
              "--samples-per-family", "12", "--carrier-pool", "30",
@@ -100,6 +102,34 @@ class TestGen:
                    "--out", str(tmp_path / "x.jsonl")])
         assert rc == 1
         assert "single-task regime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("regime,spec", [("carriers", GenSpec()),
+                                             ("single-task", SINGLE_TASK_SPEC)])
+    def test_unset_flags_keep_the_regimes_spec(self, tmp_path, monkeypatch, regime, spec):
+        seen = []
+
+        def stop(given):
+            seen.append(given)
+            raise synthgen.GenerationError("stopped")
+        monkeypatch.setattr(synthgen, "generate", stop)
+        monkeypatch.setattr(synthgen, "generate_single_task", stop)
+        out = str(tmp_path / "x.jsonl")
+        assert main(["gen", "--regime", regime, "--out", out]) == 1
+        assert main(["gen", "--regime", regime, "--overlap", "0.5",
+                     "--samples-per-family", "3", "--seed", "4", "--out", out]) == 1
+        assert seen == [spec, replace(spec, overlap_target=0.5, samples_per_family=3,
+                                      seed=4)]
+
+    def test_help_states_both_regimes_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")        # one line per flag
+        with pytest.raises(SystemExit):
+            main(["gen", "--help"])
+        shown = capsys.readouterr().out
+        carriers, single = GenSpec(), SINGLE_TASK_SPEC
+        for field in ("n_carriers", "tasks_per_carrier", "samples_per_family"):
+            assert (f"defaults: carriers {getattr(carriers, field)}, "
+                    f"single-task {getattr(single, field)})") in shown
+        assert f"(default {carriers.overlap_target})" in shown
 
 
 class TestIngest:
@@ -483,3 +513,35 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def _assert_canonical_json_lines(path):
+    data = path.read_bytes()
+    assert b"\r" not in data and (data == b"" or data.endswith(b"\n"))
+    for line in data.decode("utf-8").split("\n")[:-1]:
+        assert line == canonical_json(json.loads(line))
+
+
+class TestWrittenFiles:
+    def test_every_json_lines_file_is_canonical_with_lf_ends(self, tmp_path):
+        corpus = run_gen(tmp_path)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(GOOD_REPORT), encoding="utf-8")
+        assert main(["ingest", str(report), "--out", str(tmp_path / "ingested.jsonl")]) == 0
+        assert main(["predict", "--method", "nb", "--corpus", corpus,
+                     "--in", corpus, "--out", str(tmp_path / "preds.jsonl")]) == 0
+        assert main(["eval", "--method", "nb", "--corpus", corpus, "--protocol", "split",
+                     "--trials", "2", "--out", str(tmp_path / "eval.jsonl")]) == 0
+        for name in ("corpus.jsonl", "corpus.jsonl.gen.json", "ingested.jsonl",
+                     "preds.jsonl", "eval.jsonl"):
+            assert (tmp_path / name).stat().st_size > 0
+            _assert_canonical_json_lines(tmp_path / name)
+
+    def test_header_only_input_writes_an_empty_prediction_file(self, tmp_path):
+        corpus = run_gen(tmp_path)
+        header = tmp_path / "header.jsonl"
+        header.write_text(open(corpus, encoding="utf-8").readline(), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--method", "nb", "--corpus", corpus,
+                     "--in", str(header), "--out", str(out)]) == 0
+        assert out.read_bytes() == b""

@@ -69,7 +69,7 @@ class TestActrParams:
         with pytest.raises(ValueError):
             ActrParams(**kwargs)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, True])
     @pytest.mark.parametrize("field", ["beta", "s", "tau", "mp", "w", "task_threshold"])
     def test_rejects_non_finite_values(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
@@ -172,6 +172,7 @@ class TestWithout:
         c = shared_task_corpus
         assert c.without(()) is c
         assert c.without(np.array([], dtype=np.intp)) is c
+        assert c.without(np.asarray(())) is c       # float64, but holds no row
 
     def test_families_without_a_sample_left_leave(self, shared_task_corpus):
         c = shared_task_corpus
@@ -186,7 +187,15 @@ class TestWithout:
     @pytest.mark.parametrize("rows,message", [
         ([-1], r"^row -1 is outside range\(6\)$"),
         ([6], r"^row 6 is outside range\(6\)$"),
+        ([2**70], rf"^row {2**70} is outside range\(6\)$"),
         ([4, 1, 4], "^row 4 is given twice$"),
+        ([[0, 1]], r"^row \[0, 1\] is not an integer$"),
+        (np.array([[0, 1]]), r"^row array\(\[0, 1\]\) is not an integer$"),
+        ([0.5], r"^row 0\.5 is not an integer$"),
+        ([1, False], "^row False is not an integer$"),
+        (3, "^rows must be a sequence of integers, got 3$"),
+        (np.array(3), r"^rows must be a sequence of integers, got array\(3\)$"),
+        (iter([0]), "^rows must be a sequence of integers, got <list_iterator"),
     ])
     def test_bad_rows_are_rejected_by_name(self, shared_task_corpus, rows, message):
         with pytest.raises(ValueError, match=message):

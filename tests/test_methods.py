@@ -26,12 +26,19 @@ TRAINERS = {"actr-r": rb_train, "nb": nb_train, "rf": rf_train, "logreg": logreg
 @pytest.mark.parametrize("method,name,value", [
     ("nb", "smoothing", math.nan),
     ("nb", "smoothing", math.inf),
+    ("nb", "smoothing", True),
+    ("nb", "smoothing", "1"),
     ("actr-r", "smoothing", math.nan),
     ("actr-r", "smoothing", math.inf),
+    ("actr-r", "smoothing", True),
     ("logreg", "learning_rate", math.nan),
     ("logreg", "learning_rate", math.inf),
+    ("logreg", "learning_rate", True),
+    ("logreg", "learning_rate", "0.1"),
     ("logreg", "l2", math.nan),
     ("logreg", "l2", math.inf),
+    ("logreg", "l2", False),
+    ("logreg", "l2", "0"),
     ("rf", "max_features", 0),
     ("rf", "max_features", -2),
     ("rf", "max_features", 2.5),
@@ -361,7 +368,12 @@ class TestLeaveRowsOut:
             held_out = leave_out(method, corpus, mode)
             for rows, message in [([-1], rf"^row -1 is outside range\({n}\)$"),
                                   ([n], rf"^row {n} is outside range\({n}\)$"),
-                                  ([0, 0], "^row 0 is given twice$")]:
+                                  ([0, 0], "^row 0 is given twice$"),
+                                  ([[0, 1]], r"^row \[0, 1\] is not an integer$"),
+                                  ([0.5], r"^row 0\.5 is not an integer$"),
+                                  ([1.9], r"^row 1\.9 is not an integer$"),
+                                  ([True], "^row True is not an integer$"),
+                                  (["1"], "^row '1' is not an integer$")]:
                 with pytest.raises(ValueError, match=message):
                     held_out(rows)
             assert trained == []
