@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .core import ActrParams, Corpus, write_json_lines
+from .core import ActrParams, Corpus, label_space, write_json_lines
 from .methods import leave_out, train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
@@ -154,10 +154,13 @@ def _scored(corpus: Corpus, folds: Iterable[Sequence[int]], held_out, method: st
 def loocv(corpus: Corpus, method: str, mode: str = "family",
           params: ActrParams | None = None, seed: int = 0) -> TrialReport:
     """Leave-one-out: predict every sample by the method trained on all the
-    others, each row's predictor coming from `methods.leave_out`."""
+    others, each row's predictor coming from `methods.leave_out`.  A label
+    that training on the whole corpus rejects (one with no samples) is
+    rejected before any fold trains."""
     if corpus.size < 2:
         raise ValueError("leave-one-out needs at least 2 samples")
     _check_tasks(corpus)
+    label_space(corpus, mode)
     return _scored(corpus, [[i] for i in range(corpus.size)],
                    leave_out(method, corpus, mode, params, seed), method, mode, seed,
                    "loocv", "")
@@ -289,6 +292,9 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> PairedTest:
 
 # ------------------------------------------------------------------- reports
 
+_METRICS = ("mean_precision", "mean_recall", "mean_f1", "family_accuracy")
+
+
 def _score_dict(s: SampleScore) -> dict:
     return {
         "id": s.sample_id,
@@ -307,10 +313,7 @@ def report_to_dict(report: TrialReport) -> dict:
         "seed": report.seed,
         "label": report.label,
         "n_tested": report.n_tested,
-        "mean_precision": report.mean_precision,
-        "mean_recall": report.mean_recall,
-        "mean_f1": report.mean_f1,
-        "family_accuracy": report.family_accuracy,
+        **{metric: getattr(report, metric) for metric in _METRICS},
     }
     out["scores"] = [_score_dict(s) for s in report.scores]
     if report.trials:
@@ -321,9 +324,6 @@ def report_to_dict(report: TrialReport) -> dict:
 def save_reports(reports: Iterable[TrialReport], path) -> None:
     """One canonical JSON object per report line (trials nested inside)."""
     write_json_lines(path, map(report_to_dict, reports))
-
-
-_METRICS = ("mean_precision", "mean_recall", "mean_f1", "family_accuracy")
 
 
 def metrics_table(reports: Sequence[TrialReport]) -> str:

@@ -23,11 +23,17 @@ Accepted report fields (everything else is ignored):
                                                        (only when the static
                                                         toggle is on)
 
+A summary field that is not a list is skipped, and so is each entry of one
+that is not a non-blank string: a report's malformed fields cost only their
+own tokens, never the report.
+
 The three summary-fed kinds are defined in one place, the `_KINDS` table:
-each row names the kind, its ExtractionConfig toggle, the summary fields it
-reads and how one entry becomes a value (an empty value adds no token), and
-`parse_report` reads every kind through that table in one loop.  A new kind,
-or a new field of a kind, is one row or one name there.
+each row names the kind, the summary fields it reads and how one entry
+becomes a value (an empty value adds no token), and `parse_report` reads
+every kind through that table in one loop.  A kind's token prefix is also
+the name of its ExtractionConfig toggle, so every extraction setting has one
+name, the same in Python and in the JSON config.  A new kind, or a new field
+of a kind, is one row or one name there (plus, for a new kind, its toggle).
 
 Path normalization makes attribute tokens comparable across runs: separators
 unified to backslashes, case folded, per-user profile directories collapsed
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from .core import Sample
@@ -59,18 +65,19 @@ class ReportError(ValueError):
 class ExtractionConfig:
     """Which attribute kinds to extract and which normalizations to apply.
 
-    The JSON form (for `taskinfer ingest --report-config`) uses the kind
-    names as keys: {"usesDLL": true, "regAct": true, "fileAct": true,
-    "proAct": true, "static": false, "fold_case": true, "scrub_user_dirs":
-    true, "scrub_guids": true, "scrub_temp_names": true, "max_attributes":
-    null}.
+    Each field name is also its key in the JSON form (for `taskinfer ingest
+    --report-config`), and a kind's toggle is named by its token prefix:
+    {"usesDLL": true, "regAct": true, "fileAct": true, "proAct": true,
+    "static": false, "fold_case": true, "scrub_user_dirs": true,
+    "scrub_guids": true, "scrub_temp_names": true, "max_attributes": null}.
+    `static` adds usesDLL tokens from static PE imports.
     """
 
-    use_dlls: bool = True
-    use_registry: bool = True
-    use_files: bool = True
-    use_process: bool = True
-    use_static: bool = False
+    usesDLL: bool = True
+    regAct: bool = True
+    fileAct: bool = True
+    proAct: bool = True
+    static: bool = False
     fold_case: bool = True
     scrub_user_dirs: bool = True
     scrub_guids: bool = True
@@ -78,42 +85,23 @@ class ExtractionConfig:
     max_attributes: int | None = None
 
     def __post_init__(self):
-        for json_key, attr in self._JSON_KEYS:
-            value = getattr(self, attr)
-            if attr == "max_attributes" and not (value is None or type(value) is int):
-                raise ValueError(f"{json_key} must be null or an integer, got {value!r}")
-            if attr != "max_attributes" and type(value) is not bool:
-                raise ValueError(f"{json_key} must be true or false, got {value!r}")
-        if not (self.use_dlls or self.use_registry or self.use_files
-                or self.use_process):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "max_attributes" and not (value is None or type(value) is int):
+                raise ValueError(f"{f.name} must be null or an integer, got {value!r}")
+            if f.name != "max_attributes" and type(value) is not bool:
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        if not (self.usesDLL or self.regAct or self.fileAct or self.proAct):
             raise ValueError("at least one attribute kind must be enabled")
         if self.max_attributes is not None and self.max_attributes < 1:
             raise ValueError("max_attributes must be >= 1 when set")
 
-    _JSON_KEYS = (
-        ("usesDLL", "use_dlls"),
-        ("regAct", "use_registry"),
-        ("fileAct", "use_files"),
-        ("proAct", "use_process"),
-        ("static", "use_static"),
-        ("fold_case", "fold_case"),
-        ("scrub_user_dirs", "scrub_user_dirs"),
-        ("scrub_guids", "scrub_guids"),
-        ("scrub_temp_names", "scrub_temp_names"),
-        ("max_attributes", "max_attributes"),
-    )
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ExtractionConfig":
-        known = {json_key: attr for json_key, attr in cls._JSON_KEYS}
-        unknown = sorted(set(obj) - set(known))
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown extraction config keys: {unknown}")
-        kwargs = {known[k]: v for k, v in obj.items()}
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {json_key: getattr(self, attr) for json_key, attr in self._JSON_KEYS}
+        return cls(**obj)
 
 
 _GUID_RE = re.compile(
@@ -162,13 +150,13 @@ def _regkey(raw: str, config: ExtractionConfig) -> str:
 
 
 # The one definition of each attribute kind read from behavior.summary: its
-# token prefix, its ExtractionConfig toggle, the summary fields it reads, and
-# the value of one entry (an empty value adds no token).
+# token prefix, which is also its ExtractionConfig toggle, the summary fields
+# it reads, and the value of one entry (an empty value adds no token).
 _KINDS = (
-    ("usesDLL", "use_dlls", ("dll_loaded",), _dll_name),
-    ("regAct", "use_registry",
+    ("usesDLL", ("dll_loaded",), _dll_name),
+    ("regAct",
      ("regkey_opened", "regkey_read", "regkey_written", "regkey_deleted"), _regkey),
-    ("fileAct", "use_files",
+    ("fileAct",
      ("file_created", "file_opened", "file_read", "file_written", "file_deleted",
       "file_moved"), normalize_path),
 )
@@ -245,17 +233,17 @@ def parse_report(data, config: ExtractionConfig | None = None,
     summary = _section(behavior, "behavior.summary", location)
 
     tokens: set = set()
-    for kind, toggle, fields, value in _KINDS:
-        if getattr(config, toggle):
-            for field_name in fields:
+    for kind, summary_fields, value in _KINDS:
+        if getattr(config, kind):
+            for field_name in summary_fields:
                 for entry in _string_entries(summary, field_name):
                     if name := value(entry, config):
                         tokens.add(kind + ":" + name)
-    if config.use_process:
+    if config.proAct:
         processes = behavior.get("processes")
         if isinstance(processes, list) and processes:
             tokens.add("proAct")
-    if config.use_static:
+    if config.static:
         imports = _section(doc, "static", location).get("pe_imports") or []
         if isinstance(imports, list):
             for imp in imports:

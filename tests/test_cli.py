@@ -429,14 +429,21 @@ class TestEval:
         assert {json.loads(l)["label"] for l in lines} == {"c0", "c1"}
         assert all(json.loads(l)["family_accuracy"] is None for l in lines)
 
-    def test_lofo_family_without_samples_exits_1_without_report(self, tmp_path, capsys):
+    @staticmethod
+    def ghost_corpus(tmp_path, tasks):
+        """A gen corpus whose header also names a family, ghost, that
+        performs `tasks` and that no record carries."""
         run_gen(tmp_path)
         lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
-        header["families"]["ghost"] = ["t0"]
+        header["families"]["ghost"] = tasks
         corpus_path = tmp_path / "ghost.jsonl"
         corpus_path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n",
                                encoding="utf-8")
+        return corpus_path
+
+    def test_lofo_family_without_samples_exits_1_without_report(self, tmp_path, capsys):
+        corpus_path = self.ghost_corpus(tmp_path, ["t0"])
         out = tmp_path / "lofo.jsonl"
         rc = main(["eval", "--method", "nb", "--corpus", str(corpus_path),
                    "--protocol", "lofo", "--out", str(out)])
@@ -445,6 +452,18 @@ class TestEval:
             "error: family 'ghost' has no samples to hold out\n")
         assert not out.exists()
         assert not (tmp_path / "lofo.jsonl.csv").exists()
+
+    @pytest.mark.parametrize("mode,message", [("family", "family 'ghost' has no samples"),
+                                              ("direct", "task 'z' has no samples")])
+    def test_loocv_label_without_samples_exits_1_without_report(self, tmp_path, capsys,
+                                                                mode, message):
+        corpus_path = self.ghost_corpus(tmp_path, ["z"])
+        out = tmp_path / "loocv.jsonl"
+        rc = main(["eval", "--method", "nb", "--corpus", str(corpus_path), "--mode", mode,
+                   "--protocol", "loocv", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("protocol", ["loocv", "split", "lofo"])
     def test_family_without_tasks_exits_1_naming_it(self, tmp_path, capsys, protocol):

@@ -157,6 +157,33 @@ class TestLoocv:
         with pytest.raises(ValueError, match="at least 2 samples"):
             loocv(c, "nb")
 
+    # The header names a family, ghost, that no record carries.
+    GHOST = ([(f"{f}{k}", {"a", f"{f}{k}"}, f) for f in ("F1", "F2") for k in range(2)],
+             {"F1": {"t1"}, "F2": {"t2"}, "ghost": {"z"}})
+
+    @pytest.mark.parametrize("mode,message", [("family", "family 'ghost' has no samples"),
+                                              ("direct", "task 'z' has no samples")])
+    def test_label_without_samples_is_rejected_before_training(self, monkeypatch, mode,
+                                                               message):
+        c = make_corpus(*self.GHOST)
+        with pytest.raises(ValueError) as trained:
+            methods.train_method("nb", c, mode)
+        assert str(trained.value) == message
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting the empty label")
+        monkeypatch.setattr(evaluation, "leave_out", no_training)
+        monkeypatch.setattr(evaluation, "train_method", no_training)
+        with pytest.raises(ValueError) as held_out:
+            loocv(c, "nb", mode)
+        assert str(held_out.value) == message
+
+    def test_direct_mode_accepts_a_ghost_whose_tasks_others_perform(self):
+        rows, families = self.GHOST
+        c = make_corpus(rows, {**families, "ghost": {"t1", "t2"}})
+        methods.train_method("nb", c, "direct")
+        assert loocv(c, "nb", "direct").n_tested == 4
+
 
 class TestSplitTrials:
     def test_aggregate_nests_per_trial_reports(self, shared_task_corpus):

@@ -6,12 +6,14 @@ below is the same expectation frozen inline so a drift in either copy fails.
 """
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from taskinfer import ingest
 from taskinfer.core import Sample, read_corpus_records, write_corpus_records
 from taskinfer.ingest import (
     ExtractionConfig,
@@ -56,20 +58,20 @@ class TestGoldenReport:
         assert expected["tokens"] == GOLDEN_TOKENS
 
     def test_static_imports_are_opt_in(self):
-        config = ExtractionConfig(use_static=True)
+        config = ExtractionConfig(static=True)
         sample = parse_report(golden_report_bytes(), config)
         extra = set(sample.attribs) - set(GOLDEN_TOKENS)
         assert extra == {"usesDLL:shell32.dll", "usesDLL:user32.dll"}
 
     def test_kind_toggles_remove_their_tokens(self):
         report = golden_report_bytes()
-        no_dll = parse_report(report, ExtractionConfig(use_dlls=False))
+        no_dll = parse_report(report, ExtractionConfig(usesDLL=False))
         assert not any(a.startswith("usesDLL:") for a in no_dll.attribs)
-        no_reg = parse_report(report, ExtractionConfig(use_registry=False))
+        no_reg = parse_report(report, ExtractionConfig(regAct=False))
         assert not any(a.startswith("regAct:") for a in no_reg.attribs)
-        no_file = parse_report(report, ExtractionConfig(use_files=False))
+        no_file = parse_report(report, ExtractionConfig(fileAct=False))
         assert not any(a.startswith("fileAct:") for a in no_file.attribs)
-        no_proc = parse_report(report, ExtractionConfig(use_process=False))
+        no_proc = parse_report(report, ExtractionConfig(proAct=False))
         assert "proAct" not in no_proc.attribs
 
     def test_attribute_cap_keeps_the_smallest_tokens(self):
@@ -291,8 +293,8 @@ def _as_input(doc):
     return st.sampled_from([text, text.encode("utf-8", "surrogatepass")])
 
 
-_CONFIGS = st.sampled_from([ExtractionConfig(), ExtractionConfig(use_static=True),
-                            ExtractionConfig(use_dlls=False, max_attributes=2)])
+_CONFIGS = st.sampled_from([ExtractionConfig(), ExtractionConfig(static=True),
+                            ExtractionConfig(usesDLL=False, max_attributes=2)])
 
 
 class TestParseReportProperties:
@@ -327,17 +329,34 @@ class TestParseReportProperties:
         assert read_corpus_records(path) == ({}, list(kept.values()))
 
 
+# Any valid ExtractionConfig: at least one kind on, cap None or 1..50.
+_VALID_CONFIGS = st.fixed_dictionaries({
+    **{name: st.booleans() for name in ("usesDLL", "regAct", "fileAct", "proAct", "static",
+                                         "fold_case", "scrub_user_dirs", "scrub_guids",
+                                         "scrub_temp_names")},
+    "max_attributes": st.none() | st.integers(1, 50),
+}).filter(lambda d: d["usesDLL"] or d["regAct"] or d["fileAct"] or d["proAct"]).map(
+    lambda d: ExtractionConfig(**d))
+
+
 class TestExtractionConfig:
-    def test_json_round_trip(self):
-        config = ExtractionConfig(use_static=True, max_attributes=50,
-                                  fold_case=False)
-        assert ExtractionConfig.from_dict(config.to_dict()) == config
+    @given(config=_VALID_CONFIGS)
+    @example(config=ExtractionConfig(static=True, max_attributes=50, fold_case=False))
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip(self, config):
+        assert ExtractionConfig.from_dict(asdict(config)) == config
 
     def test_dict_form_uses_attribute_kind_names(self):
-        d = ExtractionConfig().to_dict()
+        d = asdict(ExtractionConfig())
         assert set(d) == {"usesDLL", "regAct", "fileAct", "proAct", "static",
                           "fold_case", "scrub_user_dirs", "scrub_guids",
                           "scrub_temp_names", "max_attributes"}
+        # Each kind's toggle is named by its token prefix.
+        assert {kind for kind, _, _ in ingest._KINDS} | {"proAct", "static"} <= set(d)
+
+    def test_old_python_names_are_gone(self):
+        with pytest.raises(TypeError):
+            ExtractionConfig(use_dlls=False)
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ValueError, match=r"unknown extraction config keys: "
@@ -346,8 +365,8 @@ class TestExtractionConfig:
 
     def test_all_kinds_off_is_rejected(self):
         with pytest.raises(ValueError, match="at least one attribute kind"):
-            ExtractionConfig(use_dlls=False, use_registry=False,
-                             use_files=False, use_process=False)
+            ExtractionConfig(usesDLL=False, regAct=False,
+                             fileAct=False, proAct=False)
 
     def test_bad_cap_is_rejected(self):
         with pytest.raises(ValueError, match="max_attributes"):
@@ -357,7 +376,7 @@ class TestExtractionConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"static": True, "max_attributes": 9}))
         config = load_extraction_config(path)
-        assert config.use_static is True
+        assert config.static is True
         assert config.max_attributes == 9
         path.write_text("{broken")
         with pytest.raises(ReportError, match="malformed config JSON"):
