@@ -137,9 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = None
-    if args.report_config:
-        config = ingest.load_extraction_config(args.report_config)
+    config = (ingest.load_extraction_config(args.report_config) if args.report_config
+              else ingest.ExtractionConfig())      # built once, not once per report
     samples = {}
     failures = 0
     for name in args.reports:

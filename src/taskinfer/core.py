@@ -67,7 +67,6 @@ from itertools import chain, compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 FamilyId = str
 TaskId = str
@@ -222,7 +221,9 @@ class Corpus:
 
     @cached_property
     def index(self) -> AttributeIndex:
-        """Built on first use and kept: the samples never change."""
+        """Built on first use and kept: the samples never change.  The one
+        place that builds a sparse matrix, so scipy.sparse loads here."""
+        from scipy import sparse
         vocab = sorted(frozenset().union(*(s.attribs for s in self._samples)))
         col = {a: j for j, a in enumerate(vocab)}
         indptr = np.cumsum([0] + [len(s.attribs) for s in self._samples], dtype=np.intp)
@@ -667,8 +668,9 @@ def read_corpus_records(path) -> tuple:
     """Parse a corpus file into (families, samples) without label validation.
 
     Unlabeled records (family/tasks null) pass through; structural problems,
-    and bytes that are not UTF-8, raise CorpusFormatError naming the 1-based
-    line.
+    bytes that are not UTF-8, and JSON that json.loads cannot build (nesting
+    past the recursion limit, an integer past the digit limit) raise
+    CorpusFormatError naming the 1-based line.
     """
     try:
         return _corpus_records(path)
@@ -693,6 +695,10 @@ def _corpus_records(path) -> tuple:
                 obj = json.loads(raw)
             except json.JSONDecodeError as e:
                 raise CorpusFormatError(f"invalid JSON ({e.msg})", n) from e
+            except (ValueError, RecursionError) as e:
+                # An integer literal past Python's digit limit, or nesting past
+                # its recursion limit: valid JSON that json.loads cannot build.
+                raise CorpusFormatError(f"unreadable JSON ({e})", n) from e
             if not isinstance(obj, dict):
                 raise CorpusFormatError("expected a JSON object", n)
             if n == 1:

@@ -36,8 +36,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from scipy import stats as _scipy_stats
-
 from .core import ActrParams, Corpus, label_space, write_json_lines
 from .methods import leave_out, train_method
 
@@ -271,9 +269,12 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> PairedTest:
     """Paired two-sided t-test on aligned score lists.
 
     The statistic, pairing, and dof are computed here; only the Student-t
-    survival function is delegated (scipy).  Zero-variance differences have
-    no defined statistic and are rejected.
+    survival function is delegated, to ``scipy.special.stdtr`` (the CDF,
+    read at -|t|), imported here so that no other command loads it.
+    Zero-variance differences have no defined statistic and are rejected.
     """
+    from scipy.special import stdtr
+
     if len(a) != len(b):
         raise ValueError(f"score lists differ in length: {len(a)} vs {len(b)}")
     n = len(a)
@@ -286,7 +287,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> PairedTest:
         raise ValueError("zero-variance differences; t statistic undefined")
     t = mean / math.sqrt(var / n)
     dof = n - 1
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), dof))
+    p = 2.0 * float(stdtr(dof, -abs(t)))
     return PairedTest(statistic=t, dof=dof, p_value=p)
 
 

@@ -268,6 +268,8 @@ def load_extraction_config(path) -> ExtractionConfig:
             raise ReportError(f"malformed config JSON: {e.msg}", str(path)) from e
         except UnicodeDecodeError as e:
             raise ReportError(f"not UTF-8 text ({e.reason})", str(path)) from e
+        except (ValueError, RecursionError) as e:
+            raise ReportError(f"unreadable config JSON: {e}", str(path)) from e
     if not isinstance(obj, dict):
         raise ReportError("extraction config must be a JSON object", str(path))
     try:

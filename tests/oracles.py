@@ -11,7 +11,10 @@ softmax that the distribution property tests drive;
 `reference_loocv_predictions`, which retrain through the public
 `train_method` on the samples not held out; and `reference_grow_forests`, which
 reads its targets and design matrix from `core.label_space` and
-`core.attribute_matrix`, as the forest trainer does.
+`core.attribute_matrix`, as the forest trainer does.  The t-test's
+`reference_t_p_value` is not first principles either: it is the two-sided
+p-value from `scipy.stats`' Student-t survival function, which
+`evaluation.paired_ttest` read before it called `scipy.special.stdtr`.
 """
 
 from __future__ import annotations
@@ -522,3 +525,9 @@ def random_params(rng: random.Random) -> ActrParams:
         task_threshold=rng.uniform(0.2, 0.8),
         partial_matching=rng.choice(("overlap", "deficit")),
     )
+
+
+def reference_t_p_value(t: float, dof: int) -> float:
+    """Two-sided p-value of Student's t statistic `t` at `dof` degrees of freedom."""
+    from scipy import stats
+    return 2.0 * float(stats.t.sf(abs(t), dof))

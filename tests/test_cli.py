@@ -3,12 +3,15 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import taskinfer
 from taskinfer import synthgen
 from taskinfer.cli import main
 from taskinfer.core import canonical_json, load_corpus, read_corpus_records
@@ -210,6 +213,18 @@ class TestIngest:
         assert err.startswith("error:") and key in err
         assert f"error: {config}: " in err
 
+    def test_deeply_nested_report_config_exits_1(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps(GOOD_REPORT))
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(["ingest", str(report), "--report-config", str(config),
+                   "--out", str(tmp_path / "ingested.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: unreadable config JSON: maximum recursion")
+        assert err.count("\n") == 1
+
 
 class TestPredict:
     def test_labels_unseen_records(self, tmp_path, capsys):
@@ -290,6 +305,24 @@ class TestPredict:
         assert capsys.readouterr().err == \
             "error: line 2: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("line,message", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"id": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ], ids=["too-deep", "too-many-digits"])
+    @pytest.mark.parametrize("flag", ["--in", "--corpus"])
+    def test_json_that_cannot_be_built_exits_1_naming_the_line(self, tmp_path, capsys,
+                                                                 flag, line, message):
+        corpus_path = run_gen(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"families":{}}\n' + line + "\n", encoding="utf-8")
+        files = {"--corpus": corpus_path, "--in": corpus_path, flag: str(bad)}
+        capsys.readouterr()
+        rc = main(["predict", "--method", "nb", *(a for kv in files.items() for a in kv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: unreadable JSON ({message}")
+        assert err.count("\n") == 1
+
     def test_header_only_corpus_exits_1(self, tmp_path, capsys):
         corpus_path = tmp_path / "empty.jsonl"
         corpus_path.write_text('{"families":{}}\n', encoding="utf-8")
@@ -331,6 +364,38 @@ class TestPredict:
         monkeypatch.undo()
         assert rc == 1
         assert "Broken pipe" not in capsys.readouterr().err
+
+
+_IMPORT_PROBE = """
+import json, sys
+import taskinfer, taskinfer.cli
+from taskinfer.core import Corpus, Sample
+
+SCIPY = ("scipy.stats", "scipy.special", "scipy.sparse")
+loaded = {"cli": [m for m in SCIPY if m in sys.modules]}
+Corpus([Sample(id="s", attribs=frozenset("a"), family="F")], {"F": frozenset("t")}).index
+loaded["index"] = [m for m in SCIPY if m in sys.modules]
+taskinfer.paired_ttest([1.0, 2.0, 4.0], [1.0, 1.5, 2.0])
+loaded["ttest"] = [m for m in SCIPY if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+class TestImports:
+    def test_each_scipy_module_loads_only_where_it_runs(self):
+        # A fresh interpreter: this one has loaded whatever the other tests ran.
+        package_root = str(Path(taskinfer.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                           os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "cli": [],
+            "index": ["scipy.sparse"],
+            "ttest": ["scipy.special", "scipy.sparse"],
+        }
 
 
 # sha256 of `predict --mode direct --out` on encrypted queries.  The carriers

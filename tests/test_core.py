@@ -462,6 +462,9 @@ class TestCorpusFiles:
         [
             ([], 1, "empty corpus file"),
             (["not json"], 1, "invalid JSON"),
+            (['{"families":{"F":' + "9" * 5000 + "}}"], 1, "unreadable JSON"),
+            (['{"families":{}}', "[" * 100_000 + "]" * 100_000], 2,
+             "unreadable JSON"),
             (["[1,2]"], 1, "expected a JSON object"),
             (['{"nope":1}'], 1, '"families" object'),
             (['{"families":{"F":"t"}}'], 1, "list of task ids"),

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskinfer import actr, baselines, evaluation, methods, synthgen
@@ -37,7 +37,7 @@ from taskinfer.evaluation import (
 )
 
 from conftest import make_corpus
-from oracles import random_corpus
+from oracles import random_corpus, reference_t_p_value
 
 task_sets = st.sets(st.sampled_from([f"t{i}" for i in range(8)]), max_size=8)
 
@@ -459,6 +459,17 @@ class TestPairedTtest:
         res = paired_ttest(a, b)
         assert res.dof == 39
         assert res.p_value > 0.001
+
+    @given(pairs=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                          min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_p_value_is_scipy_stats_t_sf(self, pairs):
+        a, b = zip(*pairs)
+        try:
+            res = paired_ttest(a, b)
+        except ValueError:      # zero-variance differences
+            assume(False)
+        assert res.p_value.hex() == reference_t_p_value(res.statistic, res.dof).hex()
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError, match="differ in length"):

@@ -395,3 +395,15 @@ class TestExtractionConfig:
             load_extraction_config(path)
         assert str(exc.value) == f"{path}: {message}"
         assert exc.value.location == str(path)
+
+    @pytest.mark.parametrize("content,message", [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"max_attributes": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["too-deep", "too-many-digits"])
+    def test_json_that_cannot_be_built_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ReportError) as exc:
+            load_extraction_config(path)
+        assert str(exc.value).startswith(f"{path}: unreadable config JSON: {message}")
+        assert exc.value.location == str(path)
