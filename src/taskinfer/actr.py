@@ -19,8 +19,8 @@ mp * (overlap - 1), a penalty in [-mp, 0]; ordering is unchanged but the
 interaction with tau differs.
 
 The memory is an inverted index from each attribute to the chunks that
-contain it, ACT-R's associative links: the corpus index's sparse matrix in
-CSC form (one indptr/indices pair), so fan(a) is the number of a's links.  A
+contain it, ACT-R's associative links: the corpus index's by-attribute view
+(one start/rows pair), so fan(a) is the number of a's links.  A
 query gathers only the links of its known attributes: two bincounts over
 their chunk ids give every chunk's |query & chunk| and its summed
 log(|M| / fan(a)), so a chunk sharing nothing gets the miss term alone, and
@@ -129,13 +129,12 @@ class IbModel:
         self.params = params or ActrParams()
         ix = corpus.index
         self.col, self._index = ix.col, ix
-        # scipy's CSR -> CSC conversion is a counting sort of the links by
-        # attribute, stable in sample order.  Chunk ids are intp, which numpy
-        # gathers through fastest; sizes are int64, so that |query| * |chunk|
-        # cannot overflow for a large chunk.
-        links = ix.matrix.tocsc()
-        self._hold(links.indptr, links.indices.astype(np.intp),
-                   np.diff(ix.matrix.indptr).astype(np.int64), np.arange(corpus.size))
+        # The index's by-attribute view lists each attribute's chunks in sample
+        # order, built once for every model of the corpus.  Chunk ids are
+        # intp, which numpy gathers through fastest; sizes are int64, so that
+        # |query| * |chunk| cannot overflow for a large chunk.
+        self._hold(*ix.by_attribute, np.diff(ix.offsets).astype(np.int64),
+                   np.arange(corpus.size))
 
     def _hold(self, start, chunks, sizes, rows) -> None:
         """Hold the memory of chunks of `sizes`, at `rows` of the corpus index,

@@ -5,8 +5,8 @@ decision tree is a forest of one), and multinomial logistic regression, each
 trainable in family mode (one multiclass model) or direct-task mode (binary
 relevance: one binary model per distinct task column, the samples performing
 a task, so tasks a family always performs together share one model and equal
-probabilities).  All of them read the corpus's one sparse boolean design
-matrix (`core.attribute_matrix`), which the trees and logistic regression
+probabilities).  All of them read the corpus's one attribute index
+(`core.attribute_matrix`), which the trees and logistic regression
 densify, take their labels and targets (`LabelSpace.member`) from
 `core.label_space`, and keep the scoring contract of the activation models
 (`space`, `col`, `scores` per label column), which `methods.predict` turns
@@ -254,8 +254,8 @@ class RfModel:
 def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                   bootstrap: bool, max_features: int) -> RfModel:
     space = label_space(corpus, mode)
-    _, col, x = attribute_matrix(corpus)
-    x = x.toarray()                     # the trees test and gather dense columns
+    _, col, index = attribute_matrix(corpus)
+    x = index.dense(bool)               # the trees test and gather dense columns
     m = corpus.size
     if space.mode == "family":          # one forest over every label
         targets, n_classes = space.member.argmax(axis=1)[None], len(space.columns)
@@ -320,8 +320,9 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
 @dataclass(frozen=True, eq=False)
 class LogRegModel(LinearModel):
     """Logistic regression: a linear model per label column (direct mode:
-    its log odds) and the gradient norm its training ended at, the norm of
-    the whole stacked gradient (direct mode: of every column's fit)."""
+    its log odds) and grad_norm, the norm of the whole stacked gradient
+    (direct mode: of every column's fit) that the last epoch stepped along:
+    the gradient before the final update, not the one at these weights."""
 
     grad_norm: float
 
@@ -362,11 +363,11 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
         raise ValueError(f"l2 must be non-negative and finite, got {l2}")
     _check_count("epochs", epochs)
     space = label_space(corpus, mode)
-    _, col, x = attribute_matrix(corpus)
+    _, col, index = attribute_matrix(corpus)
     y = space.member
     if space.mode == "direct":
         y = np.stack([1.0 - y, y], axis=2)
-    xf = x.astype(float).toarray()
+    xf = index.dense(float)
     k = y[0].size                   # classes: one per family, or two per column
     w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
     for epoch in range(epochs):
@@ -375,6 +376,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
             raise TrainingError(f"non-finite objective at epoch {epoch}")
         w += learning_rate * gw
         b += learning_rate * gb
+    # The last epoch's gradient, taken before its update, not at w and b.
     grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
     if space.mode == "direct":
         w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]

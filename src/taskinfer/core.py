@@ -7,11 +7,11 @@ that family performs.  Attribute tokens are opaque to every model; only set
 membership matters.
 
 A corpus is an immutable collection of fully labeled samples together with
-the family -> task-set map.  Its attribute index (vocabulary, columns, one
-sparse samples x vocab presence matrix, each family's rows; the fan is read
-from it) is built on first use and kept, so every model of the corpus, and
-every fold downdated from one, shares it; only the trees and logistic
-regression densify the matrix.
+the family -> task-set map.  Its attribute index (vocabulary, columns, the
+sample -> attribute links as plain CSR arrays, each family's rows; the fan
+and the attribute -> sample view are read from it) is built on first use and
+kept, so every model of the corpus, and every fold downdated from one,
+shares it; only the trees and logistic regression densify it.
 
 Rows leave one way.  `renumbering` reads every held-out row set: it checks
 that the rows are distinct integer rows of the object they leave (else
@@ -79,11 +79,13 @@ class CorpusError(ValueError):
 
 
 class CorpusFormatError(CorpusError):
-    """A corpus file line could not be parsed; carries the 1-based line number."""
+    """A corpus file line could not be parsed; carries the 1-based line number
+    and the file, which the message names first: "b.jsonl: line 2: ..."."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, path=None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(where + message if path is None else f"{path}: {where}{message}")
+        self.message, self.line, self.path = message, line, path
 
 
 @dataclass(frozen=True)
@@ -170,20 +172,60 @@ class Prediction:
 
 @dataclass(frozen=True, eq=False)
 class AttributeIndex:
-    """The one indexing of a corpus's attributes: row i is corpus.samples[i]."""
+    """The one indexing of a corpus's attributes: row i is corpus.samples[i].
+
+    The (row, column) links are CSR arrays, read-only int32 since every model
+    shares them: row i holds columns[offsets[i]:offsets[i + 1]], in its
+    attribute set's order.  The by-attribute view and the dense matrix are
+    derived from them.
+    """
 
     vocab: list                 # sorted attributes; column j is vocab[j]
     col: dict                   # attribute -> column
-    matrix: sparse.csr_matrix   # samples x vocab presence (read-only); a row lists
-                                # its columns in its attribute set's order
+    offsets: np.ndarray         # (samples + 1,) where each row's links start
+    columns: np.ndarray         # the column of every link, row after row
     members: dict               # family -> its rows, ascending
 
+    @property
+    def size(self) -> int:
+        """The row (sample) count."""
+        return self.offsets.size - 1
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the link arrays."""
+        return self.offsets.nbytes + self.columns.nbytes
+
+    def _link_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size), np.diff(self.offsets))
+
+    @cached_property
+    def by_attribute(self) -> tuple:
+        """(start, rows): the rows holding vocab[j] are rows[start[j]:start[j + 1]],
+        ascending (the links in CSC form; rows intp, read-only).  Built on
+        first use and kept, so every model of the corpus reads one copy.  A
+        row holds a column once, so the keys column * size + row are distinct
+        and one sort orders the links by column, then by row."""
+        fan = np.bincount(self.columns, minlength=len(self.vocab))
+        keys = np.sort(self.columns * np.int64(self.size) + self._link_rows())
+        rows = keys - np.repeat(np.arange(fan.size) * self.size, fan)
+        start = np.concatenate(([0], np.cumsum(fan)))
+        for a in (start, rows):
+            a.flags.writeable = False
+        return start, rows
+
+    def dense(self, dtype) -> np.ndarray:
+        """The (samples x vocab) presence matrix as a new dense array of
+        `dtype`: 1 where a row holds a column, else 0."""
+        x = np.zeros((self.size, len(self.vocab)), dtype=dtype)
+        x.reshape(-1)[self._link_rows() * len(self.vocab) + self.columns] = 1
+        return x
+
     def links(self, rows: Sequence[int]) -> tuple:
-        """(row, column) of every attribute the given rows hold, row after row,
-        sliced through the matrix's indptr (cheaper than a scipy row slice)."""
-        rows, x = np.asarray(rows, dtype=np.intp), self.matrix
-        held = [x.indices[x.indptr[r]:x.indptr[r + 1]] for r in rows.tolist()]
-        return np.repeat(rows, [c.size for c in held]), np.concatenate([x.indices[:0], *held])
+        """(row, column) of every attribute the given rows hold, row after row."""
+        rows = np.asarray(rows, dtype=np.intp)
+        held = [self.columns[self.offsets[r]:self.offsets[r + 1]] for r in rows.tolist()]
+        return np.repeat(rows, [c.size for c in held]), np.concatenate([self.columns[:0], *held])
 
 
 def renumbering(size: int, rows: Sequence[int]) -> np.ndarray:
@@ -221,23 +263,18 @@ class Corpus:
 
     @cached_property
     def index(self) -> AttributeIndex:
-        """Built on first use and kept: the samples never change.  The one
-        place that builds a sparse matrix, so scipy.sparse loads here."""
-        from scipy import sparse
+        """Built on first use and kept: the samples never change."""
         vocab = sorted(frozenset().union(*(s.attribs for s in self._samples)))
         col = {a: j for j, a in enumerate(vocab)}
-        indptr = np.cumsum([0] + [len(s.attribs) for s in self._samples], dtype=np.intp)
-        indices = np.fromiter((col[a] for s in self._samples for a in s.attribs),
-                              dtype=np.intp, count=indptr[-1])
-        # Given intp arrays, csr_matrix picks int32 ones, which scipy reads fastest.
-        matrix = sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
-                                   shape=(self.size, len(vocab)))
-        for a in (matrix.data, matrix.indices, matrix.indptr):
+        offsets = np.cumsum([0] + [len(s.attribs) for s in self._samples], dtype=np.int32)
+        columns = np.fromiter((col[a] for s in self._samples for a in s.attribs),
+                              dtype=np.int32, count=offsets[-1])
+        for a in (offsets, columns):
             a.flags.writeable = False
         members: dict[FamilyId, list] = {}
         for i, s in enumerate(self._samples):
             members.setdefault(s.family, []).append(i)
-        return AttributeIndex(vocab, col, matrix,
+        return AttributeIndex(vocab, col, offsets, columns,
                               {f: tuple(ix) for f, ix in members.items()})
 
     @property
@@ -251,7 +288,7 @@ class Corpus:
     @property
     def fan(self) -> dict:
         """Per-attribute sample counts over the whole corpus."""
-        return dict(zip(self.index.vocab, np.bincount(self.index.matrix.indices).tolist()))
+        return dict(zip(self.index.vocab, np.bincount(self.index.columns).tolist()))
 
     @property
     def size(self) -> int:
@@ -336,12 +373,12 @@ def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable
 
 
 def attribute_matrix(corpus: Corpus) -> tuple:
-    """Sorted attribute vocabulary, column index, and the read-only sparse
-    boolean presence matrix of `corpus.index` (not a copy).  Shared by every
-    model that works against a design matrix.
+    """Sorted attribute vocabulary, column index, and `corpus.index` itself,
+    whose read-only link arrays hold the boolean presence matrix (not a
+    copy).  Shared by every model that works against a design matrix.
     """
     ix = corpus.index
-    return ix.vocab, ix.col, ix.matrix
+    return ix.vocab, ix.col, ix
 
 
 def query_cols(col: Mapping[str, int], query) -> tuple:
@@ -402,13 +439,22 @@ class LabelSpace:
         """The sample count of each column."""
         return np.array([c.size for c in self.columns])
 
-    def presence_counts(self, x: sparse.csr_matrix) -> tuple:
-        """Presence counts over the sparse design matrix x: (present, total),
-        where present[c, a] counts the samples of columns[c] holding attribute
-        a (whole floats, as the rates read them; C order, so a fit sums a row
-        in column order) and total[a] all the samples holding it."""
-        present = np.ascontiguousarray(self.member.T @ x)
-        return present, np.bincount(x.indices, minlength=x.shape[1])
+    def presence_counts(self, index: AttributeIndex) -> tuple:
+        """Presence counts over the links of this space's corpus `index`:
+        (present, total), where present[c, a] counts the samples of
+        columns[c] holding attribute a (whole floats, as the rates read them;
+        C order, so a fit sums a row in column order) and total[a] all the
+        samples holding it.  A sample's tasks are its family's, so every
+        column is a union of families: the links are counted per (family,
+        attribute) in one bincount, and each column sums its families'."""
+        v = len(index.vocab)
+        family = np.empty(index.size, dtype=np.intp)
+        for f, rows in enumerate(index.members.values()):
+            family[list(rows)] = f
+        counts = np.bincount(np.repeat(family * v, np.diff(index.offsets)) + index.columns,
+                             minlength=len(index.members) * v).reshape(-1, v)
+        first = [rows[0] for rows in index.members.values()]
+        return self.member[first].T @ counts, np.bincount(index.columns, minlength=v)
 
     def presence_rates(self, present: np.ndarray, total: np.ndarray,
                        smoothing: float) -> tuple:
@@ -597,15 +643,15 @@ class CountModel(LinearModel):
     def train(cls, corpus: Corpus, mode: str, smoothing: float, fit: Callable,
               mean: bool, w: float, s: float) -> "CountModel":
         space = label_space(corpus, mode)
-        _, col, x = attribute_matrix(corpus)
-        return cls(space, col, *fit(space, *space.presence_counts(x), smoothing),
+        _, col, index = attribute_matrix(corpus)
+        return cls(space, col, *fit(space, *space.presence_counts(index), smoothing),
                    mean, w, s, corpus.index, smoothing, fit)
 
     @cached_property
     def counts(self) -> tuple:
         """(present, total) of `LabelSpace.presence_counts`, recounted on first
         use: only leaving samples out reads them."""
-        return self.space.presence_counts(self.index.matrix)
+        return self.space.presence_counts(self.index)
 
     def without(self, rows) -> LinearModel:
         """The model fitted on every sample of its corpus but the distinct
@@ -670,10 +716,12 @@ def read_corpus_records(path) -> tuple:
     Unlabeled records (family/tasks null) pass through; structural problems,
     bytes that are not UTF-8, and JSON that json.loads cannot build (nesting
     past the recursion limit, an integer past the digit limit) raise
-    CorpusFormatError naming the 1-based line.
+    CorpusFormatError naming the file and the 1-based line.
     """
     try:
         return _corpus_records(path)
+    except CorpusFormatError as e:
+        raise CorpusFormatError(e.message, e.line, path) from e
     except UnicodeDecodeError as e:
         with open(path, "rb") as fh:        # find the line the decoder failed on
             for n, raw in enumerate(fh, start=1):
@@ -681,7 +729,7 @@ def read_corpus_records(path) -> tuple:
                     raw.decode("utf-8")
                 except UnicodeDecodeError:
                     break
-        raise CorpusFormatError(f"not UTF-8 text ({e.reason})", n) from e
+        raise CorpusFormatError(f"not UTF-8 text ({e.reason})", n, path) from e
 
 
 def _corpus_records(path) -> tuple:

@@ -189,8 +189,7 @@ def _family_samples(rng: random.Random, family: str, n_samples: int,
 
 def measure_overlap(corpus: Corpus) -> tuple:
     """Mean pairwise Dice overlap (within families, across families)."""
-    _, _, x = attribute_matrix(corpus)
-    xf = x.astype(np.float32).toarray()
+    xf = attribute_matrix(corpus)[2].dense(np.float32)
     inter = xf @ xf.T
     sizes = xf.sum(axis=1)
     denom = sizes[:, None] + sizes[None, :]

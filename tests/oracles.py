@@ -14,7 +14,11 @@ reads its targets and design matrix from `core.label_space` and
 `core.attribute_matrix`, as the forest trainer does.  The t-test's
 `reference_t_p_value` is not first principles either: it is the two-sided
 p-value from `scipy.stats`' Student-t survival function, which
-`evaluation.paired_ttest` read before it called `scipy.special.stdtr`.
+`evaluation.paired_ttest` read before it called `scipy.special.stdtr`.  Nor
+are the attribute index's scipy oracles (`scipy_matrix`,
+`scipy_by_attribute`, `scipy_presence_counts`): the index held a scipy CSR
+matrix before it kept plain arrays, and these redo with scipy what the
+models then read from it.
 """
 
 from __future__ import annotations
@@ -371,8 +375,8 @@ def reference_grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
     the nodes numbered tree by tree in preorder.  `dt_train` is n_trees=1,
     seed=0, no bootstrap and every attribute a candidate."""
     space = label_space(corpus, mode)
-    vocab, _, x = attribute_matrix(corpus)
-    x = x.toarray()
+    vocab, _, index = attribute_matrix(corpus)
+    x = index.dense(bool)
     m = corpus.size
     if mode == "family":
         targets, n_classes = space.member.argmax(axis=1)[None], len(space.labels)
@@ -525,6 +529,28 @@ def random_params(rng: random.Random) -> ActrParams:
         task_threshold=rng.uniform(0.2, 0.8),
         partial_matching=rng.choice(("overlap", "deficit")),
     )
+
+
+def scipy_matrix(corpus: Corpus):
+    """The corpus index's links as a scipy CSR matrix (samples x vocab, bool)."""
+    from scipy import sparse
+    ix = corpus.index
+    return sparse.csr_matrix((np.ones(ix.columns.size, dtype=bool), ix.columns, ix.offsets),
+                             shape=(ix.size, len(ix.vocab)))
+
+
+def scipy_by_attribute(corpus: Corpus) -> tuple:
+    """(indptr, indices) of scipy's CSR -> CSC conversion of the index's links."""
+    x = scipy_matrix(corpus).tocsc()
+    return x.indptr, x.indices
+
+
+def scipy_presence_counts(corpus: Corpus, space) -> tuple:
+    """`LabelSpace.presence_counts` as the sparse product member.T @ x and a
+    bincount of the link columns."""
+    x = scipy_matrix(corpus)
+    return (np.ascontiguousarray(space.member.T @ x),
+            np.bincount(x.indices, minlength=x.shape[1]))
 
 
 def reference_t_p_value(t: float, dof: int) -> float:

@@ -303,7 +303,7 @@ class TestPredict:
                    "--in", str(bad)])
         assert rc == 1
         assert capsys.readouterr().err == \
-            "error: line 2: not UTF-8 text (invalid start byte)\n"
+            f"error: {bad}: line 2: not UTF-8 text (invalid start byte)\n"
 
     @pytest.mark.parametrize("line,message", [
         ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
@@ -320,8 +320,20 @@ class TestPredict:
         rc = main(["predict", "--method", "nb", *(a for kv in files.items() for a in kv)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line 2: unreadable JSON ({message}")
+        assert err.startswith(f"error: {bad}: line 2: unreadable JSON ({message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--in", "--corpus"])
+    def test_a_format_error_names_the_file_it_is_in(self, tmp_path, capsys, flag):
+        corpus_path = run_gen(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"families":{}}\n{"id": \n', encoding="utf-8")
+        files = {"--corpus": corpus_path, "--in": corpus_path, flag: str(bad)}
+        capsys.readouterr()
+        rc = main(["predict", "--method", "nb", *(a for kv in files.items() for a in kv)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 2: invalid JSON (Expecting value)\n"
 
     def test_header_only_corpus_exits_1(self, tmp_path, capsys):
         corpus_path = tmp_path / "empty.jsonl"
@@ -380,22 +392,37 @@ loaded["ttest"] = [m for m in SCIPY if m in sys.modules]
 print(json.dumps(loaded))
 """
 
+_TRAIN_PROBE = """
+import json, sys
+from taskinfer import core, methods, synthgen
+
+corpus, _ = synthgen.generate(synthgen.GenSpec(samples_per_family=6, seed=1))
+for method in methods.METHODS:
+    for mode in core.MODES:
+        methods.train_method(method, corpus, mode)(corpus.samples[0].attribs)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _probe(code: str):
+    """The JSON a fresh interpreter prints running `code` against this
+    package: this one has loaded whatever the other tests ran."""
+    package_root = str(Path(taskinfer.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
 
 class TestImports:
     def test_each_scipy_module_loads_only_where_it_runs(self):
-        # A fresh interpreter: this one has loaded whatever the other tests ran.
-        package_root = str(Path(taskinfer.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
-                                                           os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "cli": [],
-            "index": ["scipy.sparse"],
-            "ttest": ["scipy.special", "scipy.sparse"],
-        }
+        assert _probe(_IMPORT_PROBE) == {"cli": [], "index": [], "ttest": ["scipy.special"]}
+
+    def test_training_every_method_in_both_modes_loads_no_scipy(self):
+        assert _probe(_TRAIN_PROBE) == []
 
 
 # sha256 of `predict --mode direct --out` on encrypted queries.  The carriers

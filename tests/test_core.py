@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (held_out_row_sets, random_corpus, reference_index, reference_prediction,
-                     reference_presence_counts, reference_task_groups)
+                     reference_presence_counts, reference_task_groups, scipy_by_attribute,
+                     scipy_matrix, scipy_presence_counts)
+from taskinfer.actr import IbModel
 from taskinfer.core import (
     MODES,
     ActrParams,
@@ -134,14 +136,14 @@ class TestCorpusIndexes:
         assert c.index is ix                    # built once, then kept
         assert ix.vocab == vocab
         assert ix.col == {a: j for j, a in enumerate(vocab)}
-        x = ix.matrix
-        assert x.shape == (len(c), len(vocab)) and x.dtype == bool
-        assert x.indices.dtype == x.indptr.dtype == np.int32
-        assert not any(a.flags.writeable for a in (x.data, x.indices, x.indptr))
-        assert x.data.all() and x.nnz == sum(len(a) for a in row_attrs)
-        links = [{vocab[j] for j in x.indices[x.indptr[i]:x.indptr[i + 1]].tolist()}
-                 for i in range(len(c))]
-        assert links == row_attrs
+        assert ix.size == len(c) and ix.offsets.size == len(c) + 1
+        assert ix.offsets.dtype == ix.columns.dtype == np.int32
+        assert not any(a.flags.writeable for a in (ix.offsets, ix.columns))
+        assert ix.offsets[0] == 0 and ix.columns.size == sum(len(a) for a in row_attrs)
+        assert ix.nbytes == ix.offsets.nbytes + ix.columns.nbytes
+        links = [ix.columns[ix.offsets[i]:ix.offsets[i + 1]].tolist() for i in range(len(c))]
+        assert [len(set(row)) for row in links] == [len(row) for row in links]
+        assert [{vocab[j] for j in row} for row in links] == row_attrs
         assert c.fan == fan
         assert {f: list(rows) for f, rows in ix.members.items()} == members
         for f in c.families:
@@ -220,15 +222,37 @@ class TestAttributeMatrix:
         for _ in range(10):
             c = random_corpus(rng)
             vocab, col, x = attribute_matrix(c)
-            assert x is c.index.matrix          # the index's matrix, not a copy
+            assert x is c.index                 # the index itself, not a copy
             assert vocab == sorted(c.fan)
+            x = x.dense(bool)
             assert x.shape == (len(c), len(vocab))
             assert x.dtype == bool
-            x = x.toarray()
             for i, s in enumerate(c.samples):
                 present = {vocab[j] for j in range(len(vocab)) if x[i, j]}
                 assert present == set(s.attribs)
             assert all(col[a] == j for j, a in enumerate(vocab))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_by_attribute_view_is_scipys_csc(self, seed, mode):
+        c = random_corpus(random.Random(seed))
+        start, rows = c.index.by_attribute
+        indptr, indices = scipy_by_attribute(c)
+        assert np.array_equal(start, indptr) and np.array_equal(rows, indices)
+        assert rows.dtype == np.intp
+        assert not (start.flags.writeable or rows.flags.writeable)
+        # Built once: the instance model reads the one view in either mode.
+        model = IbModel(c, mode=mode)
+        assert model._start is start and model._chunks is rows
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([bool, np.float32, float]))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_is_scipys_toarray(self, seed, dtype):
+        c = random_corpus(random.Random(seed))
+        x = c.index.dense(dtype)
+        ref = scipy_matrix(c).astype(dtype).toarray()
+        assert x.dtype == ref.dtype and x.flags.c_contiguous and x.flags.writeable
+        assert np.array_equal(x, ref)
 
 
 def _space(families, mode="family"):
@@ -388,11 +412,12 @@ class TestLabelColumns:
         c = random_corpus(random.Random(seed))
         space = label_space(c, mode)
         present, total = space.presence_counts(attribute_matrix(c)[2])
-        ref_present, ref_total = reference_presence_counts(c, space)
-        assert present.dtype == ref_present.dtype and total.dtype == ref_total.dtype
         assert present.flags.c_contiguous       # the fits sum its rows in column order
-        assert np.array_equal(present, ref_present)
-        assert np.array_equal(total, ref_total)
+        for ref_present, ref_total in (reference_presence_counts(c, space),
+                                       scipy_presence_counts(c, space)):
+            assert present.dtype == ref_present.dtype and total.dtype == ref_total.dtype
+            assert np.array_equal(present, ref_present)
+            assert np.array_equal(total, ref_total)
 
     def test_smoothed_presence_rates(self, two_family_corpus):
         # The rates naive Bayes and the rule model both read.  Hand counts for
@@ -492,8 +517,8 @@ class TestCorpusFiles:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=fragment) as exc:
             read_corpus_records(path)
-        assert exc.value.line == lineno
-        assert f"line {lineno}:" in str(exc.value)
+        assert exc.value.line == lineno and exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: line {lineno}: ")
 
 
     @pytest.mark.parametrize("valid_lines", [1, 2000])
@@ -508,7 +533,7 @@ class TestCorpusFiles:
         with pytest.raises(CorpusFormatError, match="not UTF-8 text") as exc:
             read_corpus_records(path)
         assert exc.value.line == valid_lines + 1
-        assert str(exc.value).startswith(f"line {valid_lines + 1}: ")
+        assert str(exc.value).startswith(f"{path}: line {valid_lines + 1}: ")
 
 
 class TestCanonicalJson:

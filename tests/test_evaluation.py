@@ -370,7 +370,7 @@ class TestFoldCorpus:
             vocab, col, x = attribute_matrix(sub)
             ref_vocab, ref_col, ref_x = attribute_matrix(ref)
             assert vocab == ref_vocab and col == ref_col
-            assert np.array_equal(x.toarray(), ref_x.toarray())
+            assert np.array_equal(x.dense(bool), ref_x.dense(bool))
 
 
 # sha256 of the save_reports file holding [loocv, split_trials(n_trials=2),
