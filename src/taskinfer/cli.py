@@ -185,10 +185,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
+    _, records = read_corpus_records(args.records)     # a bad --in costs no training
     params = _params_from_args(args)
     predictor = train_method(args.method, corpus, mode=args.mode,
                              params=params, seed=args.seed)
-    _, records = read_corpus_records(args.records)
     out = []
     for s in records:
         pred = predictor(s.attribs)

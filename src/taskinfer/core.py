@@ -40,8 +40,8 @@ A `CountModel` is a LinearModel fitted from presence counts (naive Bayes,
 the rule model); `without(rows)` refits it from the counts less those rows',
 so holding samples out never recounts a corpus.
 
-Corpus files are UTF-8 text, one JSON object per line (LF terminated).  The
-first line is a header carrying the family map:
+Corpus files are UTF-8 text, one JSON object per line.  The first line is a
+header carrying the family map:
 
     {"families": {"zeus": ["beacon", "keylog"], ...}}
 
@@ -50,10 +50,15 @@ and every following line is one sample record:
     {"attributes": [...], "family": "zeus", "id": "a3f...", "tasks": [...]}
 
 ``family`` and ``tasks`` may be null for unlabeled records (as produced by
-report ingestion); ``load_corpus`` rejects those, ``read_corpus_records``
-tolerates them.  All objects are written with sorted keys and sorted value
-arrays so identical inputs serialize byte-identically; `write_json_lines` is
-the one writer of this and every other JSON-lines file the program writes.
+report ingestion); ``load_corpus`` rejects those, naming the file and the
+line, ``read_corpus_records`` tolerates them.  All objects are written with
+sorted keys and sorted value arrays so identical inputs serialize
+byte-identically; `write_json_lines` is the one writer of this and every
+other JSON-lines file the program writes (LF line ends), and its mirror
+`read_json_lines` the one reader (LF, CRLF or CR line ends), in one pass.
+`json_object` is the one JSON decoder, of those lines and of the report and
+config documents `ingest` reads, and says in one wording why a text holds no
+JSON object.
 """
 
 from __future__ import annotations
@@ -75,17 +80,24 @@ MODES = ("family", "direct")
 
 
 class CorpusError(ValueError):
-    """A sample or corpus violates the labeling/shape contract."""
+    """A sample or corpus violates the labeling/shape contract; `row` is the
+    position of the offending sample among the samples given, when one is."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class CorpusFormatError(CorpusError):
-    """A corpus file line could not be parsed; carries the 1-based line number
-    and the file, which the message names first: "b.jsonl: line 2: ..."."""
+    """A line of a JSON-lines file is wrong: it could not be read, or the
+    record on it breaks the corpus format or the labeling contract.  Carries
+    the 1-based line number and the file, which the message names first:
+    "b.jsonl: line 2: ..."."""
 
     def __init__(self, message: str, line: int | None = None, path=None):
         where = "" if line is None else f"line {line}: "
         super().__init__(where + message if path is None else f"{path}: {where}{message}")
-        self.message, self.line, self.path = message, line, path
+        self.line, self.path = line, path
 
 
 @dataclass(frozen=True)
@@ -344,29 +356,30 @@ def build_corpus(samples: Iterable[Sample], families: Mapping[FamilyId, Iterable
     Every sample must carry a family present in `families` and a non-empty
     attribute set; sample task sets are filled in from the family map and
     must match it when already present.  Duplicate sample ids are rejected.
+    Each CorpusError carries the offending sample's position as `row`.
     """
     fam_tasks = {f: frozenset(ts) for f, ts in families.items()}
     seen = set()
     out = []
-    for s in samples:
+    for row, s in enumerate(samples):
         if s.id in seen:
-            raise CorpusError(f"duplicate sample id {s.id!r}")
+            raise CorpusError(f"duplicate sample id {s.id!r}", row)
         seen.add(s.id)
         if s.family is None:
-            raise CorpusError(f"sample {s.id!r} is unlabeled (family is None)")
+            raise CorpusError(f"sample {s.id!r} is unlabeled (family is None)", row)
         if s.family not in fam_tasks:
             raise CorpusError(
-                f"sample {s.id!r} has family {s.family!r} absent from the family map"
+                f"sample {s.id!r} has family {s.family!r} absent from the family map", row
             )
         if not s.attribs:
-            raise CorpusError(f"sample {s.id!r} has an empty attribute set")
+            raise CorpusError(f"sample {s.id!r} has an empty attribute set", row)
         expected = fam_tasks[s.family]
         if s.tasks is None:
             s = Sample(s.id, s.attribs, s.family, expected)
         elif s.tasks != expected:
             raise CorpusError(
                 f"sample {s.id!r} declares tasks {sorted(s.tasks)} but family "
-                f"{s.family!r} maps to {sorted(expected)}"
+                f"{s.family!r} maps to {sorted(expected)}", row
             )
         out.append(s)
     return Corpus(out, fam_tasks)
@@ -710,91 +723,98 @@ def save_corpus(corpus: Corpus, path) -> None:
     write_corpus_records(path, corpus.samples, corpus.families)
 
 
+def json_object(data) -> dict:
+    """The object that one JSON document holds: the one `json.loads` of the
+    program, and its one error mapping.  `data` is UTF-8 bytes or str.
+
+    Raises ValueError saying why there is no object: "not UTF-8 text (…)",
+    "invalid JSON (…)", "unreadable JSON (…)" (JSON that json.loads cannot
+    build: an integer past the digit limit, nesting past the recursion
+    limit) or "expected a JSON object".
+    """
+    try:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"not UTF-8 text ({e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise ValueError(f"invalid JSON ({e.msg})") from e
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"unreadable JSON ({e})") from e
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    return obj
+
+
+def read_json_lines(path) -> Iterator[tuple]:
+    """The one reader of JSON-lines files, the mirror of `write_json_lines`:
+    yields (line, object) for each line, numbered from 1.
+
+    One pass through the text-mode reader, so lines end in LF, CRLF or CR.
+    It carries bytes that are not UTF-8 as surrogate escapes; a line that is
+    not ASCII goes back to its bytes, so that `json_object` decodes it
+    strictly.  A line that `json_object` rejects raises CorpusFormatError
+    naming the file and the line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                obj = json_object(line if line.isascii()
+                                  else line.encode("utf-8", "surrogateescape"))
+            except ValueError as e:
+                raise CorpusFormatError(str(e), n, path) from e
+            yield n, obj
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def read_corpus_records(path) -> tuple:
     """Parse a corpus file into (families, samples) without label validation.
 
-    Unlabeled records (family/tasks null) pass through; structural problems,
-    bytes that are not UTF-8, and JSON that json.loads cannot build (nesting
-    past the recursion limit, an integer past the digit limit) raise
+    Unlabeled records (family/tasks null) pass through; a line that
+    `read_json_lines` cannot read, or whose object breaks the format, raises
     CorpusFormatError naming the file and the 1-based line.
     """
-    try:
-        return _corpus_records(path)
-    except CorpusFormatError as e:
-        raise CorpusFormatError(e.message, e.line, path) from e
-    except UnicodeDecodeError as e:
-        with open(path, "rb") as fh:        # find the line the decoder failed on
-            for n, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise CorpusFormatError(f"not UTF-8 text ({e.reason})", n, path) from e
-
-
-def _corpus_records(path) -> tuple:
-    families: dict[str, frozenset] = {}
+    lines = read_json_lines(path)
+    _, header = next(lines, (None, None))
+    if header is None:
+        raise CorpusFormatError("empty corpus file", 1, path)
+    fams = header.get("families")
+    if not isinstance(fams, dict):
+        raise CorpusFormatError('header must carry a "families" object', 1, path)
+    for f, ts in fams.items():
+        if not _strings(ts):
+            raise CorpusFormatError(f"family {f!r} must map to a list of task ids", 1, path)
     samples: list[Sample] = []
     seen: set[str] = set()
-    n = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"invalid JSON ({e.msg})", n) from e
-            except (ValueError, RecursionError) as e:
-                # An integer literal past Python's digit limit, or nesting past
-                # its recursion limit: valid JSON that json.loads cannot build.
-                raise CorpusFormatError(f"unreadable JSON ({e})", n) from e
-            if not isinstance(obj, dict):
-                raise CorpusFormatError("expected a JSON object", n)
-            if n == 1:
-                fams = obj.get("families")
-                if not isinstance(fams, dict):
-                    raise CorpusFormatError('header must carry a "families" object', 1)
-                for f, ts in fams.items():
-                    if not isinstance(ts, list) or not all(isinstance(t, str) for t in ts):
-                        raise CorpusFormatError(
-                            f"family {f!r} must map to a list of task ids", 1
-                        )
-                    families[f] = frozenset(ts)
-                continue
-            missing = [k for k in ("id", "family", "tasks", "attributes") if k not in obj]
-            if missing:
-                raise CorpusFormatError(f"record missing keys {missing}", n)
-            sid = obj["id"]
-            if not isinstance(sid, str) or not sid:
-                raise CorpusFormatError("record id must be a non-empty string", n)
-            if sid in seen:
-                raise CorpusFormatError(f"duplicate sample id {sid!r}", n)
-            seen.add(sid)
-            attrs = obj["attributes"]
-            if (not isinstance(attrs, list) or not attrs
-                    or not all(isinstance(a, str) for a in attrs)):
-                raise CorpusFormatError(
-                    f"sample {sid!r} needs a non-empty list of attribute strings", n
-                )
-            family = obj["family"]
-            if family is not None and not isinstance(family, str):
-                raise CorpusFormatError(
-                    f"sample {sid!r} family must be a string or null", n)
-            tasks = obj["tasks"]
-            if tasks is not None and (not isinstance(tasks, list)
-                                      or not all(isinstance(t, str) for t in tasks)):
-                raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n)
-            samples.append(Sample(
-                id=sid,
-                attribs=frozenset(attrs),
-                family=family,
-                tasks=frozenset(tasks) if tasks is not None else None,
-            ))
-    if n == 0:
-        raise CorpusFormatError("empty corpus file", 1)
-    return families, samples
+    for n, obj in lines:
+        missing = [k for k in ("id", "family", "tasks", "attributes") if k not in obj]
+        if missing:
+            raise CorpusFormatError(f"record missing keys {missing}", n, path)
+        sid, family, tasks, attrs = obj["id"], obj["family"], obj["tasks"], obj["attributes"]
+        if not isinstance(sid, str) or not sid:
+            raise CorpusFormatError("record id must be a non-empty string", n, path)
+        if sid in seen:
+            raise CorpusFormatError(f"duplicate sample id {sid!r}", n, path)
+        seen.add(sid)
+        if not (attrs and _strings(attrs)):
+            raise CorpusFormatError(
+                f"sample {sid!r} needs a non-empty list of attribute strings", n, path)
+        if family is not None and not isinstance(family, str):
+            raise CorpusFormatError(f"sample {sid!r} family must be a string or null", n, path)
+        if tasks is not None and not _strings(tasks):
+            raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n, path)
+        samples.append(Sample(sid, frozenset(attrs), family,
+                              None if tasks is None else frozenset(tasks)))
+    return {f: frozenset(ts) for f, ts in fams.items()}, samples
 
 
 def load_corpus(path) -> Corpus:
-    """Parse and validate a fully labeled corpus file."""
+    """Parse and validate a fully labeled corpus file.  A label error names
+    the file and the line of its record (sample i is on line i + 2)."""
     families, samples = read_corpus_records(path)
-    return build_corpus(samples, families)
+    try:
+        return build_corpus(samples, families)
+    except CorpusError as e:
+        raise CorpusFormatError(str(e), e.row + 2, path) from e

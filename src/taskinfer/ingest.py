@@ -23,6 +23,13 @@ Accepted report fields (everything else is ignored):
                                                        (only when the static
                                                         toggle is on)
 
+JSON is decoded in one place, `core.json_object`.  The one reader of
+JSON-lines files, `core.read_json_lines` (the mirror of `write_json_lines`),
+decodes each corpus line through it, and `_document` each report and config:
+a file that holds no JSON object fails with the reason a corpus line would
+give, after the file name ("r.json: invalid JSON (Expecting value)").
+Reports decode lossily: bytes that are not UTF-8 become U+FFFD.
+
 A summary field that is not a list is skipped, and so is each entry of one
 that is not a non-blank string: a report's malformed fields cost only their
 own tokens, never the report.
@@ -45,12 +52,11 @@ hkcc).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields
 from typing import Iterable
 
-from .core import Sample
+from .core import Sample, json_object
 
 
 class ReportError(ValueError):
@@ -196,19 +202,7 @@ def parse_report(data, config: ExtractionConfig | None = None,
     config = config or ExtractionConfig()
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ReportError(
-            f"malformed report JSON: {e.msg} (line {e.lineno}, column {e.colno})",
-            location,
-        ) from e
-    except (ValueError, RecursionError) as e:
-        # An integer literal past Python's digit limit, or nesting past its
-        # recursion limit: valid JSON that json.loads cannot build.
-        raise ReportError(f"unreadable report JSON: {e}", location) from e
-    if not isinstance(doc, dict):
-        raise ReportError("report is not a JSON object", location)
+    doc = _document(data, location)
 
     target_file = _section(_section(doc, "target", location), "target.file", location)
     info = _section(doc, "info", location)
@@ -258,20 +252,20 @@ def parse_report(data, config: ExtractionConfig | None = None,
     return Sample(id=sample_id, attribs=frozenset(tokens), family=None, tasks=None)
 
 
+def _document(data, location: str) -> dict:
+    """The JSON object of a report or config (`core.json_object`), or a
+    ReportError naming `location` and why there is none."""
+    try:
+        return json_object(data)
+    except ValueError as e:
+        raise ReportError(str(e), location) from e
+
+
 def load_extraction_config(path) -> ExtractionConfig:
     """Read an ExtractionConfig from its JSON file form; every error in the
     file is a ReportError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ReportError(f"malformed config JSON: {e.msg}", str(path)) from e
-        except UnicodeDecodeError as e:
-            raise ReportError(f"not UTF-8 text ({e.reason})", str(path)) from e
-        except (ValueError, RecursionError) as e:
-            raise ReportError(f"unreadable config JSON: {e}", str(path)) from e
-    if not isinstance(obj, dict):
-        raise ReportError("extraction config must be a JSON object", str(path))
+    with open(path, "rb") as fh:
+        obj = _document(fh.read(), str(path))
     try:
         return ExtractionConfig.from_dict(obj)
     except ValueError as e:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import taskinfer
-from taskinfer import synthgen
+from taskinfer import cli, synthgen
 from taskinfer.cli import main
 from taskinfer.core import canonical_json, load_corpus, read_corpus_records
 from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenSpec
@@ -222,7 +222,7 @@ class TestIngest:
                    "--out", str(tmp_path / "ingested.jsonl")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {config}: unreadable config JSON: maximum recursion")
+        assert err.startswith(f"error: {config}: unreadable JSON (maximum recursion")
         assert err.count("\n") == 1
 
 
@@ -334,6 +334,43 @@ class TestPredict:
         assert rc == 1
         assert capsys.readouterr().err == \
             f"error: {bad}: line 2: invalid JSON (Expecting value)\n"
+
+    @pytest.mark.parametrize("record,message", [
+        ('{"attributes":["a"],"family":null,"id":"q","tasks":null}',
+         "sample 'q' is unlabeled (family is None)"),
+        ('{"attributes":["a"],"family":"G","id":"q","tasks":null}',
+         "sample 'q' has family 'G' absent from the family map"),
+    ], ids=["unlabeled", "unknown-family"])
+    @pytest.mark.parametrize("command", [["predict"], ["eval"]])
+    def test_a_label_error_names_the_file_and_the_line(self, tmp_path, capsys,
+                                                       command, record, message):
+        bad = tmp_path / "unl.jsonl"
+        bad.write_text('{"families":{"F":["t"]}}\n' + record + "\n", encoding="utf-8")
+        rc = main([*command, "--method", "nb", "--corpus", str(bad),
+                   *(["--in", str(bad)] if command == ["predict"] else [])])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 2: {message}\n"
+
+    def test_a_bad_in_file_is_reported_before_training(self, tmp_path, capsys, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("trained before reading --in")
+
+        monkeypatch.setattr(cli, "train_method", train)
+        corpus_path = run_gen(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"families":{}}\n{"id": \n', encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["predict", "--method", "nb", "--corpus", corpus_path, "--in", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 2: invalid JSON (Expecting value)\n"
+        # A bad --corpus is still the first error reported.
+        bad_corpus = tmp_path / "bad-corpus.jsonl"
+        bad_corpus.write_text("[]\n", encoding="utf-8")
+        rc = main(["predict", "--method", "nb", "--corpus", str(bad_corpus), "--in", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad_corpus}: line 1: expected a JSON object\n"
 
     def test_header_only_corpus_exits_1(self, tmp_path, capsys):
         corpus_path = tmp_path / "empty.jsonl"

@@ -535,6 +535,60 @@ class TestCorpusFiles:
         assert exc.value.line == valid_lines + 1
         assert str(exc.value).startswith(f"{path}: line {valid_lines + 1}: ")
 
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_every_line_end_reads_alike(self, tmp_path, end):
+        lines = [b'{"families":{"F":["t"]}}',
+                 b'{"attributes":["a","b"],"family":"F","id":"s1","tasks":["t"]}',
+                 b'{"attributes":["c"],"family":null,"id":"s2","tasks":null}',
+                 b'{"attributes":["d"],"family":"F","id":"s3","tasks":null}']
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"".join(line + end for line in lines))
+        assert read_corpus_records(path) == (
+            {"F": frozenset({"t"})},
+            [Sample("s1", {"a", "b"}, "F", {"t"}), Sample("s2", {"c"}), Sample("s3", {"d"}, "F")])
+        for bad, reason in [
+            (b'{"attributes":["\xff"],"family":null,"id":"x","tasks":null}',
+             "not UTF-8 text (invalid start byte)"),
+            (b'{"id":"x"} \xc3', "not UTF-8 text (invalid continuation byte)"),
+            (b'{"id": ', "invalid JSON (Expecting value)"),
+        ]:
+            path.write_bytes(b"".join(line + end for line in [*lines[:3], bad]))
+            with pytest.raises(CorpusFormatError) as exc:
+                read_corpus_records(path)
+            assert exc.value.line == 4
+            assert str(exc.value) == f"{path}: line 4: {reason}"
+
+    def test_the_first_bad_line_is_the_one_named(self, tmp_path):
+        # Invalid JSON on line 2 comes before a bad byte on line 3.
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"families":{}}\n{"id": \n"\xff"\n')
+        with pytest.raises(CorpusFormatError, match="line 2: invalid JSON") as exc:
+            read_corpus_records(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"attributes":["a"],"family":null,"id":"q","tasks":null}',
+         "sample 'q' is unlabeled (family is None)"),
+        ('{"attributes":["a"],"family":"G","id":"q","tasks":null}',
+         "sample 'q' has family 'G' absent from the family map"),
+        ('{"attributes":["a"],"family":"F","id":"q","tasks":["u"]}',
+         "sample 'q' declares tasks ['u'] but family 'F' maps to ['t']"),
+    ], ids=["unlabeled", "unknown-family", "other-tasks"])
+    def test_label_errors_name_the_file_and_the_line(self, tmp_path, record, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"families":{"F":["t"]}}\n'
+                        '{"attributes":["a"],"family":"F","id":"p","tasks":null}\n'
+                        + record + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as exc:
+            load_corpus(path)
+        assert (exc.value.line, exc.value.path) == (3, path)
+        assert str(exc.value) == f"{path}: line 3: {message}"
+        # In memory, the same error names the sample's position instead.
+        families, samples = read_corpus_records(path)
+        with pytest.raises(CorpusError) as exc:
+            build_corpus(samples, families)
+        assert str(exc.value) == message and exc.value.row == 1
+
 
 class TestCanonicalJson:
     def test_sorted_keys_no_whitespace(self):
