@@ -139,13 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = (ingest.load_extraction_config(args.report_config) if args.report_config
               else ingest.ExtractionConfig())      # built once, not once per report
+    table = {}      # each distinct entry of this call's reports normalized once
     samples = {}
     failures = 0
     for name in args.reports:
         try:
             with open(name, "rb") as fh:
                 data = fh.read()
-            sample = ingest.parse_report(data, config, location=name)
+            sample = ingest.parse_report(data, config, location=name, table=table)
             if sample.id in samples:  # a corpus file holds each id once
                 raise ingest.ReportError(
                     f"sample id {sample.id!r} repeats an earlier report; "

@@ -66,6 +66,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -279,8 +280,9 @@ class Corpus:
         vocab = sorted(frozenset().union(*(s.attribs for s in self._samples)))
         col = {a: j for j, a in enumerate(vocab)}
         offsets = np.cumsum([0] + [len(s.attribs) for s in self._samples], dtype=np.int32)
-        columns = np.fromiter((col[a] for s in self._samples for a in s.attribs),
-                              dtype=np.int32, count=offsets[-1])
+        columns = np.fromiter(
+            map(col.__getitem__, chain.from_iterable(s.attribs for s in self._samples)),
+            dtype=np.int32, count=offsets[-1])
         for a in (offsets, columns):
             a.flags.writeable = False
         members: dict[FamilyId, list] = {}
@@ -765,16 +767,27 @@ def read_json_lines(path) -> Iterator[tuple]:
             yield n, obj
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _interned(value) -> frozenset | None:
+    """The set of a JSON list's strings, each interned, or None when `value`
+    is not a list of strings (`sys.intern` raises TypeError on any other
+    element)."""
+    if not isinstance(value, list):
+        return None
+    try:
+        return frozenset(map(sys.intern, value))
+    except TypeError:
+        return None
 
 
 def read_corpus_records(path) -> tuple:
     """Parse a corpus file into (families, samples) without label validation.
 
-    Unlabeled records (family/tasks null) pass through; a line that
-    `read_json_lines` cannot read, or whose object breaks the format, raises
-    CorpusFormatError naming the file and the 1-based line.
+    Attribute and task strings are interned (`sys.intern`): the process holds
+    one object per distinct string, however many records and files repeat
+    it, and the index's column lookups hit by identity.  Unlabeled records
+    (family/tasks null) pass through; a line that `read_json_lines` cannot
+    read, or whose object breaks the format, raises CorpusFormatError naming
+    the file and the 1-based line.
     """
     lines = read_json_lines(path)
     _, header = next(lines, (None, None))
@@ -783,8 +796,10 @@ def read_corpus_records(path) -> tuple:
     fams = header.get("families")
     if not isinstance(fams, dict):
         raise CorpusFormatError('header must carry a "families" object', 1, path)
+    families = {}
     for f, ts in fams.items():
-        if not _strings(ts):
+        families[f] = _interned(ts)
+        if families[f] is None:
             raise CorpusFormatError(f"family {f!r} must map to a list of task ids", 1, path)
     samples: list[Sample] = []
     seen: set[str] = set()
@@ -798,16 +813,18 @@ def read_corpus_records(path) -> tuple:
         if sid in seen:
             raise CorpusFormatError(f"duplicate sample id {sid!r}", n, path)
         seen.add(sid)
-        if not (attrs and _strings(attrs)):
+        attribs = _interned(attrs)
+        if not attribs:
             raise CorpusFormatError(
                 f"sample {sid!r} needs a non-empty list of attribute strings", n, path)
         if family is not None and not isinstance(family, str):
             raise CorpusFormatError(f"sample {sid!r} family must be a string or null", n, path)
-        if tasks is not None and not _strings(tasks):
-            raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n, path)
-        samples.append(Sample(sid, frozenset(attrs), family,
-                              None if tasks is None else frozenset(tasks)))
-    return {f: frozenset(ts) for f, ts in fams.items()}, samples
+        if tasks is not None:
+            tasks = _interned(tasks)
+            if tasks is None:
+                raise CorpusFormatError(f"sample {sid!r} tasks must be a list or null", n, path)
+        samples.append(Sample(sid, attribs, family, tasks))
+    return families, samples
 
 
 def load_corpus(path) -> Corpus:

@@ -47,14 +47,23 @@ unified to backslashes, case folded, per-user profile directories collapsed
 to <user>, braced GUIDs to <guid>, cache-style tmpXXXX.tmp names to
 tmp<r>.tmp.  Every rule is idempotent, so normalizing twice is a no-op.
 Registry keys additionally get their hive shortened (hklm, hkcu, hkcr, hku,
-hkcc).
+hkcc).  A scrub regex runs on an ASCII path only when the literal that each
+of its matches holds (\\users\\, \\documents and settings\\, {, tmp) is in the
+path's lower case; a non-ASCII path takes the full regex chain, since
+re.IGNORECASE also matches letters such as "ſ" and "ı" to ASCII ones.
+
+Each distinct entry is normalized once per `ingest` call: the command hands
+every report of the call one token table (`parse_report`'s `table`), which
+maps each kind's raw entries to their interned tokens and goes when the call
+ends.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterator
 
 from .core import Sample, json_object
 
@@ -110,15 +119,20 @@ class ExtractionConfig:
         return cls(**obj)
 
 
-_GUID_RE = re.compile(
-    r"\{[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\}",
-    re.IGNORECASE,
-)
-_TMP_RE = re.compile(r"tmp[0-9a-f]{2,}\.tmp", re.IGNORECASE)
-_USER_RES = (
-    re.compile(r"(?<=\\users\\)(?!<user>(?:\\|$))[^\\]+", re.IGNORECASE),
-    re.compile(r"(?<=\\documents and settings\\)(?!<user>(?:\\|$))[^\\]+",
-               re.IGNORECASE),
+# The scrub steps of `normalize_path`, in order: the ExtractionConfig toggle,
+# the literal that every match holds (in lower case), the regex, its
+# replacement.
+_SCRUBS = (
+    ("scrub_user_dirs", "\\users\\",
+     re.compile(r"(?<=\\users\\)(?!<user>(?:\\|$))[^\\]+", re.IGNORECASE), "<user>"),
+    ("scrub_user_dirs", "\\documents and settings\\",
+     re.compile(r"(?<=\\documents and settings\\)(?!<user>(?:\\|$))[^\\]+",
+                re.IGNORECASE), "<user>"),
+    ("scrub_guids", "{",
+     re.compile(r"\{[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\}",
+                re.IGNORECASE), "<guid>"),
+    ("scrub_temp_names", "tmp",
+     re.compile(r"tmp[0-9a-f]{2,}\.tmp", re.IGNORECASE), "tmp<r>.tmp"),
 )
 
 _HIVES = {
@@ -136,13 +150,16 @@ def normalize_path(raw: str, config: ExtractionConfig | None = None) -> str:
     s = raw.replace("/", "\\").strip()
     if config.fold_case:
         s = s.lower()
-    if config.scrub_user_dirs:
-        for pattern in _USER_RES:
-            s = pattern.sub("<user>", s)
-    if config.scrub_guids:
-        s = _GUID_RE.sub("<guid>", s)
-    if config.scrub_temp_names:
-        s = _TMP_RE.sub("tmp<r>.tmp", s)
+    # On ASCII text re.IGNORECASE folds only ASCII letters, so a step's regex
+    # can match only when its literal is in the lower case.  Other text runs
+    # every enabled step: there re.IGNORECASE matches "ſ" to "s", "ı" and "İ"
+    # to "i" and "K" to "k", which neither lower() nor casefold() shows.
+    low = s.lower() if s.isascii() else None
+    for toggle, literal, pattern, replacement in _SCRUBS:
+        if getattr(config, toggle) and (low is None or literal in low):
+            s = pattern.sub(replacement, s)
+            if low is not None:
+                low = s.lower()
     return s
 
 
@@ -168,13 +185,26 @@ _KINDS = (
 )
 
 
-def _string_entries(summary: dict, field_name: str) -> Iterable:
-    entries = summary.get(field_name, [])
-    if not isinstance(entries, list):
-        return
-    for entry in entries:
-        if isinstance(entry, str) and entry.strip():
-            yield entry
+def _entry_lists(doc: dict, summary: dict, config: ExtractionConfig,
+                 location: str) -> Iterator[tuple]:
+    """(kind, value function, raw strings) for each list of entries that
+    `config` reads: each enabled kind's summary fields, then, when `static`
+    is on, the DLLs of the static PE imports.  A summary field that is not a
+    list reads as empty, and so does each entry that is not a non-blank
+    string."""
+    for kind, summary_fields, value in _KINDS:
+        if getattr(config, kind):
+            for field_name in summary_fields:
+                entries = summary.get(field_name)
+                if isinstance(entries, list):
+                    yield kind, value, [e for e in entries
+                                        if isinstance(e, str) and e.strip()]
+    if config.static:
+        imports = _section(doc, "static", location).get("pe_imports") or []
+        if isinstance(imports, list):
+            yield "usesDLL", _dll_name, [imp["dll"] for imp in imports
+                                         if isinstance(imp, dict)
+                                         and isinstance(imp.get("dll"), str)]
 
 
 def _section(parent: dict, path: str, location: str) -> dict:
@@ -190,16 +220,20 @@ def _section(parent: dict, path: str, location: str) -> dict:
 
 
 def parse_report(data, config: ExtractionConfig | None = None,
-                 location: str = "") -> Sample:
+                 location: str = "", table: dict | None = None) -> Sample:
     """Parse one sandbox report into an unlabeled Sample.
 
     `data` is the report JSON as bytes or str; `location` (usually the file
-    name) prefixes error messages.  Raises ReportError for malformed or
-    unreadable documents, a section of the wrong JSON type, a non-string
-    hash, missing identity, missing behavior section, or an empty extraction
-    result.
+    name) prefixes error messages.  `table` holds, per kind, the interned
+    token of each raw entry already read under `config` ("" when its value
+    is empty); pass one dict to every report of a run with one config, and
+    each distinct entry is normalized once.  Raises ReportError for
+    malformed or unreadable documents, a section of the wrong JSON type, a
+    non-string hash, missing identity, missing behavior section, or an empty
+    extraction result.
     """
     config = config or ExtractionConfig()
+    table = {} if table is None else table
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     doc = _document(data, location)
@@ -227,23 +261,19 @@ def parse_report(data, config: ExtractionConfig | None = None,
     summary = _section(behavior, "behavior.summary", location)
 
     tokens: set = set()
-    for kind, summary_fields, value in _KINDS:
-        if getattr(config, kind):
-            for field_name in summary_fields:
-                for entry in _string_entries(summary, field_name):
-                    if name := value(entry, config):
-                        tokens.add(kind + ":" + name)
+    for kind, value, entries in _entry_lists(doc, summary, config, location):
+        known = table.setdefault(kind, {})
+        for entry in entries:
+            token = known.get(entry)
+            if token is None:
+                name = value(entry, config)
+                token = known[entry] = sys.intern(kind + ":" + name) if name else ""
+            tokens.add(token)
+    tokens.discard("")
     if config.proAct:
         processes = behavior.get("processes")
         if isinstance(processes, list) and processes:
             tokens.add("proAct")
-    if config.static:
-        imports = _section(doc, "static", location).get("pe_imports") or []
-        if isinstance(imports, list):
-            for imp in imports:
-                if isinstance(imp, dict) and isinstance(imp.get("dll"), str):
-                    if name := _dll_name(imp["dll"], config):
-                        tokens.add("usesDLL:" + name)
 
     if not tokens:
         raise ReportError("no attributes extracted from behavior", location)

@@ -18,13 +18,16 @@ p-value from `scipy.stats`' Student-t survival function, which
 are the attribute index's scipy oracles (`scipy_matrix`,
 `scipy_by_attribute`, `scipy_presence_counts`): the index held a scipy CSR
 matrix before it kept plain arrays, and these redo with scipy what the
-models then read from it.
+models then read from it.  `reference_normalize_path` is the path
+normalization of `ingest` as it was before its scrub regexes were gated: every
+enabled regex runs on every path.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import mpmath
@@ -557,3 +560,30 @@ def reference_t_p_value(t: float, dof: int) -> float:
     """Two-sided p-value of Student's t statistic `t` at `dof` degrees of freedom."""
     from scipy import stats
     return 2.0 * float(stats.t.sf(abs(t), dof))
+
+
+_USER_DIR_RES = (
+    re.compile(r"(?<=\\users\\)(?!<user>(?:\\|$))[^\\]+", re.IGNORECASE),
+    re.compile(r"(?<=\\documents and settings\\)(?!<user>(?:\\|$))[^\\]+",
+               re.IGNORECASE),
+)
+_GUID_RE = re.compile(
+    r"\{[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}\}", re.IGNORECASE)
+_TMP_RE = re.compile(r"tmp[0-9a-f]{2,}\.tmp", re.IGNORECASE)
+
+
+def reference_normalize_path(raw: str, config) -> str:
+    """`ingest.normalize_path` by the full regex chain: separators unified,
+    case folded, then each enabled scrub regex run on the path, whatever it
+    holds."""
+    s = raw.replace("/", "\\").strip()
+    if config.fold_case:
+        s = s.lower()
+    if config.scrub_user_dirs:
+        for pattern in _USER_DIR_RES:
+            s = pattern.sub("<user>", s)
+    if config.scrub_guids:
+        s = _GUID_RE.sub("<guid>", s)
+    if config.scrub_temp_names:
+        s = _TMP_RE.sub("tmp<r>.tmp", s)
+    return s

@@ -181,6 +181,72 @@ class TestIngest:
         assert [s.id for s in samples] == ["aa11"]
         assert "usesDLL:z.dll" not in samples[0].attribs
 
+    def test_malformed_entries_cost_only_their_own_tokens(self, tmp_path, capsys):
+        # The token table keys only entries that are non-blank strings, so an
+        # unhashable entry never reaches it.
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "target": {"file": {"sha256": "aa11"}},
+            "behavior": {"summary": {"file_created": [
+                ["C:\\nested.exe"], {"o": 1}, 5, "", "  ", "C:\\x.exe"]}},
+        }))
+        out = tmp_path / "ingested.jsonl"
+        assert main(["ingest", str(report), "--out", str(out)]) == 0
+        assert "(0 failed)" in capsys.readouterr().out
+        _, [sample] = read_corpus_records(out)
+        assert sample.attribs == frozenset({"fileAct:c:\\x.exe"})
+
+    @pytest.mark.parametrize("config_obj", [{}, {"max_attributes": 2}],
+                             ids=["default", "cap-2"])
+    def test_one_call_gives_the_records_of_one_call_per_report(self, tmp_path,
+                                                               config_obj):
+        # The reports share raw entries, and entries that normalize alike, so
+        # the second report reads tokens the first one put in the table; one
+        # raw entry of the first is read by two kinds.
+        first = {
+            "target": {"file": {"sha256": "aa11"}},
+            "behavior": {"summary": {
+                "dll_loaded": ["KERNEL32.dll", "C:\\Windows\\ws2_32.dll"],
+                "regkey_opened": ["HKEY_CURRENT_USER\\Software\\Zed"],
+                "file_created": ["C:\\Users\\Bob\\x.exe", "C:\\Temp\\tmp3F2A.tmp"],
+                "file_opened": ["C:\\Windows\\ws2_32.dll"]},
+                "processes": [{"pid": 1}]},
+        }
+        second = {
+            "target": {"file": {"sha256": "bb22"}},
+            "behavior": {"summary": {
+                "dll_loaded": ["kernel32.DLL", "advapi32.dll"],
+                "regkey_written": ["HKEY_CURRENT_USER\\Software\\Zed"],
+                "file_created": ["C:\\Users\\Alice\\x.exe", "C:\\Temp\\tmp3F2A.tmp",
+                                 "C:\\Temp\\a.txt"]}},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_obj))
+        paths = []
+        for name, doc in (("a.json", first), ("b.json", second)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(doc))
+
+        def ingested(*reports) -> list:
+            out = tmp_path / "out.jsonl"
+            assert main(["ingest", *map(str, reports), "--report-config", str(config),
+                         "--out", str(out)]) == 0
+            return out.read_text(encoding="utf-8").splitlines()[1:]
+
+        together = ingested(*paths)
+        assert together == ingested(paths[0]) + ingested(paths[1])
+        tokens = [json.loads(line)["attributes"] for line in together]
+        if "max_attributes" in config_obj:
+            # Each report keeps its own two smallest tokens.
+            assert tokens == [
+                ["fileAct:c:\\temp\\tmp<r>.tmp", "fileAct:c:\\users\\<user>\\x.exe"],
+                ["fileAct:c:\\temp\\a.txt", "fileAct:c:\\temp\\tmp<r>.tmp"]]
+        else:
+            assert tokens[0] == [
+                "fileAct:c:\\temp\\tmp<r>.tmp", "fileAct:c:\\users\\<user>\\x.exe",
+                "fileAct:c:\\windows\\ws2_32.dll", "proAct", "regAct:hkcu\\software\\zed",
+                "usesDLL:kernel32.dll", "usesDLL:ws2_32.dll"]
+
     def test_report_config_is_honored(self, tmp_path):
         report = tmp_path / "r.json"
         report.write_text(json.dumps(GOOD_REPORT))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -476,6 +477,23 @@ class TestCorpusFiles:
         assert families == {}
         assert samples == [Sample(id="s1", attribs={"a", "b"})]
 
+    def test_reader_holds_one_object_per_distinct_string(self, tmp_path):
+        # Equal attribute and task strings, in two records or two files, are
+        # one object.
+        paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for path in paths:
+            write_corpus_records(path, [
+                Sample("s1", {"usesDLL:kernel32.dll", "proAct"}, "F", {"beacon"}),
+                Sample("s2", {"usesDLL:kernel32.dll"}, "F", {"beacon"})],
+                {"F": {"beacon"}})
+        read = [read_corpus_records(path) for path in paths]
+        dlls = [a for _, samples in read for s in samples for a in s.attribs
+                if a.startswith("usesDLL:")]
+        tasks = [t for families, samples in read
+                 for t in chain(families["F"], *(s.tasks for s in samples))]
+        assert len(dlls) == 4 and all(a is dlls[0] for a in dlls)
+        assert len(tasks) == 6 and all(t is tasks[0] for t in tasks)
+
     def test_load_rejects_unlabeled_records(self, tmp_path):
         path = tmp_path / "u.jsonl"
         write_corpus_records(path, [Sample(id="s1", attribs={"a"})], {})
@@ -510,6 +528,15 @@ class TestCorpusFiles:
               '{"id":"s","family":null,"tasks":null,"attributes":["a"]}',
               '{"id":"s","family":null,"tasks":null,"attributes":["b"]}'],
              3, "duplicate sample id"),
+            (['{"families":{"F":["t",5]}}'], 1, "list of task ids"),
+            *((['{"families":{}}',
+                '{"id":"s","family":null,"tasks":null,"attributes":%s}' % attrs],
+               2, "non-empty list of attribute strings")
+              # A bare string is refused, not read as its characters.
+              for attrs in ('"ab"', '["a",5]', '[["a"]]', '{"a":1}')),
+            (['{"families":{}}',
+              '{"id":"s","family":null,"tasks":["t",["u"]],"attributes":["a"]}'],
+             2, "tasks must be a list or null"),
         ],
     )
     def test_format_errors_name_the_line(self, tmp_path, lines, lineno, fragment):

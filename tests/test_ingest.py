@@ -5,6 +5,7 @@ with its expected token list (data/cuckoo_expected_tokens.json); the list
 below is the same expectation frozen inline so a drift in either copy fails.
 """
 
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_normalize_path
 from taskinfer import ingest
 from taskinfer.core import Sample, read_corpus_records, write_corpus_records
 from taskinfer.ingest import (
@@ -85,6 +87,25 @@ class TestGoldenReport:
         assert "usesDLL:KERNEL32.DLL" in sample.attribs
 
 
+# Path pieces for the gate property: the letters that re.IGNORECASE matches
+# to ASCII ones, both separators, GUID and tmp-name parts, and the literals
+# the scrub regexes need, in both cases.
+_PATH_PIECES = ["ſ", "ı", "K", "İ", "s", "i", "k", "/", "\\", "{", "}", "-", "0",
+                "9", "a", "F", "3f2a", "12345678", "tmp", ".tmp", "TMP", "users",
+                "USERS", "documents and settings", "Documents And Settings",
+                "<user>", "<USER>", "bob", " ",
+                "{3A5B9E21-77C4-4D0A-8E11-92F2D34C81AB}"]
+# fold_case and the three scrub toggles, in all 16 combinations.
+_SCRUB_CONFIGS = [
+    ExtractionConfig(fold_case=f, scrub_user_dirs=u, scrub_guids=g, scrub_temp_names=t)
+    for f, u, g, t in itertools.product((False, True), repeat=4)]
+
+
+def _config_id(config: ExtractionConfig) -> str:
+    return (f"fold{config.fold_case:d}-users{config.scrub_user_dirs:d}"
+            f"-guids{config.scrub_guids:d}-tmp{config.scrub_temp_names:d}")
+
+
 class TestNormalizePath:
     @pytest.mark.parametrize(
         "raw, expected",
@@ -102,6 +123,11 @@ class TestNormalizePath:
             ("C:\\Temp\\tmp1.tmp", "c:\\temp\\tmp1.tmp"),
             ("C:\\Temp\\tmpXYZ.tmp", "c:\\temp\\tmpxyz.tmp"),
             ("  C:\\padded\\path.exe  ", "c:\\padded\\path.exe"),
+            # re.IGNORECASE matches "ſ" to "s" and "ı" to "i".  Neither
+            # lower() nor casefold() gates that: "ı".casefold() is "ı".
+            ("C:\\Uſers\\bob\\x.txt", "c:\\uſers\\<user>\\x.txt"),
+            ("C:\\Documents and Settıngs\\bob\\x",
+             "c:\\documents and settıngs\\<user>\\x"),
         ],
     )
     def test_normalization_rules(self, raw, expected):
@@ -150,6 +176,19 @@ class TestNormalizePath:
         raw = "C:" + sep + sep.join(parts)
         once = normalize_path(raw)
         assert normalize_path(once) == once
+
+    @pytest.mark.parametrize("config", _SCRUB_CONFIGS, ids=_config_id)
+    @given(raw=st.lists(st.sampled_from(_PATH_PIECES), max_size=14).map("".join))
+    @example(raw="C:\\Documents and Settıngs\\bob\\x")
+    @example(raw="C:\\Uſers\\bob\\x.txt")
+    @example(raw="HKLM\\{3A5B9E21-77C4-4D0A-8E11-92F2D34C81AB}\\TMP3F2A.TMP")
+    @settings(max_examples=150, deadline=None)
+    def test_gated_regexes_give_the_full_chain(self, config, raw):
+        """A scrub regex skipped on an ASCII path whose lower case lacks its
+        literal changes nothing, and a non-ASCII path runs every regex: there
+        re.IGNORECASE matches letters that no lower() or casefold() shows,
+        "ı" to "i" although "ı".casefold() is "ı"."""
+        assert normalize_path(raw, config) == reference_normalize_path(raw, config)
 
 
 class TestParseReportIdentity:
