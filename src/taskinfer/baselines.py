@@ -182,7 +182,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: list,
         node = np.repeat(np.arange(len(trees)), sizes)
         counts = np.bincount(node * n_classes + y[rows],
                              minlength=len(trees) * n_classes).reshape(-1, n_classes)
-        gid = sum(s[0].size for s in steps) + np.arange(len(trees))   # creation order
+        gid = made.sum() + np.arange(len(trees))     # creation order
         is_inner = ((sizes >= min_count) & ((counts > 0).sum(axis=1) > 1)
                     & (depth < n_attrs))
         inner = np.flatnonzero(is_inner)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import evaluation, ingest, synthgen
@@ -26,33 +26,19 @@ from .core import (
 )
 from .methods import METHODS, train_method
 
-_PARAM_FLAGS = (
-    ("--beta", "beta", float),
-    ("--noise", "s", float),
-    ("--tau", "tau", float),
-    ("--mp", "mp", float),
-    ("--w", "w", float),
-    ("--task-threshold", "task_threshold", float),
-    ("--partial-matching", "partial_matching", str),
-)
-
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters")
-    defaults = ActrParams()
-    for flag, attr, typ in _PARAM_FLAGS:
-        group.add_argument(flag, dest=f"param_{attr}", type=typ, default=None,
-                           metavar=attr.upper(),
-                           help=f"override {attr} (default {getattr(defaults, attr)})")
+    for f in fields(ActrParams):
+        flag = "--noise" if f.name == "s" else "--" + f.name.replace("_", "-")
+        group.add_argument(flag, dest=f"param_{f.name}",
+                           type=type(f.default), default=None, metavar=f.name.upper(),
+                           help=f"override {f.name} (default {f.default})")
 
 
 def _params_from_args(args: argparse.Namespace) -> ActrParams:
-    overrides = {}
-    for _, attr, _ in _PARAM_FLAGS:
-        v = getattr(args, f"param_{attr}", None)
-        if v is not None:
-            overrides[attr] = v
-    return ActrParams(**overrides)
+    return ActrParams(**{f.name: v for f in fields(ActrParams)
+                         if (v := getattr(args, f"param_{f.name}")) is not None})
 
 
 # gen flag -> the GenSpec field it sets; a flag left unset keeps the value of
@@ -176,7 +162,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         corpus = synthgen.encrypt_variant(corpus, fraction, seed=args.seed)
     save_corpus(corpus, args.out)
     sidecar = args.out + ".gen.json"
-    write_json_lines(sidecar, [report.to_dict()])
+    write_json_lines(sidecar, [asdict(report)])
     print(f"wrote {corpus.size} samples / {len(corpus.families)} families "
           f"to {args.out}")
     print(f"realized overlap: within {report.within_family_overlap:.4f}, "

@@ -116,14 +116,6 @@ class GenReport:
     cross_family_overlap: float
     family_sizes: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "overlap_target": self.overlap_target,
-            "within_family_overlap": self.within_family_overlap,
-            "cross_family_overlap": self.cross_family_overlap,
-            "family_sizes": dict(sorted(self.family_sizes.items())),
-        }
-
 
 OVERLAP_TOLERANCE = 0.05
 

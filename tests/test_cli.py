@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +14,8 @@ import pytest
 import taskinfer
 from taskinfer import cli, synthgen
 from taskinfer.cli import main
-from taskinfer.core import canonical_json, load_corpus, read_corpus_records
-from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenSpec
+from taskinfer.core import ActrParams, canonical_json, load_corpus, read_corpus_records
+from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenReport, GenSpec
 
 GEN_SMALL = ["--carriers", "2", "--tasks-per-carrier", "2",
              "--samples-per-family", "12", "--carrier-pool", "30",
@@ -46,6 +46,7 @@ class TestGen:
         assert len(corpus) == 2 * 12
         assert sorted(corpus.families) == ["c0", "c1"]
         sidecar = json.loads((tmp_path / "corpus.jsonl.gen.json").read_text())
+        assert set(sidecar) == {f.name for f in fields(GenReport)}
         assert abs(sidecar["within_family_overlap"] - 0.5) <= 0.05
         stdout = capsys.readouterr().out
         assert "wrote 24 samples / 2 families" in stdout
@@ -686,6 +687,37 @@ class TestEval:
                    "--w", "8", "--task-threshold", "0.4",
                    "--partial-matching", "deficit"])
         assert rc == 0
+
+
+class TestModelParameterFlags:
+    """Every ActrParams field is a flag named after it; only s is --noise."""
+
+    FLAGS = ["--noise" if f.name == "s" else "--" + f.name.replace("_", "-")
+             for f in fields(ActrParams)]
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "compare"])
+    def test_help_lists_one_flag_per_field_in_field_order(self, command, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        group = capsys.readouterr().out.split("model parameters:\n")[1].split("\n\n")[0]
+        # argparse moves the help of a long flag to the next line: one entry
+        # per flag, whatever the wrapping.
+        entries = [("--" + entry).split() for entry in group.split("  --")[1:]]
+        assert entries == [
+            [flag, f.name.upper(), "override", f.name, "(default", f"{f.default})"]
+            for flag, f in zip(self.FLAGS, fields(ActrParams))]
+
+    def test_each_flag_sets_its_own_field(self):
+        values = {"beta": 15.0, "s": 0.25, "tau": -5.0, "mp": 10.0, "w": 8.0,
+                  "task_threshold": 0.4, "partial_matching": "deficit"}
+        assert set(values) == {f.name for f in fields(ActrParams)}
+        base = ["predict", "--method", "nb", "--corpus", "c", "--in", "r"]
+        parser = cli._build_parser()
+        for flag, name in zip(self.FLAGS, values):
+            args = parser.parse_args([*base, flag, str(values[name])])
+            assert cli._params_from_args(args) == replace(ActrParams(), **{name: values[name]})
 
 
 class TestCompare:

@@ -1,6 +1,7 @@
 """Synthetic corpus generator: overlap targeting, regimes, obfuscation."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -124,7 +125,7 @@ class TestGenerate:
 
     def test_report_to_dict_fields(self):
         _, report = generate(SMALL)
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"overlap_target", "within_family_overlap",
                           "cross_family_overlap", "family_sizes"}
 
