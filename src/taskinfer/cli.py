@@ -177,8 +177,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     predictor = train_method(args.method, corpus, mode=args.mode,
                              params=params, seed=args.seed)
     out = []
-    for s in records:
-        pred = predictor(s.attribs)
+    for line, s in enumerate(records, start=2):     # line 1 is the header
+        try:
+            pred = predictor(s.attribs)
+        except ValueError as e:
+            raise ValueError(f"{args.records}: line {line}: sample {s.id!r}: {e}") from e
         out.append({
             "id": s.id,
             "family": pred.predicted_family,

@@ -67,10 +67,11 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +79,10 @@ FamilyId = str
 TaskId = str
 
 MODES = ("family", "direct")
+# The distinct predicted task sets a label space keeps, each as one shared
+# frozenset.  A direct-mode model can see up to 2**len(tasks) of them, so the
+# table stops growing here and any further set is built fresh.
+TASK_SETS_KEPT = 1024
 
 
 class CorpusError(ValueError):
@@ -171,9 +176,11 @@ class Prediction:
 
     class_probs holds the model's distribution over its labels: families in
     family mode (sums to 1 when any chunk was retained), one independent
-    probability per task in direct mode.  predicted_tasks is derived from
-    class_probs by the shared thresholding op; predicted_family is None in
-    direct mode.  degenerate marks retrieval fallback (no chunk reached tau).
+    probability per task in direct mode; it is a read-only `ClassProbs`
+    mapping in label order.  predicted_tasks is derived from class_probs by
+    the shared thresholding op, and equal sets from one label space are one
+    frozenset; predicted_family is None in direct mode.  degenerate marks
+    retrieval fallback (no chunk reached tau).
     """
 
     class_probs: Mapping[str, float]
@@ -181,6 +188,56 @@ class Prediction:
     predicted_family: FamilyId | None
     retained_chunks: int
     degenerate: bool = False
+
+
+class ClassProbs(Mapping):
+    """A prediction's probability of each label, as a read-only mapping in
+    label order: the labels' float array (made read-only) and the label
+    space's label -> position dict, shared by all its predictions.  Values
+    are Python floats; it compares equal to the dict of the same items, and
+    `dict(...)` gives that dict (to change or to write as JSON)."""
+
+    __slots__ = ("_probs", "_position")
+
+    def __init__(self, probs: np.ndarray, position: dict):
+        probs.flags.writeable = False
+        self._probs, self._position = probs, position
+
+    def __getitem__(self, label) -> float:
+        return float(self._probs[self._position[label]])
+
+    def __iter__(self) -> Iterator:
+        return iter(self._position)
+
+    def __len__(self) -> int:
+        return len(self._position)
+
+    def items(self) -> ItemsView:
+        return _ProbItems(self)
+
+    def values(self) -> ValuesView:
+        return _ProbValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ProbItems(ItemsView):
+    """A ClassProbs' items, read from one `tolist()` of its array."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return zip(self._mapping._position, self._mapping._probs.tolist())
+
+
+class _ProbValues(ValuesView):
+    """A ClassProbs' values, read from one `tolist()` of its array."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return iter(self._mapping._probs.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,6 +506,17 @@ class LabelSpace:
             member[g, c] = 1.0
         return member
 
+    @cached_property
+    def position(self) -> dict:
+        """label -> its position in labels, the key of every `ClassProbs`."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+    @cached_property
+    def task_sets(self) -> dict:
+        """Predicted task sets by their threshold mask's bytes, so equal sets
+        are one frozenset; `prediction` adds up to TASK_SETS_KEPT of them."""
+        return {}
+
     @property
     def sizes(self) -> np.ndarray:
         """The sample count of each column."""
@@ -532,7 +600,9 @@ class LabelSpace:
         the label count, for models in which every label competes; the
         prediction is degenerate when it is 0 (no chunk reached tau).  A
         non-finite probability raises ValueError naming its label, and one
-        probability too many or too few raises it too.
+        probability too many or too few raises it too.  class_probs reads the
+        labels' probabilities as a `ClassProbs`; the task set is looked up by
+        its threshold mask in `task_sets`.
         """
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (len(self.columns),):
@@ -547,9 +617,16 @@ class LabelSpace:
         if self.mode == "family":
             family = self.labels[int(np.argmax(probs))]
             mass = (probs[:, None] * self.incidence).sum(axis=0)
+        mask = mass >= task_threshold
+        key, sets = mask.tobytes(), self.task_sets
+        tasks = sets.get(key)
+        if tasks is None:
+            tasks = frozenset(compress(self.tasks, mask))
+            if len(sets) < TASK_SETS_KEPT:
+                sets[key] = tasks
         return Prediction(
-            class_probs=dict(zip(self.labels, probs.tolist())),
-            predicted_tasks=frozenset(compress(self.tasks, mass >= task_threshold)),
+            class_probs=ClassProbs(probs, self.position),
+            predicted_tasks=tasks,
             predicted_family=family,
             retained_chunks=len(self.labels) if retained_chunks is None else retained_chunks,
             degenerate=retained_chunks == 0,

@@ -20,7 +20,10 @@ are the attribute index's scipy oracles (`scipy_matrix`,
 matrix before it kept plain arrays, and these redo with scipy what the
 models then read from it.  `reference_normalize_path` is the path
 normalization of `ingest` as it was before its scrub regexes were gated: every
-enabled regex runs on every path.
+enabled regex runs on every path.  `dict_prediction` is
+`LabelSpace.prediction` as it was before its probabilities became a read-only
+view and its task sets were shared: a fresh dict of floats and a fresh
+frozenset for every prediction.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from itertools import compress
 
 import mpmath
 import numpy as np
@@ -282,6 +286,24 @@ def reference_prediction(corpus: Corpus, mode: str, class_probs: dict,
         predicted_family=family,
         retained_chunks=retained_chunks,
         degenerate=degenerate,
+    )
+
+
+def dict_prediction(space, probs, task_threshold: float,
+                    retained_chunks: int | None = None) -> Prediction:
+    """The Prediction of a label space from one finite probability per column,
+    with class_probs a dict and predicted_tasks a frozenset of its own."""
+    probs = np.asarray(probs, dtype=float)[space.column_of]
+    family, mass = None, probs
+    if space.mode == "family":
+        family = space.labels[int(np.argmax(probs))]
+        mass = (probs[:, None] * space.incidence).sum(axis=0)
+    return Prediction(
+        class_probs=dict(zip(space.labels, probs.tolist())),
+        predicted_tasks=frozenset(compress(space.tasks, mass >= task_threshold)),
+        predicted_family=family,
+        retained_chunks=len(space.labels) if retained_chunks is None else retained_chunks,
+        degenerate=retained_chunks == 0,
     )
 
 

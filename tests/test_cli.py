@@ -14,17 +14,21 @@ import pytest
 import taskinfer
 from taskinfer import cli, synthgen
 from taskinfer.cli import main
-from taskinfer.core import ActrParams, canonical_json, load_corpus, read_corpus_records
+from taskinfer.core import (ActrParams, Sample, canonical_json, load_corpus, read_corpus_records,
+                            write_corpus_records)
+from taskinfer.evaluation import paired_ttest
 from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenReport, GenSpec
+
+from oracles import reference_t_p_value
 
 GEN_SMALL = ["--carriers", "2", "--tasks-per-carrier", "2",
              "--samples-per-family", "12", "--carrier-pool", "30",
              "--payload-attrs", "3", "--overlap", "0.5", "--seed", "1"]
 
 
-def run_gen(tmp_path, name="corpus.jsonl", extra=()):
+def run_gen(tmp_path, name="corpus.jsonl", extra=(), argv=GEN_SMALL):
     out = str(tmp_path / name)
-    rc = main(["gen", *GEN_SMALL, *extra, "--out", out])
+    rc = main(["gen", *argv, *extra, "--out", out])
     assert rc == 0
     return out
 
@@ -341,7 +345,32 @@ class TestPredict:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 1
-        assert "error: probability of family" in proc.stderr
+        first = read_corpus_records(corpus_path)[1][0].id
+        assert (f"error: {corpus_path}: line 2: sample {first!r}: probability of family"
+                in proc.stderr)
+        assert not out.exists()
+
+    def test_a_failing_query_is_named_by_its_file_line_and_id(self, tmp_path):
+        # With w at 1e308 the rule model's family scores overflow to NaN for
+        # any query holding a training attribute; a query of unseen attributes
+        # alone scores finitely, so the first record passes and the second
+        # fails.  A child process keeps numpy's warnings out of this run.
+        corpus_path = run_gen(tmp_path)
+        known = load_corpus(corpus_path).samples[0].attribs
+        queries = tmp_path / "queries.jsonl"
+        write_corpus_records(queries, [Sample("fine", {"never-seen"}),
+                                       Sample("q2", known)], {})
+        out = tmp_path / "preds.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taskinfer", "predict", "--method", "actr-r",
+             "--w", "1e308", "--corpus", corpus_path, "--in", str(queries),
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {queries}: line 3: sample 'q2': probability of family 'c0' is nan, "
+            "not a finite number")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["predict"], ["eval", "--protocol", "loocv"]])
@@ -734,6 +763,23 @@ class TestCompare:
         assert ("t=" in stdout) or ("n/a" in stdout)
         lines = out.read_text(encoding="utf-8").splitlines()
         assert {json.loads(l)["method"] for l in lines} == {"actr-ib", "nb"}
+
+    def test_t_test_line_of_two_methods_that_differ_per_sample(self, tmp_path, capsys):
+        # On this encrypted corpus nb and dt differ on many test samples, so
+        # the pair takes the verdict branch, not n/a.
+        corpus_path = run_gen(tmp_path, extra=["--encrypted", "--encrypt-fraction", "0.8"],
+                              argv=["--samples-per-family", "8", "--seed", "4"])
+        out = tmp_path / "cmp.jsonl"
+        capsys.readouterr()
+        assert main(["compare", "--method", "nb", "--method", "dt", "--corpus", corpus_path,
+                     "--protocol", "split", "--trials", "3", "--out", str(out)]) == 0
+        verdict = capsys.readouterr().out.split("\n  nb vs dt: ")[1].split("\n")[0]
+        f1 = {r["method"]: [s["f1"] for s in r["scores"]]
+              for r in map(json.loads, out.read_text(encoding="utf-8").splitlines())}
+        res = paired_ttest(f1["nb"], f1["dt"])
+        assert verdict == f"t={res.statistic:+.4f} dof={res.dof} p={res.p_value:.6f}"
+        assert verdict == "t=+5.1686 dof=44 p=0.000006"
+        assert res.p_value.hex() == reference_t_p_value(res.statistic, res.dof).hex()
 
     def test_identical_methods_are_deduplicated(self, tmp_path, capsys):
         corpus_path = run_gen(tmp_path)

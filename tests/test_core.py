@@ -1,6 +1,9 @@
 """Domain types, corpus construction, the task-derivation path, file format."""
 
+import copy
+import json
 import math
+import pickle
 import random
 from itertools import chain
 
@@ -9,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (held_out_row_sets, random_corpus, reference_index, reference_prediction,
-                     reference_presence_counts, reference_task_groups, scipy_by_attribute,
-                     scipy_matrix, scipy_presence_counts)
+from oracles import (dict_prediction, held_out_row_sets, random_corpus, reference_index,
+                     reference_prediction, reference_presence_counts, reference_task_groups,
+                     scipy_by_attribute, scipy_matrix, scipy_presence_counts)
+from taskinfer import core
 from taskinfer.actr import IbModel
 from taskinfer.core import (
     MODES,
@@ -339,6 +343,80 @@ class TestMakePrediction:
                         c, mode, dict(zip(space.labels, per_label.tolist())), thr,
                         retained, retained == 0)
                     assert got == want
+
+
+class TestClassProbs:
+    # t and u share F's column; v is G's.
+    FAMILIES = {"F": {"t", "u"}, "G": {"v"}}
+    WANT = {"t": 0.75, "u": 0.75, "v": 0.25}
+
+    def _probs(self):
+        return _space(self.FAMILIES, "direct").prediction([0.75, 0.25], 0.5).class_probs
+
+    def test_reads_like_the_dict_in_label_order(self):
+        probs = self._probs()
+        assert len(probs) == 3 and list(probs) == ["t", "u", "v"]
+        assert "u" in probs and "F" not in probs and "F" not in probs.keys()
+        assert probs["v"] == 0.25 and type(probs["v"]) is float
+        assert probs.get("v") == 0.25 and probs.get("F") is None and probs.get("F", 1) == 1
+        with pytest.raises(KeyError):
+            probs["F"]
+        assert list(probs.keys()) == list(self.WANT)
+        assert list(probs.values()) == list(self.WANT.values())
+        assert list(probs.items()) == list(self.WANT.items())
+        assert probs.keys() == self.WANT.keys() and probs.items() == self.WANT.items()
+        assert ("t", 0.75) in probs.items() and 0.25 in probs.values()
+        assert all(type(v) is float for v in probs.values())
+
+    def test_compares_and_shows_as_the_dict(self):
+        probs = self._probs()
+        assert probs == self.WANT and self.WANT == probs
+        assert not probs != self.WANT and not self.WANT != probs
+        for other in ({"t": 0.75, "u": 0.75}, {**self.WANT, "v": 0.5}, {**self.WANT, "w": 0.0}):
+            assert probs != other and other != probs
+        assert probs != [("t", 0.75)] and probs == self._probs()
+        assert repr(probs) == repr(self.WANT)
+
+    def test_copies_and_pickles_to_an_equal_view(self):
+        probs = self._probs()
+        for twin in (copy.copy(probs), copy.deepcopy(probs),
+                     pickle.loads(pickle.dumps(probs))):
+            assert type(twin) is type(probs) and twin == probs
+            assert list(twin.items()) == list(probs.items())
+            with pytest.raises(TypeError):
+                twin["t"] = 0.0
+
+    def test_cannot_be_written(self):
+        probs = self._probs()
+        with pytest.raises(TypeError):
+            probs["t"] = 0.0
+        with pytest.raises(TypeError):
+            del probs["t"]
+        with pytest.raises(AttributeError):
+            probs.update(t=0.0)
+        with pytest.raises(AttributeError):
+            probs.extra = 1
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(probs)
+        assert json.loads(json.dumps(dict(probs))) == self.WANT
+        assert probs == self.WANT
+
+    def test_sets_past_the_table_are_built_fresh(self, monkeypatch):
+        monkeypatch.setattr(core, "TASK_SETS_KEPT", 2)
+        space = _space({f"F{i}": {f"t{i}"} for i in range(4)}, "direct")
+        rng = random.Random(3)
+        got = []
+        for _ in range(40):
+            probs = [rng.choice((0.0, 1.0)) for _ in space.columns]
+            pred = space.prediction(probs, 0.5)
+            want = dict_prediction(space, probs, 0.5)
+            assert pred == want and list(pred.class_probs.items()) == \
+                list(want.class_probs.items())
+            got.append(pred.predicted_tasks)
+        assert len(space.task_sets) == 2
+        kept = set(map(id, space.task_sets.values()))
+        fresh = [ts for ts in got if id(ts) not in kept]
+        assert len(set(got)) > 2 and len(fresh) > len(set(fresh))
 
 
 class TestLabelColumns:

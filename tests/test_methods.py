@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from taskinfer import actr, baselines, methods, synthgen
 from taskinfer.actr import IbModel, rb_train
 from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
-from taskinfer.core import MODES, LinearModel, Sample, build_corpus, label_space, query_cols
+from taskinfer.core import (MODES, ActrParams, LinearModel, Sample, build_corpus, label_space,
+                            query_cols)
 from taskinfer.methods import METHODS, leave_out, predict, train_method
 
 from conftest import make_corpus
-from oracles import (held_out_row_sets, random_corpus, random_params,
+from oracles import (dict_prediction, held_out_row_sets, random_corpus, random_params,
                      reference_held_out_predictions, reference_loocv_predictions)
 
 
@@ -86,14 +87,15 @@ def test_tasks_sharing_a_column_get_equal_probabilities(method):
         assert probs["t"] == probs["u"], k
 
 
-# Each method's trained model, small enough to grow quickly.
+# Each method's trained model, small enough to grow quickly; the activation
+# models read `params`.
 MODELS = {
-    "actr-ib": lambda corpus, mode: IbModel(corpus, mode=mode),
-    "actr-r": lambda corpus, mode: rb_train(corpus, mode=mode),
-    "nb": lambda corpus, mode: nb_train(corpus, mode=mode),
-    "dt": lambda corpus, mode: dt_train(corpus, mode=mode),
-    "rf": lambda corpus, mode: rf_train(corpus, n_trees=4, mode=mode),
-    "logreg": lambda corpus, mode: logreg_train(corpus, epochs=20, mode=mode),
+    "actr-ib": lambda corpus, mode, params=None: IbModel(corpus, params, mode),
+    "actr-r": lambda corpus, mode, params=None: rb_train(corpus, params, mode=mode),
+    "nb": lambda corpus, mode, params=None: nb_train(corpus, mode=mode),
+    "dt": lambda corpus, mode, params=None: dt_train(corpus, mode=mode),
+    "rf": lambda corpus, mode, params=None: rf_train(corpus, n_trees=4, mode=mode),
+    "logreg": lambda corpus, mode, params=None: logreg_train(corpus, epochs=20, mode=mode),
 }
 
 
@@ -118,6 +120,35 @@ def test_models_score_one_probability_per_label_column(method, mode):
         got = predict(model, s.attribs, 0.5).class_probs
         assert tuple(got) == space.labels
         assert list(got.values()) == probs[space.column_of].tolist()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_predictions_equal_the_dict_oracle(method, mode, seed, random_params_too):
+    # The same column probabilities through `predict` and through the oracle:
+    # the same floats in label order, the same tasks, family and retrieval
+    # counts, and one frozenset for each distinct task set.
+    rng = random.Random(seed)
+    corpus = random_corpus(rng)
+    params = random_params(rng) if random_params_too else ActrParams()
+    model = MODELS[method](corpus, mode, params)
+    queries = [s.attribs for s in corpus.samples]
+    shared = {}
+    for q in queries + [queries[0] | {"unseen"}, frozenset({"unseen"})]:
+        got = predict(model, q, params.task_threshold)
+        probs, retained = model.scores(*query_cols(model.col, q))
+        want = dict_prediction(model.space, probs, params.task_threshold, retained)
+        want_items = [(k, v.hex()) for k, v in want.class_probs.items()]
+        for items in (dict(got.class_probs).items(), got.class_probs.items(),
+                      zip(got.class_probs.keys(), got.class_probs.values())):
+            assert [(k, v.hex()) for k, v in items] == want_items
+        assert (got.predicted_tasks, got.predicted_family, got.retained_chunks,
+                got.degenerate) == (want.predicted_tasks, want.predicted_family,
+                                    want.retained_chunks, want.degenerate)
+        assert shared.setdefault(got.predicted_tasks, got.predicted_tasks) \
+            is got.predicted_tasks
 
 
 @pytest.mark.parametrize("families", [{}, {"F": frozenset({"t"})}])
