@@ -233,9 +233,6 @@ class RfModel:
     _dist: np.ndarray               # per node: class distribution (nodes, K)
     _depth: int                     # splits on the longest root-to-leaf path
 
-    def depth(self) -> int:
-        return self._depth
-
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
         """(column probabilities, None: every label competes) of a query:
         the mean leaf distribution of the family forest (family mode), or of

@@ -214,10 +214,7 @@ def _run_protocol(corpus, method, args, params):
 def _write_reports(reports, out_path) -> None:
     evaluation.save_reports(reports, out_path)
     csv_path = str(out_path) + ".csv"
-    flat = []
-    for r in reports:
-        flat.append(r)
-        flat.extend(r.trials)
+    flat = [r for report in reports for r in (report, *report.trials)]
     Path(csv_path).write_text(evaluation.metrics_table(flat), encoding="utf-8", newline="\n")
     print(f"report: {out_path}  table: {csv_path}")
 
@@ -293,7 +290,3 @@ def main(argv=None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -388,9 +388,6 @@ class Corpus:
             return self
         return Corpus(samples, {f: t for f, t in self._families.items() if f in present})
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     def __iter__(self) -> Iterator[Sample]:
         return iter(self._samples)
 
@@ -463,10 +460,11 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
     return np.array(cols, dtype=int), len(query) - len(cols)
 
 
-def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
-    """exp(z / s) normalized along `axis`, shifted by the maximum for stability."""
-    w = np.exp((z - z.max(axis=axis, keepdims=True)) / s)
-    return w / w.sum(axis=axis, keepdims=True)
+def softmax(z: np.ndarray, s: float = 1.0) -> np.ndarray:
+    """exp(z / s) normalized along the last axis, shifted by the maximum for
+    stability."""
+    w = np.exp((z - z.max(axis=-1, keepdims=True)) / s)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -737,7 +735,7 @@ class CountModel(LinearModel):
         space = label_space(corpus, mode)
         _, col, index = attribute_matrix(corpus)
         return cls(space, col, *fit(space, *space.presence_counts(index), smoothing),
-                   mean, w, s, corpus.index, smoothing, fit)
+                   mean, w, s, index, smoothing, fit)
 
     @cached_property
     def counts(self) -> tuple:

@@ -128,8 +128,11 @@ def _scored(corpus: Corpus, folds: Iterable[Sequence[int]], held_out, method: st
             mode: str, seed: int, protocol: str, label: str) -> TrialReport:
     """Score each fold's rows, in order, by held_out(fold), timing its build
     as training and its calls as prediction.  Family accuracy is tracked in
-    family mode, except under lofo, where the held-out family is no label."""
+    family mode, except under lofo, where the held-out family is no label.  A
+    prediction's ValueError is raised again naming the protocol, the label
+    and the sample."""
     track_family = mode == "family" and protocol != "lofo"
+    where = f"{protocol} {label}".rstrip()      # "loocv", "split trial0", "lofo c1"
     scores = []
     train_time = predict_time = 0.0
     for fold in folds:
@@ -139,7 +142,10 @@ def _scored(corpus: Corpus, folds: Iterable[Sequence[int]], held_out, method: st
         for i in fold:
             held = corpus.samples[i]
             t0 = time.perf_counter()
-            pred = predictor(held.attribs)
+            try:
+                pred = predictor(held.attribs)
+            except ValueError as e:
+                raise ValueError(f"{where}: sample {held.id!r}: {e}") from e
             predict_time += time.perf_counter() - t0
             sc = score_sample(pred.predicted_tasks, held.tasks)
             fam = pred.predicted_family == held.family if track_family else None

@@ -190,7 +190,7 @@ class TestIbModel:
             vocab = sorted(c.fan)
             q = frozenset(rng.sample(vocab, rng.randint(1, min(4, len(vocab)))))
             vec = model.activations(*query_cols(model.col, q))
-            for j in range(len(c)):
+            for j in range(c.size):
                 assert vec[j] == pytest.approx(
                     ib_activation(c, params, q, j).total, abs=1e-10
                 )

@@ -156,7 +156,7 @@ class TestNaiveBayes:
 class TestDecisionTree:
     def test_conjunction_needs_two_nested_splits(self, and_corpus):
         model = dt_train(and_corpus)
-        assert model.depth() == 2
+        assert model._depth == 2
         assert predict(model, {"a", "b"}, 0.5).predicted_family == "F2"
         for q in ({"a"}, {"b"}, {"z"}):
             assert predict(model, q, 0.5).predicted_family == "F1"
@@ -168,7 +168,7 @@ class TestDecisionTree:
         # Every root split leaves both children at 50/50, so the tree stays
         # a single majority leaf rather than fitting the interaction.
         model = dt_train(xor_corpus)
-        assert model.depth() == 0
+        assert model._depth == 0
         pred = predict(model, {"a", "z"}, 0.5)
         assert pred.class_probs["F1"] == pytest.approx(0.5)
         assert pred.class_probs["F2"] == pytest.approx(0.5)
@@ -182,7 +182,7 @@ class TestDecisionTree:
         )
         model = dt_train(c)
         assert model._split[model._roots[0]] == model.col["a"]
-        assert model.depth() == 1
+        assert model._depth == 1
 
     def test_small_nodes_are_never_split(self):
         # 100 samples; a 4-sample tail (< 5%) stays a mixed leaf even though
@@ -193,7 +193,7 @@ class TestDecisionTree:
                  ("tc", {"x"}, "F2"), ("td", {"x"}, "F2")]
         big = make_corpus(rows, {"F1": {"t1"}, "F2": {"t2"}})
         model = dt_train(big)
-        assert model.depth() == 2
+        assert model._depth == 2
         pred = predict(model, {"x", "w"}, 0.5)
         assert pred.class_probs == {"F1": 0.5, "F2": 0.5}
         # The same tail alone clears the 5% floor and is split immediately.
@@ -203,7 +203,7 @@ class TestDecisionTree:
             {"F1": {"t1"}, "F2": {"t2"}},
         )
         model_small = dt_train(small)
-        assert model_small.depth() == 1
+        assert model_small._depth == 1
         assert predict(model_small, {"x", "w"}, 0.5).class_probs["F1"] == 1.0
 
     def test_attributes_are_not_reused_along_a_path(self):
@@ -327,7 +327,7 @@ class TestFlatForest:
         rng = random.Random(seed)
         c = random_corpus(rng)
         model = _train(case, c, mode, seed)
-        assert model.depth() == reference_forest_depth(model)
+        assert model._depth == reference_forest_depth(model)
         for _ in range(5):
             q = _random_query(rng, c)
             expected = reference_forest_probs(model, q)

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -47,7 +48,7 @@ class TestGen:
     def test_writes_corpus_and_sidecar(self, tmp_path, capsys):
         out = run_gen(tmp_path)
         corpus = load_corpus(out)
-        assert len(corpus) == 2 * 12
+        assert corpus.size == 2 * 12
         assert sorted(corpus.families) == ["c0", "c1"]
         sidecar = json.loads((tmp_path / "corpus.jsonl.gen.json").read_text())
         assert set(sidecar) == {f.name for f in fields(GenReport)}
@@ -308,7 +309,7 @@ class TestPredict:
         stdout = capsys.readouterr().out
         lines = out.read_text(encoding="utf-8").splitlines()
         corpus = load_corpus(corpus_path)
-        assert len(lines) == len(corpus)
+        assert len(lines) == corpus.size
         first = json.loads(lines[0])
         assert set(first) == {"id", "family", "tasks", "degenerate", "class_probs"}
         assert first["family"] in corpus.families
@@ -371,6 +372,27 @@ class TestPredict:
         assert proc.stderr.splitlines()[-1] == (
             f"error: {queries}: line 3: sample 'q2': probability of family 'c0' is nan, "
             "not a finite number")
+        assert not out.exists()
+
+    def test_a_failing_query_is_named_in_process(self, tmp_path, capsys, monkeypatch):
+        # The same message as above, from a predictor that raises without
+        # warning first, so this process runs it.
+        def train(*args, **kwargs):
+            def predictor(query):
+                raise ValueError("no score")
+            return predictor
+
+        monkeypatch.setattr(cli, "train_method", train)
+        corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "preds.jsonl"
+        rc = main(["predict", "--method", "nb", "--corpus", corpus_path,
+                   "--in", corpus_path, "--out", str(out)])
+        assert rc == 1
+        first = read_corpus_records(corpus_path)[1][0].id
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {corpus_path}: line 2: sample {first!r}: no score\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["predict"], ["eval", "--protocol", "loocv"]])
@@ -513,14 +535,14 @@ class TestPredict:
 
 _IMPORT_PROBE = """
 import json, sys
-import taskinfer, taskinfer.cli
+import taskinfer.cli
 from taskinfer.core import Corpus, Sample
 
 SCIPY = ("scipy.stats", "scipy.special", "scipy.sparse")
 loaded = {"cli": [m for m in SCIPY if m in sys.modules]}
 Corpus([Sample(id="s", attribs=frozenset("a"), family="F")], {"F": frozenset("t")}).index
 loaded["index"] = [m for m in SCIPY if m in sys.modules]
-taskinfer.paired_ttest([1.0, 2.0, 4.0], [1.0, 1.5, 2.0])
+taskinfer.evaluation.paired_ttest([1.0, 2.0, 4.0], [1.0, 1.5, 2.0])
 loaded["ttest"] = [m for m in SCIPY if m in sys.modules]
 print(json.dumps(loaded))
 """
@@ -534,6 +556,12 @@ for method in methods.METHODS:
     for mode in core.MODES:
         methods.train_method(method, corpus, mode)(corpus.samples[0].attribs)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+_CORE_PROBE = """
+import json, sys
+import taskinfer.core
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "taskinfer")))
 """
 
 
@@ -556,6 +584,9 @@ class TestImports:
 
     def test_training_every_method_in_both_modes_loads_no_scipy(self):
         assert _probe(_TRAIN_PROBE) == []
+
+    def test_importing_core_loads_no_other_taskinfer_module(self):
+        assert _probe(_CORE_PROBE) == ["taskinfer", "taskinfer.core"]
 
 
 # sha256 of `predict --mode direct --out` on encrypted queries.  The carriers
@@ -708,6 +739,27 @@ class TestEval:
             "to score against\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,where", [
+        (["eval", "--method", "actr-r", "--protocol", "loocv"], "loocv: sample 'c0.s0000'"),
+        (["eval", "--method", "actr-r", "--protocol", "split"],
+         "split trial0: sample 'c0.s0002'"),
+        (["compare", "--method", "actr-r", "--method", "nb"], "split trial0: sample 'c0.s0002'"),
+    ], ids=["eval-loocv", "eval-split", "compare"])
+    def test_a_failing_prediction_is_named_by_its_fold_and_id(self, tmp_path, command, where):
+        # The rule model's family scores overflow to NaN at w 1e308 (see
+        # TestPredict); a child process keeps numpy's warnings out of this run.
+        corpus_path = run_gen(tmp_path, argv=["--samples-per-family", "12", "--seed", "1"])
+        out = tmp_path / "report.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "taskinfer", *command, "--w", "1e308",
+             "--corpus", corpus_path, "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {where}: probability of family 'c0' is nan, not a finite number")
+        assert not out.exists()
+
     def test_direct_mode_and_overrides_parse(self, tmp_path):
         corpus_path = run_gen(tmp_path)
         rc = main(["eval", "--method", "actr-r", "--corpus", corpus_path,
@@ -800,6 +852,16 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
         assert "wrote 24 samples" in proc.stdout
+
+    def test_python_m_taskinfer_runs_main_and_exits_with_its_status(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        out = tmp_path / "module.jsonl"
+        monkeypatch.setattr(sys, "argv", ["taskinfer", "gen", *GEN_SMALL, "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("taskinfer", run_name="__main__")
+        assert exc.value.code == 0
+        assert "wrote 24 samples" in capsys.readouterr().out
+        assert out.read_bytes() == Path(run_gen(tmp_path)).read_bytes()
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -130,7 +130,7 @@ class TestCorpusIndexes:
             for i in c.members(f):
                 assert c.samples[i].family == f
                 seen.append(i)
-        assert sorted(seen) == list(range(len(c)))
+        assert sorted(seen) == list(range(c.size))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -141,12 +141,12 @@ class TestCorpusIndexes:
         assert c.index is ix                    # built once, then kept
         assert ix.vocab == vocab
         assert ix.col == {a: j for j, a in enumerate(vocab)}
-        assert ix.size == len(c) and ix.offsets.size == len(c) + 1
+        assert ix.size == len(c.samples) and ix.offsets.size == len(c.samples) + 1
         assert ix.offsets.dtype == ix.columns.dtype == np.int32
         assert not any(a.flags.writeable for a in (ix.offsets, ix.columns))
         assert ix.offsets[0] == 0 and ix.columns.size == sum(len(a) for a in row_attrs)
         assert ix.nbytes == ix.offsets.nbytes + ix.columns.nbytes
-        links = [ix.columns[ix.offsets[i]:ix.offsets[i + 1]].tolist() for i in range(len(c))]
+        links = [ix.columns[ix.offsets[i]:ix.offsets[i + 1]].tolist() for i in range(ix.size)]
         assert [len(set(row)) for row in links] == [len(row) for row in links]
         assert [{vocab[j] for j in row} for row in links] == row_attrs
         assert c.fan == fan
@@ -172,6 +172,13 @@ class TestCorpusIndexes:
             {"F1": frozenset({"t1"}), "F2": frozenset({"t9"})},
         )
         assert other != two_family_corpus
+
+    def test_equality_with_another_type_is_left_to_it(self, two_family_corpus):
+        assert two_family_corpus.__eq__(object()) is NotImplemented
+        assert two_family_corpus != object()
+
+    def test_repr_counts_samples_families_and_attributes(self, two_family_corpus):
+        assert repr(two_family_corpus) == "Corpus(4 samples, 2 families, 3 attributes)"
 
 
 class TestWithout:
@@ -230,7 +237,7 @@ class TestAttributeMatrix:
             assert x is c.index                 # the index itself, not a copy
             assert vocab == sorted(c.fan)
             x = x.dense(bool)
-            assert x.shape == (len(c), len(vocab))
+            assert x.shape == (c.size, len(vocab))
             assert x.dtype == bool
             for i, s in enumerate(c.samples):
                 present = {vocab[j] for j in range(len(vocab)) if x[i, j]}

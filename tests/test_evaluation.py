@@ -130,7 +130,7 @@ class TestLoocv:
     def test_holds_out_each_sample_once(self, shared_task_corpus):
         report = loocv(shared_task_corpus, "nb")
         assert report.protocol == "loocv"
-        assert report.n_tested == len(shared_task_corpus)
+        assert report.n_tested == shared_task_corpus.size
         assert [s.sample_id for s in report.scores] == \
             [s.id for s in shared_task_corpus.samples]
         assert all(s.family_correct is not None for s in report.scores)
@@ -292,6 +292,28 @@ class TestTasklessFamily:
         monkeypatch.setattr(evaluation, "leave_out", no_training)
         with pytest.raises(ValueError, match="^family 'G' performs no task"):
             protocol(make_corpus(*self.CORPUS), mode)
+
+
+class TestFailingPrediction:
+    @pytest.mark.parametrize("protocol,where", [
+        (lambda c: loocv(c, "nb"), "loocv"),
+        (lambda c: split_trials(c, "nb", n_trials=2), "split trial0"),
+        (lambda c: leave_one_family_out(c, "nb"), "lofo F1"),
+    ], ids=PROTOCOLS)
+    def test_names_the_protocol_the_fold_and_the_sample(self, monkeypatch, two_family_corpus,
+                                                        protocol, where):
+        asked = []
+
+        def predictor(query):
+            asked.append(query)
+            raise ValueError("no score")
+        monkeypatch.setattr(evaluation, "train_method", lambda *args, **kwargs: predictor)
+        monkeypatch.setattr(evaluation, "leave_out", lambda *args, **kwargs: lambda _: predictor)
+        with pytest.raises(ValueError) as exc:
+            protocol(two_family_corpus)
+        [held] = [s for s in two_family_corpus.samples if s.attribs == asked[0]]
+        assert str(exc.value) == f"{where}: sample {held.id!r}: no score"
+        assert str(exc.value.__cause__) == "no score"
 
 
 class TestTimings:

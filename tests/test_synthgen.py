@@ -1,7 +1,8 @@
 """Synthetic corpus generator: overlap targeting, regimes, obfuscation."""
 
 import math
-from dataclasses import asdict
+import random
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -82,7 +83,7 @@ SMALL = GenSpec(n_carriers=5, tasks_per_carrier=3, samples_per_family=30,
 class TestGenerate:
     def test_shape_and_labeling(self):
         corpus, report = generate(SMALL)
-        assert len(corpus) == 5 * 30
+        assert corpus.size == 5 * 30
         assert sorted(corpus.families) == [f"c{i}" for i in range(5)]
         for i in range(5):
             assert corpus.families[f"c{i}"] == frozenset(
@@ -137,6 +138,28 @@ class TestGenerate:
         assert any(a.startswith("enc:") for s in corpus.samples for a in s.attribs)
         assert measure_overlap(corpus)[0] < report.within_family_overlap
 
+    # Three attributes at overlap 0.7 give an empty core (k = 0) and q = 0.7,
+    # so a sample misses all three draws with probability 0.3**3.
+    SPARSE = GenSpec(n_carriers=1, tasks_per_carrier=1, carrier_attr_pool=1,
+                     payload_attrs_per_task=2, overlap_target=0.7,
+                     samples_per_family=200, seed=2)
+
+    def test_a_sample_that_draws_no_attribute_takes_one_from_the_pool(self, monkeypatch):
+        fallbacks = []                  # randrange is the fallback's draw alone
+        randrange = random.Random.randrange
+        monkeypatch.setattr(random.Random, "randrange",
+                            lambda rng, *args: fallbacks.append(args) or randrange(rng, *args))
+        corpus, report = generate(self.SPARSE)
+        assert fallbacks == [(3,)] * 4
+        assert all(s.attribs for s in corpus.samples)
+        assert report.within_family_overlap == pytest.approx(0.6649, abs=5e-5)
+
+    def test_a_realized_overlap_off_its_target_raises(self):
+        with pytest.raises(GenerationError, match=(
+                r"^realized within-family overlap 0\.5000 missed the target 0\.7 "
+                r"by more than 0\.05$")):
+            generate(replace(self.SPARSE, samples_per_family=2, seed=0))
+
 
 SINGLE = GenSpec(n_carriers=1, tasks_per_carrier=5, samples_per_family=20,
                  carrier_attr_pool=100, payload_attrs_per_task=12,
@@ -154,7 +177,7 @@ def _always_present_carrier_attrs(corpus, family):
 class TestGenerateSingleTask:
     def test_shape_one_family_per_task(self):
         corpus, _ = generate_single_task(SINGLE)
-        assert len(corpus) == 5 * 20
+        assert corpus.size == 5 * 20
         assert sorted(corpus.families) == [f"f{t:02d}" for t in range(5)]
         for t in range(5):
             assert corpus.families[f"f{t:02d}"] == frozenset({f"t{t:02d}"})
