@@ -24,7 +24,8 @@ Conventions shared across the baselines:
     ceil(sqrt(|attributes|)) candidate attributes per node; the decision
     tree (`dt`) is a forest of one tree grown on every sample with every
     attribute a candidate at every node;
-  - a forest's trees are grown in lockstep, one forest at a time: each
+  - trees are grown in lockstep, the forests of all direct-mode columns
+    together (in groups whose stacked root rows fit _GROUP_ROWS): each
     step tests, counts and scores the next node (in preorder) of every tree
     still growing as one batch, while each tree keeps its own seed, draws its
     bootstrap and per-node candidates from it in preorder, and so is the
@@ -32,8 +33,11 @@ Conventions shared across the baselines:
   - trees are flat node arrays, numbered tree by tree in preorder, and a
     query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
-    log-likelihood with an L2 penalty on the weights (bias unpenalized); in
-    direct mode one ascent fits every column's binary model at once.
+    log-likelihood with an L2 penalty on the weights (bias unpenalized),
+    `logreg_objective`; in direct mode one ascent fits every column's
+    binary model at once.  The ascent runs in the Gram (dual) form, one
+    coefficient per training row and class, over the rows in sample-id
+    order, so the model does not depend on the corpus's row order.
 
 Naive Bayes and logistic regression are both linear in the query's
 attributes, so each trains a `core.LinearModel` (the scorer the rule model
@@ -107,6 +111,7 @@ def _row_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 _GAIN_TOL = 1e-12
 _MIN_LEAF_FRAC = 0.05
 _BATCH_CELLS = 2**18            # gathered cells (rows or samples x candidates) per batch
+_GROUP_ROWS = 2**15             # stacked root rows of the forests grown together
 
 
 def _best_splits(x: np.ndarray, rows: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
@@ -150,17 +155,19 @@ def _best_splits(x: np.ndarray, rows: np.ndarray, sizes: np.ndarray, counts: np.
     return cand[at, best], gains[at, best]
 
 
-def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: list,
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray,
                  rngs: list, min_count: float, max_features: int) -> tuple:
-    """Grow one forest's trees in lockstep from their root rows, each
-    grouped by class (a subset keeps that order, as `_best_splits` needs).
+    """Grow trees in lockstep from their root rows, each grouped by class (a
+    subset keeps that order, as `_best_splits` needs); tree t's classes are
+    y[t], so the trees of several forests grow as one.
 
     Each tree keeps its own depth-first stack (present child first); every
     step takes the next node of every tree still growing and tests, counts
-    and scores them as one batch.  What runs node by node is a tree's
-    candidate draw (`rng.choice` and sort, at a node that passes the leaf
-    tests and has more available attributes than max_features), in the
-    tree's preorder, and the split of a node's rows between its children.
+    and scores them as one batch, then parts every split node's rows between
+    its children with one stable sort.  What runs node by node is a tree's
+    candidate draw (`rng.choice` of positions among the available attributes,
+    then sorted, at a node that passes the leaf tests and has more of them
+    than max_features), in the tree's preorder, and the push of its children.
     A node is a leaf when it holds fewer than min_count rows or a single
     class, has no attribute left on its path, or its best gain is at most
     _GAIN_TOL; a leaf is its own present and absent child.
@@ -172,38 +179,48 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: list,
     # A pending node: (rows, the columns split on along its path, the node it
     # is the absent child of, or -1).
     stacks = [[(rows, (), -1)] for rows in roots]
+    free = np.ones(n_attrs, dtype=bool)         # scratch: the columns off one path
     made = np.zeros(len(roots), dtype=int)      # nodes each tree has made so far
     steps = []
     while trees := [t for t, stack in enumerate(stacks) if stack]:
         rows_of, paths, parent = zip(*(stacks[t].pop() for t in trees))
+        tree = np.array(trees)
         sizes = np.array([r.size for r in rows_of])
         depth = np.array([len(p) for p in paths])
         rows = np.concatenate(rows_of)
-        node = np.repeat(np.arange(len(trees)), sizes)
-        counts = np.bincount(node * n_classes + y[rows],
-                             minlength=len(trees) * n_classes).reshape(-1, n_classes)
-        gid = made.sum() + np.arange(len(trees))     # creation order
+        node = np.repeat(np.arange(tree.size), sizes)
+        counts = np.bincount(node * n_classes + y[tree[node], rows],
+                             minlength=tree.size * n_classes).reshape(-1, n_classes)
+        gid = made.sum() + np.arange(tree.size)     # creation order
         is_inner = ((sizes >= min_count) & ((counts > 0).sum(axis=1) > 1)
                     & (depth < n_attrs))
         inner = np.flatnonzero(is_inner)
-        split = np.full(len(trees), -1)
+        split = np.full(tree.size, -1)
         if inner.size:
             cands = []
-            for b in inner:
-                cand = np.delete(np.arange(n_attrs), paths[b])
+            for b in inner.tolist():
+                path = list(paths[b])
+                free[path] = False
+                cand = free.nonzero()[0]
+                free[path] = True
                 if cand.size > max_features:
-                    cand = np.sort(rngs[trees[b]].choice(cand, size=max_features,
-                                                          replace=False))
+                    pick = rngs[trees[b]].choice(cand.size, size=max_features, replace=False)
+                    pick.sort()
+                    cand = cand[pick]
                 cands.append(cand)
             col, gain = _best_splits(x, rows[is_inner[node]], sizes[inner], counts[inner],
                                      cands)
-            for b, c in zip(inner[gain > _GAIN_TOL], col[gain > _GAIN_TOL].tolist()):
-                r = rows_of[b]
-                mask = x[r, c]
-                stacks[trees[b]] += [(r[~mask], paths[b] + (c,), gid[b]),
-                                     (r[mask], paths[b] + (c,), -1)]
-                split[b] = c
-        tree = np.array(trees)
+            split[inner[gain > _GAIN_TOL]] = col[gain > _GAIN_TOL]
+        # The rows of every split node, absent then present side, each in its order.
+        at = split[node] >= 0
+        side = 2 * node[at] + x[rows[at], split[node[at]]]
+        parted = rows[at][np.argsort(side, kind="stable")]
+        bounds = [0, *np.cumsum(np.bincount(side, minlength=2 * tree.size)).tolist()]
+        go = np.flatnonzero(split >= 0)
+        for b, c in zip(go.tolist(), split[go].tolist()):
+            path = paths[b] + (c,)
+            stacks[trees[b]] += [(parted[bounds[2 * b]:bounds[2 * b + 1]], path, gid[b]),
+                                 (parted[bounds[2 * b + 1]:bounds[2 * b + 2]], path, -1)]
         steps.append((tree, made[tree], depth, counts / sizes[:, None], split,
                       np.array(parent)))
         made[tree] += 1
@@ -258,15 +275,21 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
         targets, n_classes = space.member.argmax(axis=1)[None], len(space.columns)
     else:                               # one binary forest per column
         targets, n_classes = space.member.T.astype(int), 2
-    master = np.random.default_rng(seed)
+    seeds = np.random.default_rng(seed).integers(2**63 - 1, size=targets.shape[0] * n_trees)
+    # Forests grow together, as many as keep their stacked root rows within
+    # _GROUP_ROWS (at least one), so a step's arrays stay small; a forest
+    # larger than that grows alone.
+    group = max(1, _GROUP_ROWS // (n_trees * m)) * n_trees
     forests, size = [], 0
-    for y in targets:                   # one forest at a time bounds the batch
-        rngs = [np.random.default_rng(int(master.integers(2**63 - 1)))
-                for _ in range(n_trees)]
-        roots = [rng.integers(0, m, size=m) if bootstrap else np.arange(m) for rng in rngs]
-        roots = [r[np.argsort(y[r], kind="stable")] for r in roots]    # rows by class
+    for first in range(0, seeds.size, group):
+        rngs = [np.random.default_rng(s) for s in seeds[first:first + group].tolist()]
+        y = np.repeat(targets[first // n_trees:(first + group) // n_trees], n_trees, axis=0)
+        roots = (np.stack([rng.integers(0, m, size=m) for rng in rngs]) if bootstrap
+                 else np.tile(np.arange(m), (len(rngs), 1)))
+        by_class = np.argsort(np.take_along_axis(y, roots, axis=1), axis=1, kind="stable")
         roots, split, present, absent, dist, depth = _grow_forest(
-            x, y, n_classes, roots, rngs, _MIN_LEAF_FRAC * m, max_features)
+            x, y, n_classes, np.take_along_axis(roots, by_class, axis=1), rngs,
+            _MIN_LEAF_FRAC * m, max_features)
         forests.append((roots + size, split, present + size, absent + size, dist, depth))
         size += split.size
     roots, split, present, absent, dist, depth = (np.concatenate(a) for a in zip(*forests))
@@ -317,9 +340,11 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
 @dataclass(frozen=True, eq=False)
 class LogRegModel(LinearModel):
     """Logistic regression: a linear model per label column (direct mode:
-    its log odds) and grad_norm, the norm of the whole stacked gradient
-    (direct mode: of every column's fit) that the last epoch stepped along:
-    the gradient before the final update, not the one at these weights."""
+    its log odds), whose weights the Gram-form ascent maps back from its
+    row coefficients, and grad_norm, the norm of the whole stacked weight
+    and bias gradient (direct mode: of every column's fit) that the last
+    epoch stepped along: the gradient before the final update, not the one
+    at these weights."""
 
     grad_norm: float
 
@@ -351,6 +376,15 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     Family mode fits one softmax over the families; direct mode fits every
     label column's two-class softmax (absent, present) in one ascent, and a
     column's weights are the present class's minus the absent class's.
+
+    The ascent of `logreg_objective` runs in its Gram (dual) form.  From
+    zero weights every step stays in the span of the rows, so the weights
+    are coef @ x for a coefficient per class and row, and the ascent needs
+    only the Gram matrix x @ x.T, exact since its entries are counts: the
+    scores are coef @ gram + b, ||w||^2 is the sum of coef * (coef @ gram),
+    and the weights and the last weight gradient are mapped back through x
+    once, at the end.  The rows are in sample-id order, so no sum depends
+    on the corpus's row order.
     """
     check_finite("learning_rate", learning_rate)
     if learning_rate <= 0:
@@ -361,20 +395,33 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     _check_count("epochs", epochs)
     space = label_space(corpus, mode)
     _, col, index = attribute_matrix(corpus)
-    y = space.member
+    order = sorted(range(corpus.size), key=lambda i: corpus.samples[i].id)
+    # Classes lead and rows trail: (families, rows), or (columns, 2, rows).
+    y = space.member[order].T.astype(float)
     if space.mode == "direct":
-        y = np.stack([1.0 - y, y], axis=2)
-    xf = index.dense(float)
-    k = y[0].size                   # classes: one per family, or two per column
-    w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
+        y = np.stack([1.0 - y, y], axis=1)
+    xf = index.dense(float)[order]
+    gram = xf @ xf.T
+    n = xf.shape[0]
+    k = y.size // n                 # classes: one per family, or two per column
+    coef, b = np.zeros((k, n)), np.zeros((k, 1))
+    eps = np.finfo(float).tiny
+    # A step of the coefficients, coef + learning_rate * (resid / n - l2 * coef):
+    decay, step = 1.0 - learning_rate * l2, learning_rate / n
     for epoch in range(epochs):
-        obj, gw, gb = logreg_objective(w, b, xf, y, l2)
+        z = coef @ gram                                     # w @ x.T
+        p = softmax((z + b).reshape(y.shape), axis=-2)
+        obj = np.vdot(y, np.log(p + eps)) / n - 0.5 * l2 * np.vdot(z, coef)
         if not math.isfinite(obj):
             raise TrainingError(f"non-finite objective at epoch {epoch}")
-        w += learning_rate * gw
-        b += learning_rate * gb
-    # The last epoch's gradient, taken before its update, not at w and b.
+        resid = (y - p).reshape(k, n)
+        last, coef = coef, decay * coef + step * resid
+        b = b + step * resid.sum(axis=1, keepdims=True)
+    # The last epoch's gradient, taken before its update, not at the weights.
+    gw = (resid / n - l2 * last) @ xf
+    gb = resid.sum(axis=1) / n
     grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
+    w, b = coef @ xf, b[:, 0]
     if space.mode == "direct":
         w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]
     return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,

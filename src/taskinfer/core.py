@@ -460,11 +460,11 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
     return np.array(cols, dtype=int), len(query) - len(cols)
 
 
-def softmax(z: np.ndarray, s: float = 1.0) -> np.ndarray:
-    """exp(z / s) normalized along the last axis, shifted by the maximum for
+def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
+    """exp(z / s) normalized along `axis`, shifted by the maximum for
     stability."""
-    w = np.exp((z - z.max(axis=-1, keepdims=True)) / s)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.exp((z - z.max(axis=axis, keepdims=True)) / s)
+    return w / w.sum(axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -233,7 +233,7 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     for t, tseed in enumerate(trial_seeds):
         _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
         # Split trains through train_method, not methods.leave_out, until ROADMAP
-        # item 1 traces the predictions made outside that closure.
+        # item 12b traces the predictions made outside that closure.
         trained = lambda _: train_method(method, corpus.without(test_ix), mode, params, tseed)
         reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
                                f"trial{t}"))

@@ -9,9 +9,11 @@ exceptions: `retrieval_probs`, the list-in, list-out face of the retrieval
 softmax that the distribution property tests drive;
 `reference_held_out_predictions` and its one-row loop
 `reference_loocv_predictions`, which retrain through the public
-`train_method` on the samples not held out; and `reference_grow_forests`, which
+`train_method` on the samples not held out; `reference_grow_forests`, which
 reads its targets and design matrix from `core.label_space` and
-`core.attribute_matrix`, as the forest trainer does.  The t-test's
+`core.attribute_matrix`, as the forest trainer does; and `reference_logreg`,
+which reads them the same way and steps along `baselines.logreg_objective`'s
+gradients, as `logreg_train` did before it ran in the Gram form.  The t-test's
 `reference_t_p_value` is not first principles either: it is the two-sided
 p-value from `scipy.stats`' Student-t survival function, which
 `evaluation.paired_ttest` read before it called `scipy.special.stdtr`.  Nor
@@ -38,6 +40,7 @@ import mpmath
 import numpy as np
 
 from taskinfer.actr import _softmax_retained
+from taskinfer.baselines import LogRegModel, TrainingError, logreg_objective
 from taskinfer.core import (ActrParams, Corpus, Prediction, Sample, attribute_matrix,
                             build_corpus, label_space, softmax)
 from taskinfer.methods import train_method
@@ -480,6 +483,33 @@ def reference_logreg_direct(corpus: Corpus, learning_rate: float, l2: float,
         weights.append(w[1] - w[0])
         biases.append(b[1] - b[0])
     return np.array(weights), np.array(biases)
+
+
+def reference_logreg(corpus: Corpus, learning_rate: float, l2: float, epochs: int,
+                     mode: str) -> LogRegModel:
+    """`logreg_train` in the primal form: full-batch ascent of
+    `logreg_objective` on the weights themselves, rows in corpus order,
+    raising TrainingError at the first epoch whose objective is not finite.
+    Direct mode fits every column's two-class softmax in one ascent."""
+    space = label_space(corpus, mode)
+    _, col, index = attribute_matrix(corpus)
+    y = space.member
+    if mode == "direct":
+        y = np.stack([1.0 - y, y], axis=2)
+    xf = index.dense(float)
+    k = y[0].size
+    w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
+    for epoch in range(epochs):
+        obj, gw, gb = logreg_objective(w, b, xf, y, l2)
+        if not math.isfinite(obj):
+            raise TrainingError(f"non-finite objective at epoch {epoch}")
+        w += learning_rate * gw
+        b += learning_rate * gb
+    grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
+    if mode == "direct":
+        w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]
+    return LogRegModel(space=space, col=col, bias=b, weight=w, floor=0.0, mean=False,
+                       w=1.0, s=1.0, grad_norm=grad_norm)
 
 
 def reference_held_out_predictions(corpus: Corpus, method: str, mode: str, rows,

@@ -11,11 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
-                     reference_grow_forests, reference_logreg_direct,
+                     reference_grow_forests, reference_logreg, reference_logreg_direct,
                      reference_nb_posterior, reference_nb_task_probs)
 from taskinfer import baselines, synthgen
 from taskinfer.baselines import (
@@ -27,7 +27,7 @@ from taskinfer.baselines import (
     rf_train,
 )
 
-from taskinfer.core import MODES
+from taskinfer.core import MODES, label_space
 from taskinfer.methods import predict
 from taskinfer.synthgen import GenSpec
 
@@ -408,13 +408,39 @@ class TestLockstepGrower:
         _assert_same_nodes(dt_train(corpus, mode=mode),
                            reference_grow_forests(corpus, mode, 1, 0, False, vocab))
 
+    @pytest.mark.parametrize("case", _TREE_CASES)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_forests_grown_in_several_groups_match_the_recursive_grower(self, case, seed):
+        # _GROUP_ROWS is cut to two forests' root rows, and _BATCH_CELLS to
+        # their gathered cells, so the direct-mode forests of three or more
+        # columns grow in several groups, each scored in several batches.
+        corpus = random_corpus(random.Random(seed), max_families=5, max_tasks=6)
+        assume(len(label_space(corpus, "direct").columns) >= 3)
+        n_trees = _FOREST_CASES[case]["n_trees"] if case != "dt" else 1
+        groups = []
+        grow = baselines._grow_forest
+
+        def spy(x, y, *rest):
+            groups.append(len(y))
+            return grow(x, y, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baselines, "_GROUP_ROWS", 2 * n_trees * corpus.size)
+            patch.setattr(baselines, "_BATCH_CELLS", 2 * n_trees * corpus.size)
+            patch.setattr(baselines, "_grow_forest", spy)
+            model = _train(case, corpus, "direct", seed)
+        _assert_same_nodes(model, _reference_nodes(case, corpus, "direct", seed))
+        assert len(groups) >= 2 and set(groups[:-1]) == {2 * n_trees}
+
     @pytest.mark.parametrize("samples_per_family,mode", [(12, "direct"), (60, "family")])
     def test_growing_stays_within_a_memory_bound(self, samples_per_family, mode):
-        # One forest at a time, in batches of at most _BATCH_CELLS gathered
-        # cells: the peaks are about 1.7 MB (60 samples, five direct-mode
-        # forests) and 2.2 MB (300 samples, one family forest).  Unbatched,
-        # they were 2.1 and 8.4 MB, and 9.4 MB for one batch of all five
-        # forests' 500 trees at 60 samples.
+        # Forests grow together while their stacked root rows stay within
+        # _GROUP_ROWS, and each step is scored in batches of at most
+        # _BATCH_CELLS gathered cells: the peaks are about 4.1 MB (60
+        # samples, all five direct-mode forests in one group) and 2.9 MB
+        # (300 samples, one family forest).  Unbatched, one forest at a
+        # time, they were 2.1 and 8.4 MB.
         corpus = _triage_corpus(samples_per_family)
         corpus.index                                # built outside the measurement
         tracemalloc.start()
@@ -512,10 +538,40 @@ class TestLogisticRegression:
         b = logreg_train(two_family_corpus, epochs=50)
         assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
 
-    def test_divergence_raises_a_training_error(self, two_family_corpus):
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", ["tall", "wide"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           learning_rate=st.floats(0.01, 0.3), l2=st.floats(0.0, 0.05),
+           epochs=st.integers(1, 80))
+    @settings(max_examples=20, deadline=None)
+    def test_gram_ascent_matches_the_primal_oracle(self, mode, shape, seed, learning_rate,
+                                                    l2, epochs):
+        # More rows than attributes ("tall") or fewer ("wide").
+        rng = random.Random(seed)
+        if shape == "tall":
+            corpus = random_corpus(rng, max_samples=30, max_attrs=4)
+        else:
+            corpus = random_corpus(rng, max_samples=6, max_attrs=30)
+        rows, attrs = corpus.size, len(corpus.index.vocab)
+        assume(rows > attrs if shape == "tall" else rows < attrs)
+        model = logreg_train(corpus, learning_rate, l2, epochs, mode)
+        want = reference_logreg(corpus, learning_rate, l2, epochs, mode)
+        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-15)
+        for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "novel"})]:
+            got = predict(model, q, 0.5).class_probs
+            expected = predict(want, q, 0.5).class_probs
+            assert list(got) == list(expected)
+            assert max(abs(g - e) for g, e in zip(got.values(), expected.values())) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_divergence_raises_a_training_error(self, two_family_corpus, mode):
+        # The Gram ascent fails at the epoch the primal one does.
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match="non-finite objective at epoch"):
-                logreg_train(two_family_corpus, learning_rate=1e12)
+            with pytest.raises(TrainingError, match="non-finite objective at epoch") as got:
+                logreg_train(two_family_corpus, learning_rate=1e12, mode=mode)
+            with pytest.raises(TrainingError) as want:
+                reference_logreg(two_family_corpus, 1e12, 1e-3, 500, mode)
+        assert str(got.value) == str(want.value)
 
     def test_rejects_bad_hyperparameters(self, two_family_corpus):
         for kwargs in ({"learning_rate": 0.0}, {"epochs": 0}, {"l2": -1.0}):
