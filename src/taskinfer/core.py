@@ -142,6 +142,11 @@ class ActrParams:
     partial_matching "overlap" scores shared attributes as a nonnegative
                      bonus; "deficit" scores the complement as a penalty in
                      [-mp, 0] (same ordering, shifted by -mp)
+
+    beta, s, tau, mp and w are at most 1e100 in magnitude and s is at least
+    1e-100, so a score, and a score difference over s, stays far inside the
+    float range: no activation, score or softmax step overflows, and every
+    prediction is finite.
     """
 
     beta: float = 20.0
@@ -155,8 +160,11 @@ class ActrParams:
     def __post_init__(self):
         for name in ("beta", "s", "tau", "mp", "w", "task_threshold"):
             check_finite(name, getattr(self, name))
-        if self.s <= 0:
-            raise ValueError(f"temperature s must be positive, got {self.s}")
+        for name in ("beta", "s", "tau", "mp", "w"):
+            if abs(value := getattr(self, name)) > 1e100:
+                raise ValueError(f"{name} must be at most 1e100 in magnitude, got {value}")
+        if self.s < 1e-100:
+            raise ValueError(f"temperature s must be at least 1e-100, got {self.s}")
         if self.mp < 0:
             raise ValueError(f"mismatch scale mp must be nonnegative, got {self.mp}")
         if not 0.0 < self.task_threshold <= 1.0:

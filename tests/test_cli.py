@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -13,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import taskinfer
-from taskinfer import cli, synthgen
+from taskinfer import actr, cli, synthgen
 from taskinfer.cli import main
-from taskinfer.core import (ActrParams, Sample, canonical_json, load_corpus, read_corpus_records,
-                            write_corpus_records)
+from taskinfer.core import (ActrParams, LinearModel, Sample, canonical_json, load_corpus,
+                            read_corpus_records, write_corpus_records)
 from taskinfer.evaluation import paired_ttest
 from taskinfer.synthgen import OVERLAP_TOLERANCE, SINGLE_TASK_SPEC, GenReport, GenSpec
 
@@ -25,6 +26,15 @@ from oracles import reference_t_p_value
 GEN_SMALL = ["--carriers", "2", "--tasks-per-carrier", "2",
              "--samples-per-family", "12", "--carrier-pool", "30",
              "--payload-attrs", "3", "--overlap", "0.5", "--seed", "1"]
+
+
+def nan_for_known_attributes(scores):
+    """A model class's `scores`, NaN for a query holding a training
+    attribute: a model that fails where no accepted ActrParams makes one."""
+    def nan_scores(model, cols, n_unseen):
+        probs, retained = scores(model, cols, n_unseen)
+        return (probs * math.nan if cols.size else probs), retained
+    return nan_scores
 
 
 def run_gen(tmp_path, name="corpus.jsonl", extra=(), argv=GEN_SMALL):
@@ -334,49 +344,77 @@ class TestPredict:
                             "--out", str(p2)]) == 0
         assert p1.read_bytes() != p2.read_bytes()
 
-    def test_non_finite_probabilities_exit_1_without_output(self, tmp_path):
-        # Activations overflow to inf and the retrieval softmax yields NaN.
-        # A child process keeps numpy's overflow warning out of this run.
+    def test_non_finite_probabilities_exit_1_without_output(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(actr.IbModel, "scores",
+                            nan_for_known_attributes(actr.IbModel.scores))
         corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
         out = tmp_path / "preds.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskinfer", "predict", "--method", "actr-ib",
-             "--beta", "1e308", "--mp", "1e308", "--corpus", corpus_path,
-             "--in", corpus_path, "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 1
+        rc = main(["predict", "--method", "actr-ib", "--corpus", corpus_path,
+                   "--in", corpus_path, "--out", str(out)])
+        assert rc == 1
         first = read_corpus_records(corpus_path)[1][0].id
-        assert (f"error: {corpus_path}: line 2: sample {first!r}: probability of family"
-                in proc.stderr)
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus_path}: line 2: sample {first!r}: probability of family")
         assert not out.exists()
 
-    def test_a_failing_query_is_named_by_its_file_line_and_id(self, tmp_path):
-        # With w at 1e308 the rule model's family scores overflow to NaN for
-        # any query holding a training attribute; a query of unseen attributes
-        # alone scores finitely, so the first record passes and the second
-        # fails.  A child process keeps numpy's warnings out of this run.
+    def test_a_failing_query_is_named_by_its_file_line_and_id(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # The linear models score NaN for any query holding a training
+        # attribute; a query of unseen attributes alone scores finitely, so
+        # the first record passes and the second fails.
+        monkeypatch.setattr(LinearModel, "scores",
+                            nan_for_known_attributes(LinearModel.scores))
         corpus_path = run_gen(tmp_path)
         known = load_corpus(corpus_path).samples[0].attribs
         queries = tmp_path / "queries.jsonl"
         write_corpus_records(queries, [Sample("fine", {"never-seen"}),
                                        Sample("q2", known)], {})
+        capsys.readouterr()
         out = tmp_path / "preds.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskinfer", "predict", "--method", "actr-r",
-             "--w", "1e308", "--corpus", corpus_path, "--in", str(queries),
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1] == (
+        rc = main(["predict", "--method", "actr-r", "--corpus", corpus_path,
+                   "--in", str(queries), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
             f"error: {queries}: line 3: sample 'q2': probability of family 'c0' is nan, "
-            "not a finite number")
+            "not a finite number\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,flag,value", [
+        ("actr-ib", "--beta", "1e308"), ("actr-ib", "--mp", "1e101"),
+        ("actr-r", "--w", "-1e308"), ("actr-r", "--noise", "1e-101")])
+    def test_a_parameter_outside_its_domain_exits_1_naming_it(self, tmp_path, capsys,
+                                                               method, flag, value):
+        # Each would overflow a score, to a warning or a NaN probability.
+        corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "preds.jsonl"
+        rc = main(["predict", "--method", method, f"{flag}={value}", "--corpus", corpus_path,
+                   "--in", corpus_path, "--out", str(out)])
+        assert rc == 1
+        name = "temperature s" if flag == "--noise" else flag[2:]
+        assert capsys.readouterr().err.startswith(f"error: {name} must be at ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["family", "direct"])
+    @pytest.mark.parametrize("method", ["actr-ib", "actr-r"])
+    def test_the_edges_of_every_domain_predict_finitely(self, tmp_path, capsys, method, mode):
+        # A negative value in exponent form is attached with "=": argparse
+        # reads "--tau -1e3" as two flags.
+        corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "preds.jsonl"
+        rc = main(["predict", "--method", method, "--mode", mode, "--noise", "1e-100",
+                   "--beta=-1e100", "--tau=-1e100", "--mp", "1e100", "--w=-1e100",
+                   "--corpus", corpus_path, "--in", corpus_path, "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        for line in out.read_text(encoding="utf-8").splitlines():
+            assert all(math.isfinite(p) for p in json.loads(line)["class_probs"].values())
+
     def test_a_failing_query_is_named_in_process(self, tmp_path, capsys, monkeypatch):
-        # The same message as above, from a predictor that raises without
-        # warning first, so this process runs it.
+        # A predictor's own error is named as a non-finite probability is.
         def train(*args, **kwargs):
             def predictor(query):
                 raise ValueError("no score")
@@ -745,18 +783,17 @@ class TestEval:
          "split trial0: sample 'c0.s0002'"),
         (["compare", "--method", "actr-r", "--method", "nb"], "split trial0: sample 'c0.s0002'"),
     ], ids=["eval-loocv", "eval-split", "compare"])
-    def test_a_failing_prediction_is_named_by_its_fold_and_id(self, tmp_path, command, where):
-        # The rule model's family scores overflow to NaN at w 1e308 (see
-        # TestPredict); a child process keeps numpy's warnings out of this run.
+    def test_a_failing_prediction_is_named_by_its_fold_and_id(self, tmp_path, capsys,
+                                                              monkeypatch, command, where):
+        # The linear models score NaN for any query holding a training attribute.
+        monkeypatch.setattr(LinearModel, "scores",
+                            nan_for_known_attributes(LinearModel.scores))
         corpus_path = run_gen(tmp_path, argv=["--samples-per-family", "12", "--seed", "1"])
+        capsys.readouterr()
         out = tmp_path / "report.jsonl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "taskinfer", *command, "--w", "1e308",
-             "--corpus", corpus_path, "--out", str(out)],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1] == (
+        rc = main([*command, "--corpus", corpus_path, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {where}: probability of family 'c0' is nan, not a finite number")
         assert not out.exists()
 

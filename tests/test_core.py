@@ -76,6 +76,25 @@ class TestActrParams:
         with pytest.raises(ValueError):
             ActrParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["beta", "s", "tau", "mp", "w"])
+    def test_fields_are_bounded_by_magnitude(self, field):
+        ActrParams(**{field: 1e100})
+        for value in (math.nextafter(1e100, math.inf), 1e308):
+            with pytest.raises(ValueError,
+                               match=f"^{field} must be at most 1e100 in magnitude, got "):
+                ActrParams(**{field: value})
+        if field not in ("s", "mp"):
+            ActrParams(**{field: -1e100})
+            with pytest.raises(ValueError, match=f"^{field} must be at most 1e100"):
+                ActrParams(**{field: -1e308})
+
+    def test_temperature_is_at_least_1e_minus_100(self):
+        ActrParams(s=1e-100)
+        for value in (math.nextafter(1e-100, 0.0), 1e-308, 0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match=f"^temperature s must be at least 1e-100, got {value}$"):
+                ActrParams(s=value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, True])
     @pytest.mark.parametrize("field", ["beta", "s", "tau", "mp", "w", "task_threshold"])
     def test_rejects_non_finite_values(self, field, value):

@@ -369,16 +369,17 @@ class TestFoldCorpus:
         # Every fold trains on the parent's rows without re-validating them;
         # its corpus must be the one build_corpus makes of the same rows.
         # loocv and lofo run dt, which methods.leave_out retrains per fold (the
-        # count models downdate).
+        # count models downdate); split runs nb.
         c = random_corpus(random.Random(seed))
         trained_on = []
-        train = evaluation.train_method
 
-        def spy(method, corpus, *args, **kwargs):
-            trained_on.append(corpus)
-            return train(method, corpus, *args, **kwargs)
-        with mock.patch.object(evaluation, "train_method", spy), \
-                mock.patch.object(methods, "train_method", spy):
+        def spy(train):
+            def run(corpus, *args, **kwargs):
+                trained_on.append(corpus)
+                return train(corpus, *args, **kwargs)
+            return run
+        with mock.patch.object(baselines, "dt_train", spy(baselines.dt_train)), \
+                mock.patch.object(baselines, "nb_train", spy(baselines.nb_train)):
             if c.size >= 2:
                 loocv(c, "dt")
             if all(len(c.members(f)) >= 2 for f in c.families):

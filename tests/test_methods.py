@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -58,15 +59,22 @@ def test_bad_hyperparameters_are_rejected_by_name(method, name, value, two_famil
 @pytest.mark.parametrize("method", METHODS)
 def test_labels_without_samples_are_rejected(method, mode):
     # The header names family G, but no record belongs to it; its task u is
-    # performed by no sample either.
+    # performed by no sample either.  leave_out with no row held out trains
+    # on the corpus itself, as train_method does, so it refuses G alike; a
+    # held-out row trains on the corpus without it, which drops G.
     corpus = build_corpus(
         [Sample(id="s1", attribs={"a"}, family="F"),
          Sample(id="s2", attribs={"b"}, family="F")],
         {"F": frozenset({"t"}), "G": frozenset({"u"})},
     )
     label = "family 'G'" if mode == "family" else "task 'u'"
-    with pytest.raises(ValueError, match=f"{label} has no samples"):
+    with pytest.raises(ValueError, match=f"{label} has no samples") as refused:
         train_method(method, corpus, mode=mode)
+    held_out = leave_out(method, corpus, mode)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        held_out(())
+    pred = held_out([0])({"a", "b"})
+    assert tuple(pred.class_probs) == (("F",) if mode == "family" else ("t",))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -174,6 +182,49 @@ def test_direct_mode_without_tasks_is_rejected(method):
     assert train_method(method, corpus, mode="family")({"a"}).predicted_family == "F"
 
 
+def _accepted(lo, hi, *points):
+    """A field's accepted range [lo, hi]: its edges, the given points (its
+    default) and any float between."""
+    return st.one_of(st.sampled_from((lo, hi) + points), st.floats(lo, hi))
+
+
+ACCEPTED_PARAMS = st.builds(
+    ActrParams,
+    beta=_accepted(-1e100, 1e100, 20.0),
+    s=_accepted(1e-100, 1e100, 0.1),
+    tau=_accepted(-1e100, 1e100, -10.0),
+    mp=_accepted(0.0, 1e100, 20.0),
+    w=_accepted(-1e100, 1e100, 16.0),
+    task_threshold=_accepted(5e-324, 1.0, 0.5),
+    partial_matching=st.sampled_from(("overlap", "deficit")),
+)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+@given(st.integers(0, 2**32 - 1), ACCEPTED_PARAMS)
+@settings(max_examples=25, deadline=None)
+def test_every_accepted_parameter_set_predicts_finitely(method, mode, seed, params):
+    # The model of the corpus, and of the corpus less one row (downdated by
+    # the count models), for every sample and for queries of unseen
+    # attributes.  An overflow would warn, which pytest turns into an error.
+    rng = random.Random(seed)
+    corpus = random_corpus(rng)
+    queries = [s.attribs for s in corpus.samples]
+    queries += [queries[0] | {"unseen"}, frozenset({"unseen"})]
+    model = MODELS[method](corpus, mode, params)
+    models = [model]
+    if corpus.size > 1:
+        models.append(model.without([0]) if (method, mode) in DOWNDATING
+                      else MODELS[method](corpus.without([0]), mode, params))
+    for m in models:
+        for q in queries:
+            probs = list(predict(m, q, params.task_threshold).class_probs.values())
+            assert all(math.isfinite(p) for p in probs), (q, probs)
+            if mode == "family":
+                assert abs(math.fsum(probs) - 1.0) <= 1e-12, (q, probs)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("method", METHODS)
 def test_edge_case_queries(method, mode, two_family_corpus):
@@ -279,12 +330,11 @@ class TestLeaveOneOut:
         # They train nothing up front, then one model per row asked for, on
         # every other row.
         trained_on = []
-        train = methods.train_method
-
-        def spy(method, corpus, *args):
-            trained_on.append(corpus)
-            return train(method, corpus, *args)
-        monkeypatch.setattr(methods, "train_method", spy)
+        for name in ("dt_train", "rf_train", "logreg_train"):
+            def spy(corpus, *args, _train=getattr(baselines, name), **kwargs):
+                trained_on.append(corpus)
+                return _train(corpus, *args, **kwargs)
+            monkeypatch.setattr(baselines, name, spy)
         c = two_family_corpus
         for method in ("dt", "rf", "logreg"):
             trained_on.clear()
