@@ -63,7 +63,13 @@ mode, averaged over the query).
 Both models leave training samples out without retraining: `without(rows)`
 downdates the instance model's memory, and the rule model's counts, to what
 training on the other samples gives, so a protocol that holds samples out
-trains them once.
+trains them once.  A held-out instance model keeps reading the corpus
+index's links: a query still gathers the held-out chunks' links, and their
+activations are dropped at the end, so a fold copies no link.
+
+The rule model needs every presence ratio p(a|f) / p(a|~f) strictly between
+0 and infinity; a `smoothing` whose rates break that for the counts at hand
+(too small, or near the float maximum) is refused by name.
 
 Both models take their labels from `core.label_space` and keep the scoring
 contract of the baselines: `space`, `col` and `scores(cols, n_unseen)` per
@@ -82,8 +88,8 @@ from .core import (
     CountModel,
     Corpus,
     LabelSpace,
+    check_smoothed,
     label_space,
-    renumbering,
     softmax,
 )
 
@@ -116,11 +122,13 @@ def _softmax_retained(acts: np.ndarray, params: ActrParams) -> tuple:
 class IbModel:
     """Instance-based model: the training corpus held as retrievable memory.
 
-    The chunks holding attribute vocab[j] are _chunks[_start[j]:_start[j + 1]]
-    in sample order, so _fan[j] = _start[j + 1] - _start[j].  Chunk i is
-    sample i of the corpus the model holds (less the rows `without` dropped),
-    so space.member maps chunk mass to label columns; its attributes are row
-    _rows[i] of the corpus index.
+    Every model of a corpus reads the links of its index: the chunks holding
+    attribute vocab[j] are index rows _chunks[_start[j]:_start[j + 1]], in
+    row order, and index row i holds _sizes[i] attributes.  A model that
+    `without` made adds only its own: the index rows it still holds (_rows,
+    in order; None for the whole corpus), so chunk i is index row _rows[i],
+    and their fans and log terms.  space.member maps chunk mass to label
+    columns.
     """
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
@@ -129,55 +137,56 @@ class IbModel:
         self.params = params or ActrParams()
         ix = corpus.index
         self.col, self._index = ix.col, ix
-        # The index's by-attribute view lists each attribute's chunks in sample
+        # The index's by-attribute view lists each attribute's chunks in row
         # order, built once for every model of the corpus.  Chunk ids are
         # intp, which numpy gathers through fastest; sizes are int64, so that
         # |query| * |chunk| cannot overflow for a large chunk.
-        self._hold(*ix.by_attribute, np.diff(ix.offsets).astype(np.int64),
-                   np.arange(corpus.size))
+        self._start, self._chunks = ix.by_attribute
+        self._sizes = np.diff(ix.offsets).astype(np.int64)
+        self._hold(None, np.diff(self._start))
 
-    def _hold(self, start, chunks, sizes, rows) -> None:
-        """Hold the memory of chunks of `sizes`, at `rows` of the corpus index,
-        whose links to attribute j are chunks[start[j]:start[j + 1]], with the
-        fans and log terms they give."""
-        self._start, self._chunks, self._sizes, self._rows = start, chunks, sizes, rows
-        self._fan = np.diff(start)
-        m = sizes.size
+    def _hold(self, rows, fan) -> None:
+        """Hold the memory of the index `rows` (None: every row), whose
+        attribute j is held by fan[j] of them, with the log terms they give."""
+        self._rows, self._fan = rows, fan
+        m = self._sizes.size if rows is None else rows.size
         with np.errstate(divide="ignore"):      # a column with no chunk left
-            self._log_hit = np.log(m / self._fan)
+            self._log_hit = np.log(m / fan)
         self._log_miss = math.log(1.0 / m)
 
     def without(self, rows) -> "IbModel":
         """The model of every chunk of its memory but the distinct `rows`,
         numbered as its chunks are, scoring as training on the others does:
-        the rows' links are dropped and the other chunks renumbered in order,
-        so m and the fans of the rows' attributes fall.  An attribute only
-        the rows held keeps its column with no chunk, so, like an unseen one,
-        it is a miss for every chunk."""
+        the other chunks keep their order, and m and the fans of the rows'
+        attributes fall.  An attribute only the rows held keeps its column
+        with no chunk, so, like an unseen one, it is a miss for every chunk.
+        The index's links are shared, not copied."""
         out = copy.copy(self)
         out.space = self.space.without(rows)[0]
-        chunks = renumbering(self._sizes.size, rows)[self._chunks]
-        lost = self._index.links(np.take(self._rows, rows))[1]
-        fan = self._fan - np.bincount(lost, minlength=self._fan.size)
-        out._hold(np.concatenate(([0], np.cumsum(fan))), chunks[chunks >= 0],
-                  np.delete(self._sizes, rows), np.delete(self._rows, rows))
+        held = np.arange(self._sizes.size) if self._rows is None else self._rows
+        lost = self._index.links(np.take(held, rows))[1]
+        out._hold(np.delete(held, rows),
+                  self._fan - np.bincount(lost, minlength=self._fan.size))
         return out
 
     def activations(self, cols: np.ndarray, n_unseen: int) -> np.ndarray:
         """Total activation of every memory chunk for a query of the known
         attribute columns `cols` and n_unseen attributes outside `col`."""
         nq = cols.size + n_unseen
-        start, fan = self._start[cols], self._fan[cols]
-        # Positions in _chunks of every link of the query's known attributes.
-        links = np.repeat(start - np.cumsum(fan) + fan, fan) + np.arange(fan.sum())
+        # Every index link of the query's known attributes, held-out rows'
+        # too: each falls in its own row's bins, which the last step drops.
+        start = self._start[cols]
+        width = self._start[cols + 1] - start
+        links = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
         chunks = self._chunks[links]
-        m = self._sizes.size
-        shared = np.bincount(chunks, minlength=m)
-        hits = np.bincount(chunks, weights=np.repeat(self._log_hit[cols], fan),
-                           minlength=m)
+        n = self._sizes.size
+        shared = np.bincount(chunks, minlength=n)
+        hits = np.bincount(chunks, weights=np.repeat(self._log_hit[cols], width),
+                           minlength=n)
         spread = (hits + (nq - shared) * self._log_miss) / nq
         overlap = shared / np.sqrt(nq * self._sizes)
-        return self.params.beta + spread + _partial_term(overlap, self.params)
+        acts = self.params.beta + spread + _partial_term(overlap, self.params)
+        return acts if self._rows is None else acts[self._rows]
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
         """(label column probabilities, retained chunk count) of a query:
@@ -191,7 +200,10 @@ def _rules(space: LabelSpace, present: np.ndarray, total: np.ndarray,
     """Per-column (bias, weight, floor) of the rules: the log prior (direct
     mode: its logit) and the log presence ratios (doubled in direct mode)."""
     given, not_given = space.presence_rates(present, total, smoothing)
-    log_ratio = np.log(given / not_given)
+    with np.errstate(all="ignore"):         # a ratio of 0 or inf is refused next
+        ratio = given / not_given
+    check_smoothed(smoothing, ratio, math.inf, "presence ratio")
+    log_ratio = np.log(ratio, out=ratio)    # in place: no second (columns x vocab) array
     pos = space.sizes
     if space.mode == "family":
         bias, weight = np.log(pos / space.size), log_ratio

@@ -33,11 +33,11 @@ Conventions shared across the baselines:
   - trees are flat node arrays, numbered tree by tree in preorder, and a
     query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
-    log-likelihood with an L2 penalty on the weights (bias unpenalized),
-    `logreg_objective`; in direct mode one ascent fits every column's
-    binary model at once.  The ascent runs in the Gram (dual) form, one
-    coefficient per training row and class, over the rows in sample-id
-    order, so the model does not depend on the corpus's row order.
+    log-likelihood with an L2 penalty on the weights (bias unpenalized);
+    in direct mode one ascent fits every column's binary model at once.
+    The ascent runs in the Gram (dual) form, one coefficient per training
+    row and class, over the rows in sample-id order, so the model does not
+    depend on the corpus's row order.
 
 Naive Bayes and logistic regression are both linear in the query's
 attributes, so each trains a `core.LinearModel` (the scorer the rule model
@@ -46,7 +46,9 @@ and for NB the smoothing floor an unseen attribute adds; family mode
 softmaxes the scores and direct mode takes the sigmoid of each column's log
 odds against its complement.  NB's is a `core.CountModel`, fitted from the
 presence counts like the rule model, so it leaves a sample out by
-downdating them.
+downdating them.  NB takes log(p) and log(1 - p) of every presence rate it
+reads, so it refuses a `smoothing` that rounds one to 0 or 1 for the counts
+at hand.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (CountModel, Corpus, LabelSpace, LinearModel, attribute_matrix,
-                   check_finite, label_space, softmax)
+                   check_finite, check_smoothed, label_space, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -74,6 +76,8 @@ def _bernoulli(space: LabelSpace, present: np.ndarray, total: np.ndarray,
     joint of each family, or the log odds of each task against its
     complement."""
     cond, cond_neg = space.presence_rates(present, total, smoothing)
+    for rates in (cond,) if space.mode == "family" else (cond, cond_neg):
+        check_smoothed(smoothing, rates, 1.0, "presence rate")
     pos = space.sizes.astype(float)
     log_cond = np.log(cond)
     log_not = np.log1p(-cond)
@@ -349,26 +353,6 @@ class LogRegModel(LinearModel):
     grad_norm: float
 
 
-def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
-                     y: np.ndarray, l2: float) -> tuple:
-    """Mean log-likelihood minus L2 penalty, with analytic gradients.
-
-    y is one-hot, (n, K) for one K-class softmax or (n, G, K) for G
-    independent ones; w and b stack their classes group by group, (G*K, d)
-    and (G*K,).  Returns (objective, grad_w, grad_b) for gradient *ascent*;
-    the bias is not penalized.
-    """
-    n = x.shape[0]
-    p = softmax((x @ w.T + b).reshape(y.shape))
-    eps = np.finfo(float).tiny
-    ll = float(np.sum(y * np.log(p + eps)) / n)
-    obj = ll - 0.5 * l2 * float((w * w).sum())
-    resid = (y - p).reshape(n, -1)
-    grad_w = resid.T @ x / n - l2 * w
-    grad_b = resid.mean(axis=0)
-    return obj, grad_w, grad_b
-
-
 def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
                  epochs: int = 500, mode: str = "family") -> LogRegModel:
     """Full-batch ascent from zero weights; deterministic, so it takes no seed.
@@ -377,7 +361,8 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     label column's two-class softmax (absent, present) in one ascent, and a
     column's weights are the present class's minus the absent class's.
 
-    The ascent of `logreg_objective` runs in its Gram (dual) form.  From
+    The ascent of that objective (the mean log-likelihood less l2 / 2
+    times ||w||^2) runs in its Gram (dual) form.  From
     zero weights every step stays in the span of the rows, so the weights
     are coef @ x for a coefficient per class and row, and the ascent needs
     only the Gram matrix x @ x.T, exact since its entries are counts: the

@@ -11,7 +11,9 @@ the family -> task-set map.  Its attribute index (vocabulary, columns, the
 sample -> attribute links as plain CSR arrays, each family's rows; the fan
 and the attribute -> sample view are read from it) is built on first use and
 kept, so every model of the corpus, and every fold downdated from one,
-shares it; only the trees and logistic regression densify it.
+shares it without a copy: a held-out instance model adds only the rows it
+still holds and their fans, a held-out count model only its counts.  Only
+the trees and logistic regression densify it.
 
 Rows leave one way.  `renumbering` reads every held-out row set: it checks
 that the rows are distinct integer rows of the object they leave (else
@@ -38,7 +40,9 @@ Like every model it keeps the scoring contract that `methods.predict` reads
 (`space`, `col`, `scores(cols, n_unseen)`; `query_cols` gives the columns).
 A `CountModel` is a LinearModel fitted from presence counts (naive Bayes,
 the rule model); `without(rows)` refits it from the counts less those rows',
-so holding samples out never recounts a corpus.
+so holding samples out never recounts a corpus.  Each fit checks, through
+`check_smoothed`, that its `smoothing` gives it rates it can take the log
+of, and refuses the smoothing by name otherwise.
 
 Corpus files are UTF-8 text, one JSON object per line.  The first line is a
 header carrying the family map:
@@ -127,6 +131,16 @@ def check_finite(name: str, value) -> None:
     if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                        and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_smoothed(smoothing: float, values: np.ndarray, high: float, what: str) -> None:
+    """Raise ValueError naming `smoothing` unless every one of `values`, the
+    `what`s its smoothed counts give, lies strictly between 0 and `high`: a
+    smoothing too small for the counts rounds a rate to 0 or 1, and one too
+    large overflows their sums."""
+    if not ((values > 0) & (values < high)).all():
+        raise ValueError(f"smoothing {smoothing!r} gives a {what} outside (0, {high:g}) "
+                         "for these counts")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,13 @@ Two regimes:
   generate_single_task one shared carrier pool, one family per task
                        (families differ only in their payload bundle).
 
+A regime only plans its families: one (family, tasks, payload attributes,
+carrier attributes) entry each.  One sampler, `_generate`, draws every
+plan from one seeded stream, builds the corpus, measures its overlap and
+checks it against the target.  The single-task regime also hands it the
+shared carrier pool, whose part of the core is drawn once, before any
+family, so every family carries the same carrier signature.
+
 Overlap control.  Every sample from a family draws a fixed "core" of k pool
 attributes (always present) plus each of the remaining R = N - k pool
 attributes independently with probability q, where N is the family pool
@@ -146,20 +153,19 @@ def core_size_and_rate(pool_size: int, overlap_target: float) -> tuple:
 def _family_samples(rng: random.Random, family: str, n_samples: int,
                     payload_attrs: list, carrier_attrs: list,
                     k: int, q: float, tasks: frozenset,
-                    carrier_core: list | None = None) -> list:
+                    carrier_core: list | None) -> list:
     """Draw one family's samples: payload-first core + Bernoulli(q) rest.
 
     carrier_core pins the carrier portion of the core (the single-task
     regime shares it across families); None draws it per family.
     """
-    pool = sorted(payload_attrs) + sorted(carrier_attrs)
-    if k <= len(payload_attrs):
-        core = rng.sample(sorted(payload_attrs), k)
-    elif carrier_core is not None:
-        core = sorted(payload_attrs) + list(carrier_core)
+    payload = sorted(payload_attrs)
+    pool = payload + sorted(carrier_attrs)
+    if k <= len(payload):
+        core = rng.sample(payload, k)
     else:
-        core = sorted(payload_attrs) + rng.sample(
-            sorted(carrier_attrs), k - len(payload_attrs))
+        core = payload + (carrier_core if carrier_core is not None else
+                          rng.sample(pool[len(payload):], k - len(payload)))
     core_set = frozenset(core)
     variable = [a for a in pool if a not in core_set]
     out = []
@@ -197,7 +203,22 @@ def measure_overlap(corpus: Corpus) -> tuple:
     return within, cross
 
 
-def _finish(spec: GenSpec, samples: list, families: dict) -> tuple:
+def _generate(spec: GenSpec, pool_size: int, plans: list, shared: list | None = None) -> tuple:
+    """Sample every planned family and measure the corpus: (corpus, report).
+
+    Each plan is (family, tasks, payload attributes, carrier attributes).
+    `shared` is a carrier pool every family shares: the carrier part of the
+    core is then drawn from it once, before any family, and pinned for all.
+    """
+    rng = random.Random(spec.seed)
+    k, q = core_size_and_rate(pool_size, spec.overlap_target)
+    carrier_core = (None if shared is None else
+                    rng.sample(shared, max(0, k - spec.payload_attrs_per_task)))
+    samples = [s for family, tasks, payload_attrs, carrier_attrs in plans
+               for s in _family_samples(rng, family, spec.samples_per_family,
+                                        payload_attrs, carrier_attrs, k, q, tasks,
+                                        carrier_core)]
+    families = {family: tasks for family, tasks, _, _ in plans}
     corpus = build_corpus(samples, families)
     within, cross = measure_overlap(corpus)
     if abs(within - spec.overlap_target) > OVERLAP_TOLERANCE:
@@ -205,13 +226,12 @@ def _finish(spec: GenSpec, samples: list, families: dict) -> tuple:
             f"realized within-family overlap {within:.4f} missed the target "
             f"{spec.overlap_target} by more than {OVERLAP_TOLERANCE}"
         )
-    report = GenReport(
+    return corpus, GenReport(
         overlap_target=spec.overlap_target,
         within_family_overlap=within,
         cross_family_overlap=cross,
         family_sizes={f: len(corpus.members(f)) for f in families},
     )
-    return corpus, report
 
 
 def generate(spec: GenSpec) -> tuple:
@@ -220,29 +240,14 @@ def generate(spec: GenSpec) -> tuple:
     Returns (corpus, report).  Family c{i} performs tasks c{i}.t{j}; carrier
     and payload attribute pools are disjoint across families and tasks.
     """
-    rng = random.Random(spec.seed)
-    pool_size = (spec.carrier_attr_pool
-                 + spec.tasks_per_carrier * spec.payload_attrs_per_task)
-    k, q = core_size_and_rate(pool_size, spec.overlap_target)
-    samples: list = []
-    families: dict = {}
-    for c in range(spec.n_carriers):
-        family = f"c{c}"
-        tasks = frozenset(f"c{c}.t{t}" for t in range(spec.tasks_per_carrier))
-        carrier_attrs = [
-            f"{CARRIER_PREFIX}c{c}.a{i}" for i in range(spec.carrier_attr_pool)
-        ]
-        payload_attrs = [
-            f"{PAYLOAD_PREFIX}c{c}.t{t}.p{i}"
-            for t in range(spec.tasks_per_carrier)
-            for i in range(spec.payload_attrs_per_task)
-        ]
-        families[family] = tasks
-        samples.extend(_family_samples(
-            rng, family, spec.samples_per_family,
-            payload_attrs, carrier_attrs, k, q, tasks,
-        ))
-    return _finish(spec, samples, families)
+    tasks = range(spec.tasks_per_carrier)
+    plans = [(f"c{c}", frozenset(f"c{c}.t{t}" for t in tasks),
+              [f"{PAYLOAD_PREFIX}c{c}.t{t}.p{i}"
+               for t in tasks for i in range(spec.payload_attrs_per_task)],
+              [f"{CARRIER_PREFIX}c{c}.a{i}" for i in range(spec.carrier_attr_pool)])
+             for c in range(spec.n_carriers)]
+    return _generate(spec, spec.carrier_attr_pool
+                     + spec.tasks_per_carrier * spec.payload_attrs_per_task, plans)
 
 
 def generate_single_task(spec: GenSpec) -> tuple:
@@ -251,36 +256,20 @@ def generate_single_task(spec: GenSpec) -> tuple:
     Returns (corpus, report), like `generate`.  Requires spec.n_carriers ==
     1; tasks_per_carrier counts the single-task families.  Families differ
     only in their payload bundle, so the payload is the entire
-    discriminative signal.
+    discriminative signal: every family draws the same always-present
+    carrier core.
     """
     if spec.n_carriers != 1:
         raise GenerationError(
             f"single-task regime uses one carrier, got n_carriers={spec.n_carriers}"
         )
-    rng = random.Random(spec.seed)
     carrier_attrs = [f"{CARRIER_PREFIX}c0.a{i}" for i in range(spec.carrier_attr_pool)]
-    pool_size = spec.carrier_attr_pool + spec.payload_attrs_per_task
-    k, q = core_size_and_rate(pool_size, spec.overlap_target)
-    # One carrier means one always-present carrier signature shared by every
-    # family; only the payload bundle separates families.
-    carrier_core = rng.sample(
-        carrier_attrs, max(0, k - spec.payload_attrs_per_task))
-    samples: list = []
-    families: dict = {}
-    for t in range(spec.tasks_per_carrier):
-        task = f"t{t:02d}"
-        family = f"f{t:02d}"
-        payload_attrs = [
-            f"{PAYLOAD_PREFIX}{task}.p{i}"
-            for i in range(spec.payload_attrs_per_task)
-        ]
-        families[family] = frozenset((task,))
-        samples.extend(_family_samples(
-            rng, family, spec.samples_per_family,
-            payload_attrs, carrier_attrs, k, q, families[family],
-            carrier_core=carrier_core,
-        ))
-    return _finish(spec, samples, families)
+    plans = [(f"f{t:02d}", frozenset((f"t{t:02d}",)),
+              [f"{PAYLOAD_PREFIX}t{t:02d}.p{i}" for i in range(spec.payload_attrs_per_task)],
+              carrier_attrs)
+             for t in range(spec.tasks_per_carrier)]
+    return _generate(spec, spec.carrier_attr_pool + spec.payload_attrs_per_task,
+                     plans, shared=carrier_attrs)
 
 
 def encrypt_variant(corpus: Corpus, fraction: float = DEFAULT_ENCRYPT_FRACTION,

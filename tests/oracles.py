@@ -12,8 +12,10 @@ softmax that the distribution property tests drive;
 `train_method` on the samples not held out; `reference_grow_forests`, which
 reads its targets and design matrix from `core.label_space` and
 `core.attribute_matrix`, as the forest trainer does; and `reference_logreg`,
-which reads them the same way and steps along `baselines.logreg_objective`'s
-gradients, as `logreg_train` did before it ran in the Gram form.  The t-test's
+which reads them the same way and steps along `logreg_objective`'s
+gradients, as `logreg_train` did before it ran in the Gram form (the
+objective and its gradients in the primal form, which `baselines` kept
+until no code of it read them).  The t-test's
 `reference_t_p_value` is not first principles either: it is the two-sided
 p-value from `scipy.stats`' Student-t survival function, which
 `evaluation.paired_ttest` read before it called `scipy.special.stdtr`.  Nor
@@ -40,7 +42,7 @@ import mpmath
 import numpy as np
 
 from taskinfer.actr import _softmax_retained
-from taskinfer.baselines import LogRegModel, TrainingError, logreg_objective
+from taskinfer.baselines import LogRegModel, TrainingError
 from taskinfer.core import (ActrParams, Corpus, Prediction, Sample, attribute_matrix,
                             build_corpus, label_space, softmax)
 from taskinfer.methods import train_method
@@ -483,6 +485,26 @@ def reference_logreg_direct(corpus: Corpus, learning_rate: float, l2: float,
         weights.append(w[1] - w[0])
         biases.append(b[1] - b[0])
     return np.array(weights), np.array(biases)
+
+
+def logreg_objective(w: np.ndarray, b: np.ndarray, x: np.ndarray,
+                     y: np.ndarray, l2: float) -> tuple:
+    """Mean log-likelihood minus L2 penalty, with analytic gradients.
+
+    y is one-hot, (n, K) for one K-class softmax or (n, G, K) for G
+    independent ones; w and b stack their classes group by group, (G*K, d)
+    and (G*K,).  Returns (objective, grad_w, grad_b) for gradient *ascent*;
+    the bias is not penalized.
+    """
+    n = x.shape[0]
+    p = softmax((x @ w.T + b).reshape(y.shape))
+    eps = np.finfo(float).tiny
+    ll = float(np.sum(y * np.log(p + eps)) / n)
+    obj = ll - 0.5 * l2 * float((w * w).sum())
+    resid = (y - p).reshape(n, -1)
+    grad_w = resid.T @ x / n - l2 * w
+    grad_b = resid.mean(axis=0)
+    return obj, grad_w, grad_b
 
 
 def reference_logreg(corpus: Corpus, learning_rate: float, l2: float, epochs: int,

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from taskinfer.actr import IbModel
-from taskinfer.baselines import dt_train, logreg_objective, logreg_train, nb_train, rf_train
+from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
 from taskinfer.core import ActrParams, Sample, build_corpus, canonical_json, label_space
 from taskinfer.evaluation import score_sample, split_trials
 from taskinfer.ingest import parse_report
@@ -35,6 +35,7 @@ from taskinfer.synthgen import (
 )
 
 from oracles import (
+    logreg_objective,
     random_corpus,
     random_params,
     reference_ib_probs,

@@ -14,14 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (random_corpus, reference_forest_depth, reference_forest_probs,
-                     reference_grow_forests, reference_logreg, reference_logreg_direct,
-                     reference_nb_posterior, reference_nb_task_probs)
+from oracles import (logreg_objective, random_corpus, reference_forest_depth,
+                     reference_forest_probs, reference_grow_forests, reference_logreg,
+                     reference_logreg_direct, reference_nb_posterior, reference_nb_task_probs)
 from taskinfer import baselines, synthgen
 from taskinfer.baselines import (
     TrainingError,
     dt_train,
-    logreg_objective,
     logreg_train,
     nb_train,
     rf_train,

@@ -96,6 +96,42 @@ class TestGen:
         sidecar = json.loads((tmp_path / "enc.jsonl.gen.json").read_text())
         assert abs(sidecar["within_family_overlap"] - 0.5) <= OVERLAP_TOLERANCE
 
+    # Both regimes, both core branches (a core inside the payload, and one
+    # that takes carrier attributes, shared in the single-task regime), a wide
+    # pool, a near-empty core and encryption: the corpus and sidecar sha256.
+    FROZEN_GEN = [
+        ("--samples-per-family 12 --seed 1",
+         "2ffe7711e98c0b5440fe174bbbe207d09122799b5eeacfe8b2eb12b3316caf1a",
+         "42a9a3771d8e85dfd5a0df9c9774483a18187c8f8212cfee7a1e1a5399f93dc8"),
+        ("--regime single-task --tasks-per-carrier 5 --samples-per-family 10 --seed 1",
+         "dead9fcdc4aa9eac346907b98bbf163983af557e2c866a36fe37d5c8fb9c4550",
+         "e15c5b3baf7e6bccb35f8a5a75510cae6e68a53a1261416639e429d9560be819"),
+        ("--regime single-task --samples-per-family 20 --seed 7 --overlap 0.9",
+         "5fd15290a59ae41544cde0cac3802a17d641ed198b9d197fcd5dd35f533712ff",
+         "ad1ce65762d5a3feb3883e96e14eda42cb8de7ec5aee434d430ae202c1c0efff"),
+        ("--carrier-pool 400 --payload-attrs 40 --samples-per-family 12 --seed 5",
+         "2b68a5d0ec1c11032e4b118900410f1e8bd5d8b7716183772c4101c1d62bddde",
+         "9c739b20d718185c2844c91dc9b7ce50bbe13311cd49488d1f6e57ba040bd94b"),
+        ("--samples-per-family 8 --seed 4 --encrypted --encrypt-fraction 0.8",
+         "5d5a992748306e1e3387a509e7d52c38592e5214d10fe72f6ba2f0e25ec53e95",
+         "d240d4cb383646c9299878f331287adee70b9389c34d19038ebb851bb6afa7c8"),
+        ("--overlap 0.05 --samples-per-family 30 --seed 2",
+         "9c62b615ad8d1547424278a0727cf89948f18583163aa51e4f92e47714cc7bd1",
+         "ca408c25ad5bdd6b857b067ed7de57d77a1bd1c590b0d5db06e787166c82ee0d"),
+        ("--regime single-task --payload-attrs 80 --overlap 0.3 --samples-per-family 6 "
+         "--seed 9",
+         "fb33898308dfbb9e89351583ca992f50d6b81b46ac38bf1a88aae34d8920c4f2",
+         "e1d2fbc0174d20e78626f84d1d440f5f549cdccd441613c2fac07204a59d8131"),
+    ]
+
+    @pytest.mark.parametrize("flags,corpus_sha,sidecar_sha", FROZEN_GEN)
+    def test_frozen_bytes(self, tmp_path, flags, corpus_sha, sidecar_sha):
+        out = tmp_path / "gen.jsonl"
+        assert main(["gen", *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == corpus_sha
+        sidecar = tmp_path / "gen.jsonl.gen.json"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha
+
     def test_encrypt_fraction_without_encrypted_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.jsonl"
         rc = main(["gen", *GEN_SMALL, "--encrypt-fraction", "2.0", "--out", str(out)])
@@ -114,7 +150,9 @@ class TestGen:
         rc = main(["gen", "--overlap", "0.001", "--out",
                    str(tmp_path / "x.jsonl")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: overlap target 0.001 infeasible for pool size 135; "
+            "feasible range is [0.0148, 1.0]\n")
 
     def test_rejects_multiple_carriers_in_single_task_regime(self, tmp_path, capsys):
         rc = main(["gen", "--regime", "single-task", "--carriers", "3",

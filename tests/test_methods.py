@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +224,51 @@ def test_every_accepted_parameter_set_predicts_finitely(method, mode, seed, para
             assert all(math.isfinite(p) for p in probs), (q, probs)
             if mode == "family":
                 assert abs(math.fsum(probs) - 1.0) <= 1e-12, (q, probs)
+
+
+# Every positive float, log-uniformly, with both ends and the default.
+SMOOTHING = st.one_of(st.sampled_from((5e-324, sys.float_info.max, 1.0)),
+                      st.floats(math.log(5e-324), 709.78).map(math.exp))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", ["nb", "actr-r"])
+@given(st.integers(0, 2**32 - 1), SMOOTHING)
+@settings(max_examples=60, deadline=None)
+def test_every_smoothing_predicts_finitely_or_is_refused_by_name(method, mode, seed,
+                                                                 smoothing):
+    # The model of the corpus and of it less one row either refuses the
+    # smoothing, naming it, or predicts finite probabilities.  A warning (a
+    # rate rounded to 0 or 1, an overflowed sum) would be an error here.
+    rng = random.Random(seed)
+    corpus = random_corpus(rng)
+    models = []
+    try:
+        models.append(TRAINERS[method](corpus, smoothing=smoothing, mode=mode))
+        if corpus.size > 1:
+            models.append(models[0].without([0]))
+    except ValueError as e:
+        assert str(e).startswith(f"smoothing {smoothing!r} gives a presence ")
+        assert smoothing != 1.0
+    for m in models:
+        for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "unseen"})]:
+            probs = list(predict(m, q, 0.5).class_probs.values())
+            assert all(math.isfinite(p) for p in probs), (q, probs)
+
+
+def test_smoothing_is_refused_only_where_the_model_fails(two_family_corpus):
+    # Naive Bayes reads log(1 - p), so a rate rounded to 1 fails it; the rule
+    # model reads only the ratio of two rates, which stays finite.
+    for mode in MODES:
+        with pytest.raises(ValueError, match=r"^smoothing 5e-324 gives a presence rate "
+                                             r"outside \(0, 1\) for these counts$"):
+            nb_train(two_family_corpus, smoothing=5e-324, mode=mode)
+        with pytest.raises(ValueError, match=r"^smoothing 1e\+308 gives a presence ratio "
+                                             r"outside \(0, inf\) for these counts$"):
+            rb_train(two_family_corpus, smoothing=1e308, mode=mode)
+        with pytest.raises(ValueError, match="^smoothing 1e-30 gives a presence rate "):
+            nb_train(two_family_corpus, smoothing=1e-30, mode=mode)
+        predict(rb_train(two_family_corpus, smoothing=1e-30, mode=mode), {"a"}, 0.5)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -466,6 +512,17 @@ class TestLeaveRowsOut:
             _assert_same_predictions(got, got[:1] * 4)
             held_out(())(query)
             assert trained
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_held_out_instance_models_share_the_index_links(self, mode):
+        # A fold holds its own fans and kept rows, never a copy of the links.
+        corpus = make_corpus(*self.MERGING)
+        start, chunks = corpus.index.by_attribute
+        model = IbModel(corpus, mode=mode)
+        for held_out in (model.without([2, 3]), model.without([0]).without([4])):
+            assert held_out._start is start and held_out._chunks is chunks
+            assert held_out._sizes is model._sizes
+        assert model.without([0]).without([4])._rows.tolist() == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("mode", MODES)
     @given(st.integers(0, 2**32 - 1), st.booleans())
