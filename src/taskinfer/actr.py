@@ -30,13 +30,14 @@ above the threshold tau enter a Boltzmann retrieval distribution
     Pr(j) = exp(A_j / s) / sum_k exp(A_k / s)
 
 computed deterministically (the temperature s stands in for noise; nothing
-is sampled) with max-subtraction for numerical stability.  If no chunk
-reaches tau, retrieval falls back to the softmax over all chunks and the
-prediction is flagged degenerate.  A label column's probability is the
-retained probability mass of its chunks (a family's, or in direct mode those
-performing a task), read in one product with the label space's sample x
-column membership matrix; a task's probability sums the mass of every family
-performing it, thresholded at task_threshold.
+is sampled) with max-subtraction for numerical stability.  When tau binds no
+chunk, as at the default tau, that is the plain softmax of the activations,
+with no mask.  If no chunk reaches tau, retrieval falls back to the softmax
+over all chunks and the prediction is flagged degenerate.  A label column's
+probability is the retained probability mass of its chunks (a family's, or
+in direct mode those performing a task), read in one product with the label
+space's sample x column membership matrix; a task's probability sums the
+mass of every family performing it, thresholded at task_threshold.
 
 The rule-based model (RB) compresses the corpus into per-(label, attribute)
 rules, the smoothed presence rates naive Bayes also reads.  With
@@ -94,26 +95,21 @@ from .core import (
 )
 
 
-def _partial_term(overlap: float, params: ActrParams) -> float:
-    if params.partial_matching == "deficit":
-        return params.mp * (overlap - 1.0)
-    return params.mp * overlap
-
-
 def _softmax_retained(acts: np.ndarray, params: ActrParams) -> tuple:
     """Boltzmann distribution over the chunks at or above tau.
 
     Returns (probs, retained_count).  probs is aligned with acts and zero
-    outside the retained set.  When nothing reaches tau the softmax falls
-    back to all chunks (a degenerate retrieval); retained_count stays 0
-    because it counts chunks that actually cleared the threshold.
+    outside the retained set.  When every chunk clears tau, or none does (a
+    degenerate retrieval, which falls back to all chunks), it is the plain
+    softmax of acts; retained_count stays 0 in the second case because it
+    counts chunks that actually cleared the threshold.
     """
     if acts.size == 0:
         raise ValueError("no activations to retrieve over")
     mask = acts >= params.tau
-    retained = int(mask.sum())
-    if not retained:
-        mask[:] = True
+    retained = int(np.count_nonzero(mask))
+    if retained in (0, acts.size):
+        return softmax(acts, params.s), retained
     probs = np.zeros(acts.shape)
     probs[mask] = softmax(acts[mask], params.s)
     return probs, retained
@@ -123,12 +119,12 @@ class IbModel:
     """Instance-based model: the training corpus held as retrievable memory.
 
     Every model of a corpus reads the links of its index: the chunks holding
-    attribute vocab[j] are index rows _chunks[_start[j]:_start[j + 1]], in
-    row order, and index row i holds _sizes[i] attributes.  A model that
-    `without` made adds only its own: the index rows it still holds (_rows,
-    in order; None for the whole corpus), so chunk i is index row _rows[i],
-    and their fans and log terms.  space.member maps chunk mass to label
-    columns.
+    attribute vocab[j] are index rows _chunks[_start[j]:_end[j]], in row
+    order (_end is the view _start[1:]), and index row i holds _sizes[i]
+    attributes.  A model that `without` made adds only its own: the index
+    rows it still holds (_rows, in order; None for the whole corpus), so
+    chunk i is index row _rows[i], and their fans and log terms.
+    space.member maps chunk mass to label columns.
     """
 
     def __init__(self, corpus: Corpus, params: ActrParams | None = None,
@@ -142,6 +138,7 @@ class IbModel:
         # intp, which numpy gathers through fastest; sizes are int64, so that
         # |query| * |chunk| cannot overflow for a large chunk.
         self._start, self._chunks = ix.by_attribute
+        self._end = self._start[1:]
         self._sizes = np.diff(ix.offsets).astype(np.int64)
         self._hold(None, np.diff(self._start))
 
@@ -176,16 +173,27 @@ class IbModel:
         # Every index link of the query's known attributes, held-out rows'
         # too: each falls in its own row's bins, which the last step drops.
         start = self._start[cols]
-        width = self._start[cols + 1] - start
-        links = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
+        width = self._end[cols] - start
+        start -= width.cumsum()
+        start += width
+        links = start.repeat(width)
+        links += np.arange(links.size)
         chunks = self._chunks[links]
         n = self._sizes.size
         shared = np.bincount(chunks, minlength=n)
-        hits = np.bincount(chunks, weights=np.repeat(self._log_hit[cols], width),
-                           minlength=n)
-        spread = (hits + (nq - shared) * self._log_miss) / nq
-        overlap = shared / np.sqrt(nq * self._sizes)
-        acts = self.params.beta + spread + _partial_term(overlap, self.params)
+        # Each step writes into the array of the one before.  The spread
+        # starts from the miss terms, a float array: a bincount over no
+        # links is int even when weighted.
+        acts = (nq - shared) * self._log_miss
+        acts += np.bincount(chunks, weights=self._log_hit[cols].repeat(width), minlength=n)
+        acts /= nq
+        partial = np.sqrt(nq * self._sizes)
+        np.divide(shared, partial, out=partial)
+        if self.params.partial_matching == "deficit":
+            partial -= 1.0
+        partial *= self.params.mp
+        acts += self.params.beta
+        acts += partial
         return acts if self._rows is None else acts[self._rows]
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:

@@ -61,7 +61,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (CountModel, Corpus, LabelSpace, LinearModel, attribute_matrix,
-                   check_finite, check_smoothed, label_space, softmax)
+                   check_count, check_finite, check_smoothed, label_space, softmax)
 
 
 class TrainingError(RuntimeError):
@@ -302,14 +302,6 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                    _dist=dist, _depth=int(depth.max()))
 
 
-def _check_count(name: str, value) -> None:
-    """A count hyperparameter is an int (a bool is not one) of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def dt_train(corpus: Corpus, mode: str = "family") -> RfModel:
     """The plain decision tree: a forest of one tree grown on every sample,
     with every attribute a candidate at every node."""
@@ -329,13 +321,13 @@ def rf_train(corpus: Corpus, n_trees: int = 100, seed: int = 0,
     """
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative int, got {seed!r}")
-    _check_count("n_trees", n_trees)
+    check_count("n_trees", n_trees)
     if type(bootstrap) is not bool:
         raise ValueError(f"bootstrap must be True or False, got {bootstrap!r}")
     if max_features is None:
         max_features = math.ceil(math.sqrt(len(corpus.index.vocab)))
     else:
-        _check_count("max_features", max_features)
+        check_count("max_features", max_features)
     return _grow_forests(corpus, mode, n_trees, seed, bootstrap, max_features)
 
 
@@ -377,7 +369,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     check_finite("l2", l2)
     if l2 < 0:
         raise ValueError(f"l2 must be non-negative and finite, got {l2}")
-    _check_count("epochs", epochs)
+    check_count("epochs", epochs)
     space = label_space(corpus, mode)
     _, col, index = attribute_matrix(corpus)
     order = sorted(range(corpus.size), key=lambda i: corpus.samples[i].id)
@@ -385,7 +377,7 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     y = space.member[order].T.astype(float)
     if space.mode == "direct":
         y = np.stack([1.0 - y, y], axis=1)
-    xf = index.dense(float)[order]
+    xf = index.dense(float, order)
     gram = xf @ xf.T
     n = xf.shape[0]
     k = y.size // n                 # classes: one per family, or two per column

@@ -133,6 +133,15 @@ def check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is an int (a bool is not
+    one) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def check_smoothed(smoothing: float, values: np.ndarray, high: float, what: str) -> None:
     """Raise ValueError naming `smoothing` unless every one of `values`, the
     `what`s its smoothed counts give, lies strictly between 0 and `high`: a
@@ -306,11 +315,18 @@ class AttributeIndex:
             a.flags.writeable = False
         return start, rows
 
-    def dense(self, dtype) -> np.ndarray:
+    def dense(self, dtype, order=None) -> np.ndarray:
         """The (samples x vocab) presence matrix as a new dense array of
-        `dtype`: 1 where a row holds a column, else 0."""
+        `dtype`: 1 where a row holds a column, else 0.  Its row i is index
+        row order[i], for a permutation `order` of the rows (default: row i),
+        written there directly, so no second copy is made."""
+        rows = self._link_rows()
+        if order is not None:
+            at = np.empty(self.size, dtype=np.intp)
+            at[order] = np.arange(self.size)
+            rows = at[rows]
         x = np.zeros((self.size, len(self.vocab)), dtype=dtype)
-        x.reshape(-1)[self._link_rows() * len(self.vocab) + self.columns] = 1
+        x.reshape(-1)[rows * len(self.vocab) + self.columns] = 1
         return x
 
     def links(self, rows: Sequence[int]) -> tuple:
@@ -478,15 +494,19 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
     query = frozenset(query)
     if not query:
         raise ValueError("query attribute set is empty")
-    cols = sorted(col[a] for a in query if a in col)
-    return np.array(cols, dtype=int), len(query) - len(cols)
+    cols = np.array([c for c in map(col.get, query) if c is not None], dtype=int)
+    cols.sort()
+    return cols, len(query) - cols.size
 
 
 def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
     """exp(z / s) normalized along `axis`, shifted by the maximum for
-    stability."""
-    w = np.exp((z - z.max(axis=axis, keepdims=True)) / s)
-    return w / w.sum(axis=axis, keepdims=True)
+    stability: a fresh array, every step after the shift in place."""
+    w = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    w /= s
+    np.exp(w, out=w)
+    w /= np.add.reduce(w, axis=axis, keepdims=True)
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,15 +648,15 @@ class LabelSpace:
         if probs.shape != (len(self.columns),):
             raise ValueError(f"{probs.size} probabilities for {len(self.columns)} columns")
         probs = probs[self.column_of]
-        if not np.isfinite(probs).all():
+        if not np.logical_and.reduce(np.isfinite(probs)):
             i = int(np.flatnonzero(~np.isfinite(probs))[0])
             kind = "family" if self.mode == "family" else "task"
             raise ValueError(f"probability of {kind} {self.labels[i]!r} "
                              f"is {probs[i]}, not a finite number")
         family, mass = None, probs
         if self.mode == "family":
-            family = self.labels[int(np.argmax(probs))]
-            mass = (probs[:, None] * self.incidence).sum(axis=0)
+            family = self.labels[probs.argmax()]
+            mass = np.add.reduce(probs[:, None] * self.incidence, axis=0)
         mask = mass >= task_threshold
         key, sets = mask.tobytes(), self.task_sets
         tasks = sets.get(key)
@@ -729,14 +749,21 @@ class LinearModel:
 
     def scores(self, cols: np.ndarray, n_unseen: int) -> tuple:
         """(column probabilities, None: every label competes) of a query."""
-        total = self.weight[:, cols].sum(axis=1)
+        # The gather is F-ordered, so the sum adds the attributes one after
+        # another in column order; a C-ordered one (`take`) sums pairwise.
+        z = np.add.reduce(self.weight[:, cols], axis=1)
         if self.mean:
-            total = total / (cols.size + n_unseen)
-        z = self.bias + self.w * total + n_unseen * self.floor
+            z /= cols.size + n_unseen
+        z *= self.w
+        z += self.bias
+        z += n_unseen * self.floor
         if self.space.mode == "family":
             return softmax(z, self.s), None
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z / self.s)), None
+            z /= -self.s
+            np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z), None
 
 
 @dataclass(frozen=True, eq=False)

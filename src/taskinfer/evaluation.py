@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .core import ActrParams, Corpus, label_space, write_json_lines
+from .core import ActrParams, Corpus, check_count, label_space, write_json_lines
 from .methods import leave_out, train_method
 
 PROTOCOLS = ("loocv", "split", "lofo")
@@ -220,17 +220,16 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
                  n_trials: int = 10, seed: int = 0) -> TrialReport:
     """Repeated stratified splits; returns the aggregate with trials nested.
 
-    Trial seeds are drawn positionally from a master stream seeded by `seed`,
-    before any training happens, so fold membership depends only on
-    (corpus, train_frac, seed, trial index) and never on the method.
+    Each trial draws its seed from a master stream seeded by `seed` as it
+    starts, before it trains, so fold membership depends only on (corpus,
+    train_frac, seed, trial index), never on the method or on n_trials.
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    check_count("n_trials", n_trials)
     _check_tasks(corpus)
     master = random.Random(seed)
-    trial_seeds = [master.getrandbits(63) for _ in range(n_trials)]
     reports = []
-    for t, tseed in enumerate(trial_seeds):
+    for t in range(n_trials):
+        tseed = master.getrandbits(63)
         _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
         # Split trains through train_method, not methods.leave_out, until ROADMAP
         # item 12b traces the predictions made outside that closure.

@@ -27,7 +27,12 @@ normalization of `ingest` as it was before its scrub regexes were gated: every
 enabled regex runs on every path.  `dict_prediction` is
 `LabelSpace.prediction` as it was before its probabilities became a read-only
 view and its task sets were shared: a fresh dict of floats and a fresh
-frozenset for every prediction.
+frozenset for every prediction.  The per-query steps of the package before
+they worked in place (`reference_query_cols`, `reference_softmax`,
+`reference_activations`, `reference_softmax_retained`,
+`reference_linear_scores`, and `reference_predict`, which chains them into
+`dict_prediction`) read a trained model's arrays and redo its arithmetic one
+fresh array per step, so the package's path must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -41,10 +46,10 @@ from itertools import compress
 import mpmath
 import numpy as np
 
-from taskinfer.actr import _softmax_retained
+from taskinfer.actr import IbModel, _softmax_retained
 from taskinfer.baselines import LogRegModel, TrainingError
-from taskinfer.core import (ActrParams, Corpus, Prediction, Sample, attribute_matrix,
-                            build_corpus, label_space, softmax)
+from taskinfer.core import (ActrParams, Corpus, LinearModel, Prediction, Sample,
+                            attribute_matrix, build_corpus, label_space, softmax)
 from taskinfer.methods import train_method
 
 
@@ -310,6 +315,87 @@ def dict_prediction(space, probs, task_threshold: float,
         retained_chunks=len(space.labels) if retained_chunks is None else retained_chunks,
         degenerate=retained_chunks == 0,
     )
+
+
+def reference_query_cols(col, query) -> tuple:
+    """`core.query_cols` as it was before it read each attribute once: a
+    membership test and a lookup per attribute, and a Python sort."""
+    query = frozenset(query)
+    if not query:
+        raise ValueError("query attribute set is empty")
+    cols = sorted(col[a] for a in query if a in col)
+    return np.array(cols, dtype=int), len(query) - len(cols)
+
+
+def reference_softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
+    """`core.softmax` as it was before it worked in place."""
+    w = np.exp((z - z.max(axis=axis, keepdims=True)) / s)
+    return w / w.sum(axis=axis, keepdims=True)
+
+
+def reference_activations(model, cols: np.ndarray, n_unseen: int) -> np.ndarray:
+    """`IbModel.activations` as it was before it worked in place: a fresh
+    array for every step, read from the model's links, fans and log terms."""
+    nq = cols.size + n_unseen
+    start = model._start[cols]
+    width = model._start[cols + 1] - start
+    links = np.repeat(start - np.cumsum(width) + width, width) + np.arange(width.sum())
+    chunks = model._chunks[links]
+    n = model._sizes.size
+    shared = np.bincount(chunks, minlength=n)
+    hits = np.bincount(chunks, weights=np.repeat(model._log_hit[cols], width), minlength=n)
+    spread = (hits + (nq - shared) * model._log_miss) / nq
+    overlap = shared / np.sqrt(nq * model._sizes)
+    params = model.params
+    if params.partial_matching == "deficit":
+        partial = params.mp * (overlap - 1.0)
+    else:
+        partial = params.mp * overlap
+    acts = params.beta + spread + partial
+    return acts if model._rows is None else acts[model._rows]
+
+
+def reference_softmax_retained(acts: np.ndarray, params: ActrParams) -> tuple:
+    """`actr._softmax_retained` as it was before it skipped the mask when
+    tau binds no chunk: (probs, retained count), zero outside the retained
+    chunks, over every chunk when none is retained."""
+    if acts.size == 0:
+        raise ValueError("no activations to retrieve over")
+    mask = acts >= params.tau
+    retained = int(mask.sum())
+    if not retained:
+        mask[:] = True
+    probs = np.zeros(acts.shape)
+    probs[mask] = reference_softmax(acts[mask], params.s)
+    return probs, retained
+
+
+def reference_linear_scores(model, cols: np.ndarray, n_unseen: int) -> tuple:
+    """`LinearModel.scores` as it was before it worked in place."""
+    total = model.weight[:, cols].sum(axis=1)
+    if model.mean:
+        total = total / (cols.size + n_unseen)
+    z = model.bias + model.w * total + n_unseen * model.floor
+    if model.space.mode == "family":
+        return reference_softmax(z, model.s), None
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z / model.s)), None
+
+
+def reference_predict(model, query, task_threshold: float) -> Prediction:
+    """`methods.predict` through the reference steps above: the query's
+    columns, the instance model's retrieval mass per column or a linear
+    model's scores (any other model's own), and `dict_prediction`."""
+    cols, n_unseen = reference_query_cols(model.col, query)
+    if isinstance(model, IbModel):
+        acts = reference_activations(model, cols, n_unseen)
+        probs, retained = reference_softmax_retained(acts, model.params)
+        probs = probs @ model.space.member
+    elif isinstance(model, LinearModel):
+        probs, retained = reference_linear_scores(model, cols, n_unseen)
+    else:
+        probs, retained = model.scores(cols, n_unseen)
+    return dict_prediction(model.space, probs, task_threshold, retained)
 
 
 def reference_forest_probs(model, query) -> np.ndarray:

@@ -284,6 +284,12 @@ class TestAttributeMatrix:
         ref = scipy_matrix(c).astype(dtype).toarray()
         assert x.dtype == ref.dtype and x.flags.c_contiguous and x.flags.writeable
         assert np.array_equal(x, ref)
+        # A permutation of the rows is written in place, as gathering them is.
+        order = np.random.default_rng(seed).permutation(c.size)
+        for rows in (order, order.tolist()):
+            x = c.index.dense(dtype, rows)
+            assert x.dtype == ref.dtype and x.flags.c_contiguous
+            assert np.array_equal(x, ref[order])
 
 
 def _space(families, mode="family"):

@@ -210,6 +210,21 @@ class TestSplitTrials:
         with pytest.raises(ValueError, match="n_trials"):
             split_trials(shared_task_corpus, "nb", n_trials=0)
 
+    @pytest.mark.parametrize("n_trials", [2.0, 2.5, "2", True, None])
+    def test_rejects_a_trial_count_that_is_not_an_int_by_name(self, shared_task_corpus,
+                                                               n_trials):
+        with pytest.raises(ValueError, match=f"^n_trials must be an int, got {n_trials!r}$"):
+            split_trials(shared_task_corpus, "nb", n_trials=n_trials)
+
+    def test_the_first_trials_folds_do_not_depend_on_the_trial_count(self,
+                                                                     shared_task_corpus):
+        # Each trial draws its seed as it starts, so a longer run only adds trials.
+        folds = [[[s.sample_id for s in t.scores] for t in
+                  split_trials(shared_task_corpus, "nb", train_frac=0.5, n_trials=n,
+                               seed=4).trials] for n in (1, 2, 5)]
+        assert folds[2][:2] == folds[1] and folds[1][:1] == folds[0]
+        assert len(set(map(tuple, folds[2]))) > 1
+
 
 class TestLeaveOneFamilyOut:
     def test_family_accuracy_is_not_applicable(self, shared_task_corpus):

@@ -1,5 +1,7 @@
 """The method registry: one training entry point for every method id."""
 
+import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskinfer import actr, baselines, methods, synthgen
+from taskinfer import actr, baselines, core, methods, synthgen
 from taskinfer.actr import IbModel, rb_train
 from taskinfer.baselines import dt_train, logreg_train, nb_train, rf_train
 from taskinfer.core import (MODES, ActrParams, LinearModel, Sample, build_corpus, label_space,
@@ -19,7 +21,9 @@ from taskinfer.methods import METHODS, leave_out, predict, train_method
 
 from conftest import make_corpus
 from oracles import (dict_prediction, held_out_row_sets, random_corpus, random_params,
-                     reference_held_out_predictions, reference_loocv_predictions)
+                     reference_activations, reference_held_out_predictions,
+                     reference_linear_scores, reference_loocv_predictions, reference_predict,
+                     reference_query_cols, reference_softmax, reference_softmax_retained)
 
 
 # The trainer of each method that has hyperparameters of its own.
@@ -546,3 +550,115 @@ class TestLeaveRowsOut:
                 [a.hex() for a in combined.activations(*cols)]
             _assert_same_predictions([predict(chained, s.attribs, 0.5)],
                                      [predict(combined, s.attribs, 0.5)])
+
+
+def _hexes(a: np.ndarray) -> list:
+    return [x.hex() for x in a.tolist()]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("method", METHODS)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((None, -1e3, 1e3)),
+       st.sampled_from(("overlap", "deficit")))
+@settings(max_examples=25, deadline=None)
+def test_the_query_path_equals_its_reference_steps_bit_for_bit(method, mode, seed, tau,
+                                                               partial_matching):
+    # tau is drawn, binds no chunk, or binds every chunk (degenerate); the
+    # downdating models are checked whole and with rows held out.
+    rng = random.Random(seed)
+    corpus = random_corpus(rng)
+    params = dataclasses.replace(random_params(rng), partial_matching=partial_matching,
+                                 **({} if tau is None else {"tau": tau}))
+    model = MODELS[method](corpus, mode, params)
+    models = [model]
+    if hasattr(model, "without"):
+        models += [model.without(rows) for rows in held_out_row_sets(corpus, rng)[:3]]
+    queries = [s.attribs for s in corpus.samples]
+    queries += [queries[0] | {"unseen"}, frozenset({"unseen", "also unseen"})]
+    for m in models:
+        for q in queries:
+            cols, n_unseen = query_cols(m.col, q)
+            want_cols, want_unseen = reference_query_cols(m.col, q)
+            assert (cols.dtype, cols.tolist(), n_unseen) == \
+                (want_cols.dtype, want_cols.tolist(), want_unseen)
+            if isinstance(m, IbModel):
+                acts = m.activations(cols, n_unseen)
+                assert _hexes(acts) == _hexes(reference_activations(m, cols, n_unseen))
+                got, retained = actr._softmax_retained(acts, m.params)
+                want, want_retained = reference_softmax_retained(acts, m.params)
+                assert (_hexes(got), retained) == (_hexes(want), want_retained)
+                assert type(retained) is int
+            elif isinstance(m, LinearModel):
+                assert _hexes(m.scores(cols, n_unseen)[0]) == \
+                    _hexes(reference_linear_scores(m, cols, n_unseen)[0])
+            got = predict(m, q, params.task_threshold)
+            _assert_same_predictions([got], [reference_predict(m, q, params.task_threshold)])
+            assert (type(got.retained_chunks), type(got.degenerate)) == (int, bool)
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12), st.floats(1e-3, 1e3))
+def test_softmax_equals_its_reference_and_leaves_its_input(values, s):
+    z = np.array(values)
+    before = z.copy()
+    got = core.softmax(z, s)
+    assert got is not z and got.dtype == float
+    assert _hexes(got) == _hexes(reference_softmax(before, s))
+    assert z.tolist() == before.tolist()
+
+
+# sha256 over the float.hex of every unrounded class probability, with the
+# predicted family and tasks, of each method and mode on encrypted queries:
+# trained on the whole corpus and held out of a fold, with the default
+# parameters (tau binds no chunk) and with a tau that binds some chunks,
+# or every chunk (a degenerate retrieval).  A last-bit drift in any scoring
+# step changes it; rounded report files do not see one.
+_FROZEN_PROBS_SHA256 = {
+    ("actr-ib", "family"):
+        "3ec35acef2e1b957f527e8c955d634a981898ee4e09d13eeb50e7755176a1fba",
+    ("actr-ib", "direct"):
+        "f5377c96770dcffcd3643518456d159b618124ecaf796b759b783811f9a66106",
+    ("actr-r", "family"):
+        "97fec834083583350f9e70e5d2e1a98c412a754c493710b9b58fb2086a6f6c9d",
+    ("actr-r", "direct"):
+        "f38f718364797eb4f1ed5368a26e992afef1fac73f9a1be7a43904546a24ba20",
+    ("nb", "family"):
+        "75cd9dc3257dbe4e4faae87af2988fd8cca2a5e7bdea34fe56be99b133e1b899",
+    ("nb", "direct"):
+        "56402f34fb45242bb6ed2cea1a01f40a6d7772c8b2065afaef62e3cd2d9b0bde",
+    ("dt", "family"):
+        "66d964ce55c0a71c76a9501f3f5d26581455cb20ca51d0e77d20a1930947bfae",
+    ("dt", "direct"):
+        "83862636f91849d89ece0ddf00a2236164df54b72edd5312b85db421a97703ec",
+    ("rf", "family"):
+        "00c1708b2771931f79554b5fcceb87e27f40b75206ff0e83bf85fd3368e0b2c9",
+    ("rf", "direct"):
+        "ccb7be1d63543d29c6935a2d16156c18d0e728d4f5624a40597451001e465dc8",
+    ("logreg", "family"):
+        "c98f1fd1fa80448a57cf9513a2f2e052e0a3da9660ba483f99bde7607f9e0ee1",
+    ("logreg", "direct"):
+        "7c4f8415a10620ed6c499794fe9967662ba75f62ff0c7ead382296b7041595e0",
+}
+
+
+def _probs_digest(method: str, mode: str) -> str:
+    spec = dict(n_carriers=3, tasks_per_carrier=3, samples_per_family=8,
+                carrier_attr_pool=30, overlap_target=0.5)
+    corpus, _ = synthgen.generate(synthgen.GenSpec(**spec, seed=4))
+    fresh, _ = synthgen.generate(synthgen.GenSpec(**spec, seed=5))
+    queries = synthgen.encrypt_variant(fresh, seed=5).samples[::2]
+    lines = []
+    for params in (ActrParams(), ActrParams(s=0.5, tau=4.0, partial_matching="deficit")):
+        held_out = leave_out(method, corpus, mode, params, seed=3)
+        for rows in ((), range(0, corpus.size, 4)):
+            predictor = held_out(rows)
+            for q in queries:
+                pred = predictor(q.attribs)
+                lines.append(" ".join([q.id, str(pred.predicted_family),
+                                       *sorted(pred.predicted_tasks), str(pred.retained_chunks),
+                                       *(f"{k}={v.hex()}" for k, v in pred.class_probs.items())]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("method,mode", sorted(_FROZEN_PROBS_SHA256))
+def test_unrounded_probabilities_match_frozen_digests(method, mode):
+    assert _probs_digest(method, mode) == _FROZEN_PROBS_SHA256[(method, mode)]
