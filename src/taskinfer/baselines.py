@@ -29,7 +29,9 @@ Conventions shared across the baselines:
     step tests, counts and scores the next node (in preorder) of every tree
     still growing as one batch, while each tree keeps its own seed, draws its
     bootstrap and per-node candidates from it in preorder, and so is the
-    tree that growing it alone would give;
+    tree that growing it alone would give; a node's candidates are drawn as
+    positions among the attributes off its path, and the positions of every
+    node of a step are mapped to columns in one batch;
   - trees are flat node arrays, numbered tree by tree in preorder, and a
     query walks every tree at once;
   - logistic regression is full-batch gradient ascent on the mean
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -106,9 +109,8 @@ def nb_train(corpus: Corpus, smoothing: float = 1.0, mode: str = "family") -> Co
 def _row_entropy(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Natural-log entropy of every class-count row (the last axis), given
     each row's total (that axis kept, of length 1)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(totals > 0, counts / totals, 0.0)
-        logs = np.where(p > 0, np.log(p), 0.0)
+    p = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+    logs = np.log(p, out=np.zeros(p.shape), where=p > 0)
     return -(p * logs).sum(axis=-1)
 
 
@@ -119,24 +121,26 @@ _GROUP_ROWS = 2**15             # stacked root rows of the forests grown togethe
 
 
 def _best_splits(x: np.ndarray, rows: np.ndarray, sizes: np.ndarray, counts: np.ndarray,
-                 cands: list) -> tuple:
+                 cand: np.ndarray, width: np.ndarray) -> tuple:
     """(column, gain) of the best split of each node, given its rows (grouped
     node by node and, within a node, by class), its class counts and its
-    ascending candidate columns; the first maximal gain wins, so ties go to
-    the smallest column.  The gains are one batch, padded to the widest
-    candidate set; a batch that would gather more than _BATCH_CELLS cells is
-    scored in halves, so a step's memory does not grow with the corpus."""
+    candidate columns: the first width[i] cells of row i of `cand`,
+    ascending, the rest padding that holds some column; the first maximal
+    gain wins, so ties go to the smallest column.  The gains are one batch,
+    padded to the widest candidate set; a batch that would gather more than
+    _BATCH_CELLS cells is scored in halves, so a step's memory does not grow
+    with the corpus."""
     n, k = counts.shape
-    width = np.array([c.size for c in cands])
-    if n > 1 and (rows.size + x.shape[0] * n) * width.max() > _BATCH_CELLS:
+    cand = cand[:, :width.max()]
+    if n > 1 and (rows.size + x.shape[0] * n) * cand.shape[1] > _BATCH_CELLS:
         half = n // 2
         cut = int(sizes[:half].sum())
-        first = _best_splits(x, rows[:cut], sizes[:half], counts[:half], cands[:half])
-        rest = _best_splits(x, rows[cut:], sizes[half:], counts[half:], cands[half:])
+        first = _best_splits(x, rows[:cut], sizes[:half], counts[:half], cand[:half],
+                             width[:half])
+        rest = _best_splits(x, rows[cut:], sizes[half:], counts[half:], cand[half:],
+                            width[half:])
         return tuple(np.concatenate(pair) for pair in zip(first, rest))
-    valid = np.arange(width.max()) < width[:, None]
-    cand = np.zeros(valid.shape, dtype=int)
-    cand[valid] = np.concatenate(cands)
+    valid = np.arange(cand.shape[1]) < width[:, None]
     node = np.repeat(np.arange(n), sizes)
     gathered = x[:, cand][rows, node]                       # (rows, candidates)
     seg = counts.ravel()                                    # rows per (node, class)
@@ -170,8 +174,9 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
     and scores them as one batch, then parts every split node's rows between
     its children with one stable sort.  What runs node by node is a tree's
     candidate draw (`rng.choice` of positions among the available attributes,
-    then sorted, at a node that passes the leaf tests and has more of them
-    than max_features), in the tree's preorder, and the push of its children.
+    at a node that passes the leaf tests and has more of them than
+    max_features), in the tree's preorder, and the push of its children;
+    the step sorts the drawn positions and maps them to columns at once.
     A node is a leaf when it holds fewer than min_count rows or a single
     class, has no attribute left on its path, or its best gain is at most
     _GAIN_TOL; a leaf is its own present and absent child.
@@ -183,10 +188,10 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
     # A pending node: (rows, the columns split on along its path, the node it
     # is the absent child of, or -1).
     stacks = [[(rows, (), -1)] for rows in roots]
-    free = np.ones(n_attrs, dtype=bool)         # scratch: the columns off one path
     made = np.zeros(len(roots), dtype=int)      # nodes each tree has made so far
     steps = []
-    while trees := [t for t, stack in enumerate(stacks) if stack]:
+    trees = list(range(len(roots)))             # the trees still growing
+    while trees:
         rows_of, paths, parent = zip(*(stacks[t].pop() for t in trees))
         tree = np.array(trees)
         sizes = np.array([r.size for r in rows_of])
@@ -195,25 +200,33 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
         node = np.repeat(np.arange(tree.size), sizes)
         counts = np.bincount(node * n_classes + y[tree[node], rows],
                              minlength=tree.size * n_classes).reshape(-1, n_classes)
-        gid = made.sum() + np.arange(tree.size)     # creation order
+        first = int(made.sum())                 # the creation number of node 0
         is_inner = ((sizes >= min_count) & ((counts > 0).sum(axis=1) > 1)
                     & (depth < n_attrs))
         inner = np.flatnonzero(is_inner)
         split = np.full(tree.size, -1)
         if inner.size:
-            cands = []
-            for b in inner.tolist():
-                path = list(paths[b])
-                free[path] = False
-                cand = free.nonzero()[0]
-                free[path] = True
-                if cand.size > max_features:
-                    pick = rngs[trees[b]].choice(cand.size, size=max_features, replace=False)
-                    pick.sort()
-                    cand = cand[pick]
-                cands.append(cand)
+            # Candidates as positions among the attributes off a node's path
+            # (a path never repeats one): every position, or a tree's draw.
+            avail = n_attrs - depth[inner]
+            width = np.minimum(avail, max_features)
+            pos = np.arange(width.max())
+            pos = np.where(pos < width[:, None], pos, 0)    # padding: position 0
+            drawn = np.flatnonzero(avail > max_features)
+            if drawn.size:
+                pos[drawn] = np.sort([rngs[trees[b]].choice(a, size=max_features, replace=False)
+                                      for b, a in zip(inner[drawn].tolist(),
+                                                      avail[drawn].tolist())])
+            # Positions to columns, every node at once: past each column on
+            # the path, in ascending order, a position moves up one.
+            on_path = np.full((inner.size, depth[inner].max()), n_attrs)
+            on_path[np.arange(on_path.shape[1]) < depth[inner, None]] = \
+                list(chain.from_iterable(paths[b] for b in inner.tolist()))
+            on_path.sort(axis=1)
+            for j in range(on_path.shape[1]):
+                pos += pos >= on_path[:, j:j + 1]
             col, gain = _best_splits(x, rows[is_inner[node]], sizes[inner], counts[inner],
-                                     cands)
+                                     pos, width)
             split[inner[gain > _GAIN_TOL]] = col[gain > _GAIN_TOL]
         # The rows of every split node, absent then present side, each in its order.
         at = split[node] >= 0
@@ -223,11 +236,12 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
         go = np.flatnonzero(split >= 0)
         for b, c in zip(go.tolist(), split[go].tolist()):
             path = paths[b] + (c,)
-            stacks[trees[b]] += [(parted[bounds[2 * b]:bounds[2 * b + 1]], path, gid[b]),
+            stacks[trees[b]] += [(parted[bounds[2 * b]:bounds[2 * b + 1]], path, first + b),
                                  (parted[bounds[2 * b + 1]:bounds[2 * b + 2]], path, -1)]
         steps.append((tree, made[tree], depth, counts / sizes[:, None], split,
                       np.array(parent)))
         made[tree] += 1
+        trees = [t for t in trees if stacks[t]]
     tree, local, depth, dist, split, parent = (np.concatenate(a) for a in zip(*steps))
     start = np.cumsum(made) - made
     at = start[tree] + local                    # each node's number, by creation order
@@ -362,6 +376,10 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     and the weights and the last weight gradient are mapped back through x
     once, at the end.  The rows are in sample-id order, so no sum depends
     on the corpus's row order.
+
+    A diverging ascent raises TrainingError at the first epoch whose
+    objective is not finite, the final weights' counted as epoch `epochs`,
+    and prints no warning.
     """
     check_finite("learning_rate", learning_rate)
     if learning_rate <= 0:
@@ -380,24 +398,41 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
     xf = index.dense(float, order)
     gram = xf @ xf.T
     n = xf.shape[0]
+    classes = y.shape
     k = y.size // n                 # classes: one per family, or two per column
-    coef, b = np.zeros((k, n)), np.zeros((k, 1))
-    eps = np.finfo(float).tiny
-    # A step of the coefficients, coef + learning_rate * (resid / n - l2 * coef):
-    decay, step = 1.0 - learning_rate * l2, learning_rate / n
-    for epoch in range(epochs):
-        z = coef @ gram                                     # w @ x.T
-        p = softmax((z + b).reshape(y.shape), axis=-2)
-        obj = np.vdot(y, np.log(p + eps)) / n - 0.5 * l2 * np.vdot(z, coef)
-        if not math.isfinite(obj):
-            raise TrainingError(f"non-finite objective at epoch {epoch}")
-        resid = (y - p).reshape(k, n)
-        last, coef = coef, decay * coef + step * resid
-        b = b + step * resid.sum(axis=1, keepdims=True)
-    # The last epoch's gradient, taken before its update, not at the weights.
-    gw = (resid / n - l2 * last) @ xf
-    gb = resid.sum(axis=1) / n
-    grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
+    y = y.reshape(k, n)
+    # An epoch writes into these: the coefficients, the last epoch's (the
+    # two swap), the scores, the scores with the biases, the residuals and
+    # the residuals' step.
+    coef, last, b = np.zeros((k, n)), np.empty((k, n)), np.zeros((k, 1))
+    z, zb, resid, move = (np.empty((k, n)) for _ in range(4))
+    # A step of the coefficients, coef + learning_rate * (resid / n - l2 * coef).
+    # The decay is at least the float minimum, as the primal form's l2 * w
+    # is, so a zero coefficient stays zero when learning_rate * l2 overflows.
+    decay, step = max(1.0 - learning_rate * l2, -np.finfo(float).max), learning_rate / n
+    # An overflow shows as a non-finite objective, which is checked at every
+    # epoch and at the final weights; a diverging ascent raises no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs + 1):
+            np.matmul(coef, gram, out=z)                    # w @ x.T
+            p = softmax(np.add(z, b, out=zb).reshape(classes), axis=-2).reshape(k, n)
+            # The objective, the mean log-likelihood less l2 / 2 times
+            # ||w||^2, is finite exactly when this is: p lies in [0, 1] unless
+            # it holds a NaN, which makes both NaN, and neither first term can
+            # push a finite penalty past the float maximum.
+            if not math.isfinite(np.vdot(y, p) - 0.5 * l2 * np.vdot(z, coef)):
+                raise TrainingError(f"non-finite objective at epoch {epoch}")
+            if epoch == epochs:                             # the final weights
+                break
+            np.subtract(y, p, out=resid)
+            np.multiply(coef, decay, out=last)
+            last += np.multiply(resid, step, out=move)
+            last, coef = coef, last
+            b += step * np.add.reduce(resid, axis=1, keepdims=True)
+        # The last epoch's gradient, taken before its update, not at the weights.
+        gw = (resid / n - l2 * last) @ xf
+        gb = resid.sum(axis=1) / n
+        grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
     w, b = coef @ xf, b[:, 0]
     if space.mode == "direct":
         w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]

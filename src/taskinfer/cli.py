@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -27,10 +28,32 @@ from .core import (
 from .methods import METHODS, train_method
 
 
+def _param_flag(name: str) -> str:
+    return "--noise" if name == "s" else "--" + name.replace("_", "-")
+
+
+# argparse reads a separate word such as `-1e3` as an option, not a value (it
+# takes only `-5` and `-.5` as negative numbers), so `main` joins a negative
+# number in exponent form to the float model flag before it, as `--tau=-1e3`.
+_FLOAT_FLAGS = frozenset(_param_flag(f.name) for f in fields(ActrParams)
+                         if isinstance(f.default, float))
+_NEGATIVE_EXPONENT_FORM = re.compile(r"-(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _joined_floats(argv) -> list:
+    out = []
+    for word in argv:
+        if out and out[-1] in _FLOAT_FLAGS and _NEGATIVE_EXPONENT_FORM.fullmatch(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model parameters")
     for f in fields(ActrParams):
-        flag = "--noise" if f.name == "s" else "--" + f.name.replace("_", "-")
+        flag = _param_flag(f.name)
         group.add_argument(flag, dest=f"param_{f.name}",
                            type=type(f.default), default=None, metavar=f.name.upper(),
                            help=f"override {f.name} (default {f.default})")
@@ -274,7 +297,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_floats(sys.argv[1:] if argv is None else argv))
     try:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:

@@ -501,9 +501,11 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
 
 def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
     """exp(z / s) normalized along `axis`, shifted by the maximum for
-    stability: a fresh array, every step after the shift in place."""
+    stability: a fresh array, every step after the shift in place (the
+    division skipped at s = 1, where it is exact)."""
     w = z - np.maximum.reduce(z, axis=axis, keepdims=True)
-    w /= s
+    if s != 1.0:
+        w /= s
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=axis, keepdims=True)
     return w
@@ -735,7 +737,9 @@ class LinearModel:
     where n is the query size when `mean` is set and 1 otherwise; family mode
     softmaxes z at temperature s, and direct mode gives each task the sigmoid
     of z / s (a task scoring +inf gets exactly 1).  Naive Bayes and logistic
-    regression set w and s to 1.0, which leaves z and its softmax exact.
+    regression set w and s to 1.0, which leaves z and its softmax exact.  A
+    weight column that no `col` key names (a downdated model's vanished
+    attribute) is never read.
     """
 
     space: LabelSpace
@@ -797,7 +801,10 @@ class CountModel(LinearModel):
         `rows`, as training on them gives it: the rows' attributes are
         subtracted from the counts of the columns holding them and from the
         totals, and an attribute only they held leaves the vocabulary, so a
-        query's copy of it is unseen."""
+        query's copy of it is unseen.  The fit reads the kept columns alone,
+        in order, as training on the rest does; their weights keep this
+        model's column numbers, and a vanished attribute's weight column,
+        which no `col` key names, is left zero and never read."""
         space, source = self.space.without(rows)
         present, total = self.counts
         row, attr = self.index.links(rows)
@@ -805,13 +812,18 @@ class CountModel(LinearModel):
         present = present[source]
         np.subtract.at(present, (c, attr[link]), 1)
         total = total - np.bincount(attr, minlength=total.size)
-        col = self.col
-        if not total.all():
-            kept = total > 0
-            present, total = np.ascontiguousarray(present[:, kept]), total[kept]
-            col = dict(zip(compress(self.col, kept.tolist()), range(total.size)))
-        return LinearModel(space, col, *self.fit(space, present, total, self.smoothing),
-                           self.mean, self.w, self.s)
+        if total.all():
+            return LinearModel(space, self.col, *self.fit(space, present, total, self.smoothing),
+                               self.mean, self.w, self.s)
+        kept = total > 0
+        bias, kept_weight, floor = self.fit(space, np.ascontiguousarray(present[:, kept]),
+                                            total[kept], self.smoothing)
+        weight = np.zeros((kept_weight.shape[0], kept.size))
+        weight[:, kept] = kept_weight
+        col = dict(self.col)
+        for j in np.flatnonzero(~kept).tolist():
+            del col[self.index.vocab[j]]
+        return LinearModel(space, col, bias, weight, floor, self.mean, self.w, self.s)
 
 
 def canonical_json(obj) -> str:

@@ -148,18 +148,21 @@ def normalize_path(raw: str, config: ExtractionConfig | None = None) -> str:
     """Normalize a filesystem path into a stable attribute value."""
     config = config or ExtractionConfig()
     s = raw.replace("/", "\\").strip()
-    if config.fold_case:
+    fold = config.fold_case
+    if fold:
         s = s.lower()
     # On ASCII text re.IGNORECASE folds only ASCII letters, so a step's regex
     # can match only when its literal is in the lower case.  Other text runs
     # every enabled step: there re.IGNORECASE matches "ſ" to "s", "ı" and "İ"
-    # to "i" and "K" to "k", which neither lower() nor casefold() shows.
-    low = s.lower() if s.isascii() else None
+    # to "i" and "K" to "k", which neither lower() nor casefold() shows.  A
+    # folded string is its own lower case, and stays so through the scrubs,
+    # whose replacements are all lower case.
+    low = (s if fold else s.lower()) if s.isascii() else None
     for toggle, literal, pattern, replacement in _SCRUBS:
-        if getattr(config, toggle) and (low is None or literal in low):
+        if (low is None or literal in low) and getattr(config, toggle):
             s = pattern.sub(replacement, s)
             if low is not None:
-                low = s.lower()
+                low = s if fold else s.lower()
     return s
 
 

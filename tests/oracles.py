@@ -597,8 +597,9 @@ def reference_logreg(corpus: Corpus, learning_rate: float, l2: float, epochs: in
                      mode: str) -> LogRegModel:
     """`logreg_train` in the primal form: full-batch ascent of
     `logreg_objective` on the weights themselves, rows in corpus order,
-    raising TrainingError at the first epoch whose objective is not finite.
-    Direct mode fits every column's two-class softmax in one ascent."""
+    raising TrainingError at the first epoch whose objective is not finite,
+    the final weights' counted as epoch `epochs`.  Direct mode fits every
+    column's two-class softmax in one ascent."""
     space = label_space(corpus, mode)
     _, col, index = attribute_matrix(corpus)
     y = space.member
@@ -607,10 +608,13 @@ def reference_logreg(corpus: Corpus, learning_rate: float, l2: float, epochs: in
     xf = index.dense(float)
     k = y[0].size
     w, b = np.zeros((k, xf.shape[1])), np.zeros(k)
-    for epoch in range(epochs):
-        obj, gw, gb = logreg_objective(w, b, xf, y, l2)
+    for epoch in range(epochs + 1):
+        obj, *grad = logreg_objective(w, b, xf, y, l2)
         if not math.isfinite(obj):
             raise TrainingError(f"non-finite objective at epoch {epoch}")
+        if epoch == epochs:
+            break
+        gw, gb = grad
         w += learning_rate * gw
         b += learning_rate * gb
     grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))

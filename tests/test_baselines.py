@@ -8,10 +8,11 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (logreg_objective, random_corpus, reference_forest_depth,
@@ -387,9 +388,9 @@ class TestLockstepGrower:
         widths = []
         best_splits = baselines._best_splits
 
-        def spy(x, rows, sizes, counts, cands):
-            widths.append({c.size for c in cands})
-            return best_splits(x, rows, sizes, counts, cands)
+        def spy(x, rows, sizes, counts, cand, width):
+            widths.append(set(width.tolist()))
+            return best_splits(x, rows, sizes, counts, cand, width)
 
         monkeypatch.setattr(baselines, "_best_splits", spy)
         for mode in MODES:
@@ -449,6 +450,14 @@ class TestLockstepGrower:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+# Every positive float up to 1e308 log-uniformly, with the edges and the
+# default: the ascent's step size, and its penalty (which may also be 0).
+_LEARNING_RATE = st.one_of(st.sampled_from((5e-324, 1e308, 0.1)),
+                           st.floats(math.log(5e-324), math.log(1e308)).map(math.exp))
+_L2 = st.one_of(st.sampled_from((0.0, 5e-324, 1e308, 1e-3)),
+                st.floats(math.log(5e-324), math.log(1e308)).map(math.exp))
 
 
 class TestLogisticRegression:
@@ -555,7 +564,11 @@ class TestLogisticRegression:
         assume(rows > attrs if shape == "tall" else rows < attrs)
         model = logreg_train(corpus, learning_rate, l2, epochs, mode)
         want = reference_logreg(corpus, learning_rate, l2, epochs, mode)
-        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-15)
+        # A gradient that is zero in one form is rounding in the other: the
+        # sum of d terms of about 1e-16 each (1.2e-15 against 0.0 at seed 339,
+        # two rows and 30 attributes), so the absolute bound is the one the
+        # probabilities get.
+        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-12)
         for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "novel"})]:
             got = predict(model, q, 0.5).class_probs
             expected = predict(want, q, 0.5).class_probs
@@ -573,6 +586,45 @@ class TestLogisticRegression:
         assert str(got.value) == str(want.value)
 
     def test_rejects_bad_hyperparameters(self, two_family_corpus):
-        for kwargs in ({"learning_rate": 0.0}, {"epochs": 0}, {"l2": -1.0}):
-            with pytest.raises(ValueError):
-                logreg_train(two_family_corpus, **kwargs)
+        # Each is refused by name: a rate that is not positive and finite, an
+        # l2 that is not non-negative and finite, an epochs that is not an
+        # int of at least 1.
+        for name, value in (("learning_rate", 0.0), ("learning_rate", -1e-300),
+                            ("learning_rate", math.inf), ("learning_rate", math.nan),
+                            ("l2", -1.0), ("l2", -5e-324), ("l2", math.inf), ("l2", math.nan),
+                            ("epochs", 0), ("epochs", 2.0), ("epochs", True)):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                logreg_train(two_family_corpus, **{name: value})
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(seed=st.integers(0, 2**32 - 1), learning_rate=_LEARNING_RATE, l2=_L2,
+           epochs=st.integers(1, 30))
+    @example(seed=0, learning_rate=1e300, l2=1e-3, epochs=30)      # fails at epoch 1
+    @example(seed=0, learning_rate=0.1, l2=1e300, epochs=30)       # fails at epoch 2
+    @example(seed=0, learning_rate=1e308, l2=0.0, epochs=1)        # the final weights fail
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_hyperparameter_set_predicts_finitely_or_diverges_loudly(
+            self, mode, seed, learning_rate, l2, epochs):
+        # Training gives finite probabilities with no warning, or raises the
+        # TrainingError that the primal oracle raises, at the same epoch.
+        corpus = random_corpus(random.Random(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                model = logreg_train(corpus, learning_rate, l2, epochs, mode)
+            except TrainingError as e:
+                got = str(e)
+            else:
+                got = None
+                for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "novel"})]:
+                    probs = list(predict(model, q, 0.5).class_probs.values())
+                    assert all(math.isfinite(p) for p in probs), (q, probs)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                reference_logreg(corpus, learning_rate, l2, epochs, mode)
+            except TrainingError as e:
+                want = str(e)
+            else:
+                want = None
+        assert got == want

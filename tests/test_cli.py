@@ -438,18 +438,55 @@ class TestPredict:
     @pytest.mark.parametrize("mode", ["family", "direct"])
     @pytest.mark.parametrize("method", ["actr-ib", "actr-r"])
     def test_the_edges_of_every_domain_predict_finitely(self, tmp_path, capsys, method, mode):
-        # A negative value in exponent form is attached with "=": argparse
-        # reads "--tau -1e3" as two flags.
         corpus_path = run_gen(tmp_path)
         capsys.readouterr()
         out = tmp_path / "preds.jsonl"
         rc = main(["predict", "--method", method, "--mode", mode, "--noise", "1e-100",
-                   "--beta=-1e100", "--tau=-1e100", "--mp", "1e100", "--w=-1e100",
+                   "--beta", "-1e100", "--tau=-1e100", "--mp", "1e100", "--w", "-1e100",
                    "--corpus", corpus_path, "--in", corpus_path, "--out", str(out)])
         assert rc == 0
         assert capsys.readouterr().err == ""
         for line in out.read_text(encoding="utf-8").splitlines():
             assert all(math.isfinite(p) for p in json.loads(line)["class_probs"].values())
+
+    @pytest.mark.parametrize("flag", ["--beta", "--noise", "--tau", "--mp", "--w",
+                                      "--task-threshold"])
+    def test_a_negative_exponent_value_may_follow_its_flag_as_a_word(self, tmp_path, capsys,
+                                                                     flag):
+        # argparse alone reads "--tau -1e3" as two flags.  Both spellings give
+        # the same exit status, error and prediction file (stdout holds a
+        # timing), whether the value is accepted (beta, tau, w) or refused by
+        # name (the others).
+        corpus_path = run_gen(tmp_path)
+        capsys.readouterr()
+        runs = []
+        for i, spelling in enumerate(([f"{flag}=-1e3"], [flag, "-1e3"])):
+            out = tmp_path / f"preds-{i}.jsonl"
+            rc = main(["predict", "--method", "actr-r", *spelling, "--corpus", corpus_path,
+                       "--in", corpus_path, "--out", str(out)])
+            runs.append((rc, capsys.readouterr().err, out.exists() and out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (0 if flag in ("--beta", "--tau", "--w") else 1)
+
+    @pytest.mark.parametrize("command", ["predict", "eval", "compare"])
+    @pytest.mark.parametrize("tail", [["--tau"], ["--tau", "--mode", "direct"]])
+    def test_a_float_flag_without_its_value_exits_2(self, capsys, command, tail):
+        base = ["--method", "nb", "--method", "dt"] if command == "compare" else [
+            "--method", "nb"]
+        records = ["--in", "r.jsonl"] if command == "predict" else []
+        with pytest.raises(SystemExit) as e:
+            main([command, *base, "--corpus", "c.jsonl", *records, *tail])
+        assert e.value.code == 2
+        assert "argument --tau: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_eval_and_compare_read_a_negative_exponent_value(self, monkeypatch, command):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+        base = [command, "--method", "nb", "--method", "dt", "--corpus", "c.jsonl"]
+        assert main([*base, "--tau", "-1e3", "--beta", "-2.5E+2", "--w", "-.5e-1"]) == 0
+        args = seen[0]
+        assert (args.param_tau, args.param_beta, args.param_w) == (-1e3, -250.0, -0.05)
 
     def test_a_failing_query_is_named_in_process(self, tmp_path, capsys, monkeypatch):
         # A predictor's own error is named as a non-finite probability is.
