@@ -429,10 +429,13 @@ def logreg_train(corpus: Corpus, learning_rate: float = 0.1, l2: float = 1e-3,
             last += np.multiply(resid, step, out=move)
             last, coef = coef, last
             b += step * np.add.reduce(resid, axis=1, keepdims=True)
-        # The last epoch's gradient, taken before its update, not at the weights.
-        gw = (resid / n - l2 * last) @ xf
-        gb = resid.sum(axis=1) / n
-        grad_norm = math.sqrt(float((gw * gw).sum()) + float((gb * gb).sum()))
+    # The last epoch's gradient, taken before its update, not at the weights,
+    # and its norm scaled by its largest entry: a finite gradient's squares
+    # can overflow when l2 is large.
+    g = np.concatenate((((resid / n - l2 * last) @ xf).ravel(), resid.sum(axis=1) / n))
+    top = np.abs(g).max() or 1.0
+    g /= top
+    grad_norm = float(top * np.sqrt(np.vdot(g, g)))
     w, b = coef @ xf, b[:, 0]
     if space.mode == "direct":
         w, b = w[1::2] - w[0::2], b[1::2] - b[0::2]

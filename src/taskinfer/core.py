@@ -501,11 +501,9 @@ def query_cols(col: Mapping[str, int], query) -> tuple:
 
 def softmax(z: np.ndarray, s: float = 1.0, axis: int = -1) -> np.ndarray:
     """exp(z / s) normalized along `axis`, shifted by the maximum for
-    stability: a fresh array, every step after the shift in place (the
-    division skipped at s = 1, where it is exact)."""
+    stability: a fresh array, every step after the shift in place."""
     w = z - np.maximum.reduce(z, axis=axis, keepdims=True)
-    if s != 1.0:
-        w /= s
+    w /= s
     np.exp(w, out=w)
     w /= np.add.reduce(w, axis=axis, keepdims=True)
     return w

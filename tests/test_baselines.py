@@ -564,11 +564,7 @@ class TestLogisticRegression:
         assume(rows > attrs if shape == "tall" else rows < attrs)
         model = logreg_train(corpus, learning_rate, l2, epochs, mode)
         want = reference_logreg(corpus, learning_rate, l2, epochs, mode)
-        # A gradient that is zero in one form is rounding in the other: the
-        # sum of d terms of about 1e-16 each (1.2e-15 against 0.0 at seed 339,
-        # two rows and 30 attributes), so the absolute bound is the one the
-        # probabilities get.
-        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-12)
+        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-15)
         for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "novel"})]:
             got = predict(model, q, 0.5).class_probs
             expected = predict(want, q, 0.5).class_probs
