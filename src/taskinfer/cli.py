@@ -222,16 +222,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _run_protocol(corpus, method, args, params):
+    common = dict(mode=args.mode, params=params, seed=args.seed)
     if args.protocol == "loocv":
-        return [evaluation.loocv(corpus, method, mode=args.mode,
-                                 params=params, seed=args.seed)]
+        return [evaluation.loocv(corpus, method, **common)]
     if args.protocol == "split":
-        agg = evaluation.split_trials(corpus, method, mode=args.mode,
-                                      params=params, train_frac=args.train_frac,
-                                      n_trials=args.trials, seed=args.seed)
-        return [agg]
-    return evaluation.leave_one_family_out(corpus, method, mode=args.mode,
-                                           params=params, seed=args.seed)
+        return [evaluation.split_trials(corpus, method, train_frac=args.train_frac,
+                                        n_trials=args.trials, **common)]
+    return evaluation.leave_one_family_out(corpus, method, **common)
 
 
 def _write_reports(reports, out_path) -> None:

@@ -10,11 +10,11 @@ predicts a family (direct).
 Three protocols: leave-one-out cross-validation over samples, repeated
 stratified train/test splits, and leave-one-family-out.  One loop scores
 them, timing the build of each fold's predictor as training and its calls as
-prediction.  Leave-one-out and leave-one-family-out take each fold's
-predictor from `methods.leave_out`, which holds the fold's rows out of one
-model of the whole corpus (or retrains without them), and a split trains one
-predictor on `Corpus.without` its test rows.  A family whose samples perform
-no task is rejected before any training.
+prediction.  Every protocol takes each fold's predictor from
+`methods.leave_out`, which holds the fold's rows out of one model of the
+whole corpus (or retrains without them); a split asks for it through
+`methods.train_method`, with the trial's seed and test rows.  A family whose
+samples perform no task is rejected before any training.
 Splits stratify per family and draw their randomness positionally from a
 master seed stream, so two methods evaluated with the same seed see
 byte-for-byte identical folds and their per-sample scores align for paired
@@ -222,7 +222,8 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
 
     Each trial draws its seed from a master stream seeded by `seed` as it
     starts, before it trains, so fold membership depends only on (corpus,
-    train_frac, seed, trial index), never on the method or on n_trials.
+    train_frac, seed, trial index), never on the method or on n_trials.  Its
+    predictor is `train_method`'s with that seed and its test rows held out.
     """
     check_count("n_trials", n_trials)
     _check_tasks(corpus)
@@ -231,11 +232,8 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     for t in range(n_trials):
         tseed = master.getrandbits(63)
         _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
-        # Split trains through train_method, not methods.leave_out, until ROADMAP
-        # item 12b traces the predictions made outside that closure.
-        trained = lambda _: train_method(method, corpus.without(test_ix), mode, params, tseed)
-        reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
-                               f"trial{t}"))
+        fit = lambda rows: train_method(method, corpus, mode, params, tseed, rows)
+        reports.append(_scored(corpus, [test_ix], fit, method, mode, seed, "split", f"trial{t}"))
     return combine(reports)
 
 

@@ -9,9 +9,10 @@ to a Prediction, and every predictor is a closure over it.  The evaluation
 protocols and the CLI both go through here so a method id means the same
 model everywhere.  `leave_out` alone decides how a predictor is built, the
 rows it holds out read by `core.renumbering` alone: with no row it trains on
-the corpus itself, and `train_method` is that predictor; otherwise the count
-models (`actr-ib`, `actr-r`, `nb`) downdate one model of the whole corpus
-with `without(rows)`, and the others train on `Corpus.without(rows)`.
+the corpus itself; otherwise the count models (`actr-ib`, `actr-r`, `nb`)
+downdate one model of the whole corpus with `without(rows)`, and the others
+train on `Corpus.without(rows)`.  `train_method` is that predictor for the
+rows it is given, none by default.
 """
 
 from __future__ import annotations
@@ -51,15 +52,15 @@ def predict(model, query, task_threshold: float) -> Prediction:
 
 
 def train_method(method: str, corpus: Corpus, mode: str = "family",
-                 params: ActrParams | None = None, seed: int = 0) -> Predictor:
-    """Train `method` on `corpus` and return its query -> Prediction closure:
-    `leave_out`'s predictor with no row held out.
+                 params: ActrParams | None = None, seed: int = 0, rows=()) -> Predictor:
+    """Train `method` on `corpus` less `rows` and return its query ->
+    Prediction closure: `leave_out`'s predictor with `rows` held out.
 
     `params` carries the activation parameters and the shared task
     threshold; every other hyperparameter is the trainer's default (call the
     trainer itself, then `predict`, to set one).
     """
-    return leave_out(method, corpus, mode, params, seed)(())
+    return leave_out(method, corpus, mode, params, seed)(rows)
 
 
 def leave_out(method: str, corpus: Corpus, mode: str = "family",

@@ -62,8 +62,9 @@ else in the corpus.
 from __future__ import annotations
 
 import math
+import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,6 +78,11 @@ CARRIER_PREFIX = "carrier:"
 
 class GenerationError(ValueError):
     """The generation spec is infeasible or the realized corpus missed it."""
+
+
+# A GenSpec field's annotation (a string, as annotations are here) -> the
+# numbers the field takes, a bool never among them, and their name.
+_FIELD_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,10 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, what = _FIELD_KINDS[f.type]
+            if isinstance(value := getattr(self, f.name), bool) or not isinstance(value, kind):
+                raise GenerationError(f"{f.name} must be {what}, got {value!r}")
         if self.n_carriers < 1 or self.tasks_per_carrier < 1:
             raise GenerationError("need at least one carrier and one task each")
         if self.samples_per_family < 2:
@@ -104,9 +114,7 @@ class GenSpec:
         if self.carrier_attr_pool < 1 or self.payload_attrs_per_task < 1:
             raise GenerationError("attribute pools must be non-empty")
         if not 0.0 < self.overlap_target <= 1.0:
-            raise GenerationError(
-                f"overlap_target must be in (0, 1], got {self.overlap_target}"
-            )
+            raise GenerationError(f"overlap_target must be in (0, 1], got {self.overlap_target}")
 
 
 # The single-task regime's defaults (see generate_single_task): one carrier,

@@ -9,7 +9,9 @@ exceptions: `retrieval_probs`, the list-in, list-out face of the retrieval
 softmax that the distribution property tests drive;
 `reference_held_out_predictions` and its one-row loop
 `reference_loocv_predictions`, which retrain through the public
-`train_method` on the samples not held out; `reference_grow_forests`, which
+`train_method` on the samples not held out; `reference_split_trials`, which
+does the same for each split trial and scores it through the evaluation's
+own fold loop, `_scored`; `reference_grow_forests`, which
 reads its targets and design matrix from `core.label_space` and
 `core.attribute_matrix`, as the forest trainer does; and `reference_logreg`,
 which reads them the same way and steps along `logreg_objective`'s
@@ -50,6 +52,7 @@ from taskinfer.actr import IbModel, _softmax_retained
 from taskinfer.baselines import LogRegModel, TrainingError
 from taskinfer.core import (ActrParams, Corpus, LinearModel, Prediction, Sample,
                             attribute_matrix, build_corpus, label_space, softmax)
+from taskinfer.evaluation import _scored, combine, stratified_split
 from taskinfer.methods import train_method
 
 
@@ -644,6 +647,23 @@ def reference_loocv_predictions(corpus: Corpus, method: str, mode: str,
     the leave-one-out loop of `reference_held_out_predictions`."""
     return [reference_held_out_predictions(corpus, method, mode, [i], params)[0]
             for i in range(corpus.size)]
+
+
+def reference_split_trials(corpus: Corpus, method: str, mode: str = "family",
+                           params: ActrParams | None = None, train_frac: float = 0.6,
+                           n_trials: int = 10, seed: int = 0):
+    """`evaluation.split_trials` as it was before its predictors came from
+    `methods.leave_out`: each trial retrains `method`, through the public
+    `train_method` with the trial's seed, on `Corpus.without` its test rows."""
+    master = random.Random(seed)
+    reports = []
+    for t in range(n_trials):
+        tseed = master.getrandbits(63)
+        _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
+        trained = lambda _: train_method(method, corpus.without(test_ix), mode, params, tseed)
+        reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
+                               f"trial{t}"))
+    return combine(reports)
 
 
 def held_out_row_sets(corpus: Corpus, rng: random.Random) -> list:

@@ -551,6 +551,9 @@ class TestLogisticRegression:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            learning_rate=st.floats(0.01, 0.3), l2=st.floats(0.0, 0.05),
            epochs=st.integers(1, 80))
+    # Two equal rows of different families: the true gradient is 0, and the
+    # Gram form's norm is 1.7e-15 of rounding in family mode.
+    @example(seed=339, learning_rate=0.0698, l2=0.0, epochs=14)
     @settings(max_examples=20, deadline=None)
     def test_gram_ascent_matches_the_primal_oracle(self, mode, shape, seed, learning_rate,
                                                     l2, epochs):
@@ -564,7 +567,15 @@ class TestLogisticRegression:
         assume(rows > attrs if shape == "tall" else rows < attrs)
         model = logreg_train(corpus, learning_rate, l2, epochs, mode)
         want = reference_logreg(corpus, learning_rate, l2, epochs, mode)
-        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=1e-15)
+        # Each gradient entry sums `rows` terms of at most 1 + l2 * |w| in
+        # magnitude (|y - p| <= 1 and x is 0 or 1), so the two forms' rounding
+        # can part it by about rows * eps times that, and the norm by
+        # sqrt(entries) times more: a gradient that cancels to 0 has no
+        # relative error to bound.
+        entries = (want.weight.size + want.bias.size) * (2 if mode == "direct" else 1)
+        rounding = (rows * np.finfo(float).eps * math.sqrt(entries)
+                    * (1 + l2 * np.abs(want.weight).max()))
+        assert model.grad_norm == pytest.approx(want.grad_norm, rel=1e-9, abs=rounding)
         for q in [s.attribs for s in corpus.samples] + [frozenset({"a0", "novel"})]:
             got = predict(model, q, 0.5).class_probs
             expected = predict(want, q, 0.5).class_probs

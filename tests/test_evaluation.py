@@ -6,6 +6,7 @@ p via the regularized incomplete beta in arbitrary precision).
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskinfer import actr, baselines, evaluation, methods, synthgen
-from taskinfer.core import ActrParams, CountModel, Sample, attribute_matrix, build_corpus
+from taskinfer.core import (ActrParams, CountModel, Sample, attribute_matrix, build_corpus,
+                            query_cols)
 from taskinfer.evaluation import (
     PROTOCOLS,
     TrialReport,
@@ -37,7 +39,7 @@ from taskinfer.evaluation import (
 )
 
 from conftest import make_corpus
-from oracles import random_corpus, reference_t_p_value
+from oracles import random_corpus, random_params, reference_split_trials, reference_t_p_value
 
 task_sets = st.sets(st.sampled_from([f"t{i}" for i in range(8)]), max_size=8)
 
@@ -225,6 +227,28 @@ class TestSplitTrials:
         assert folds[2][:2] == folds[1] and folds[1][:1] == folds[0]
         assert len(set(map(tuple, folds[2]))) > 1
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           method=st.sampled_from(("actr-ib", "actr-r", "nb", "rf")),
+           mode=st.sampled_from(("family", "direct")), n_trials=st.integers(1, 3),
+           train_frac=st.sampled_from((0.3, 0.5, 0.7)))
+    @settings(max_examples=30, deadline=None)
+    def test_reports_equal_retraining_each_trial(self, seed, method, mode, n_trials,
+                                                 train_frac):
+        # A trial holds its test rows out through methods.leave_out: the count
+        # models downdate one model of the whole corpus, and rf still reads the
+        # trial's seed.  tau lies midway across the first sample's activations,
+        # so it binds some chunks.
+        rng = random.Random(seed)
+        c = random_corpus(rng)
+        assume(all(len(c.members(f)) >= 2 for f in c.families))
+        params = random_params(rng)
+        model = actr.IbModel(c, params, mode)
+        acts = model.activations(*query_cols(model.col, c.samples[0].attribs))
+        params = dataclasses.replace(params, tau=float(acts.min() + acts.max()) / 2)
+        args = (c, method, mode, params, train_frac, n_trials, seed)
+        assert report_to_dict(split_trials(*args)) == \
+            report_to_dict(reference_split_trials(*args))
+
 
 class TestLeaveOneFamilyOut:
     def test_family_accuracy_is_not_applicable(self, shared_task_corpus):
@@ -372,9 +396,9 @@ class TestTimings:
         assert [(r.train_time, r.predict_time) for r in reports] == \
             [(1000 + 100, sizes[0])] + [(100, n) for n in sizes[1:]]
 
-    def test_a_split_trains_once_per_trial(self, shared_task_corpus):
+    def test_a_split_trains_and_downdates_once_per_trial(self, shared_task_corpus):
         r = split_trials(shared_task_corpus, "nb", n_trials=2, train_frac=0.5)
-        assert [(t.train_time, t.predict_time) for t in r.trials] == [(1000, 3)] * 2
+        assert [(t.train_time, t.predict_time) for t in r.trials] == [(1000 + 100, 3)] * 2
 
 
 class TestFoldCorpus:
@@ -383,8 +407,8 @@ class TestFoldCorpus:
     def test_training_corpus_equals_the_validated_one(self, seed):
         # Every fold trains on the parent's rows without re-validating them;
         # its corpus must be the one build_corpus makes of the same rows.
-        # loocv and lofo run dt, which methods.leave_out retrains per fold (the
-        # count models downdate); split runs nb.
+        # Every protocol runs dt, which methods.leave_out retrains per fold (the
+        # count models downdate).
         c = random_corpus(random.Random(seed))
         trained_on = []
 
@@ -393,12 +417,11 @@ class TestFoldCorpus:
                 trained_on.append(corpus)
                 return train(corpus, *args, **kwargs)
             return run
-        with mock.patch.object(baselines, "dt_train", spy(baselines.dt_train)), \
-                mock.patch.object(baselines, "nb_train", spy(baselines.nb_train)):
+        with mock.patch.object(baselines, "dt_train", spy(baselines.dt_train)):
             if c.size >= 2:
                 loocv(c, "dt")
             if all(len(c.members(f)) >= 2 for f in c.families):
-                split_trials(c, "nb", n_trials=2, train_frac=0.5, seed=seed)
+                split_trials(c, "dt", n_trials=2, train_frac=0.5, seed=seed)
             if len(c.families) >= 2:
                 leave_one_family_out(c, "dt")
         for sub in trained_on:

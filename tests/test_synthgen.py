@@ -4,7 +4,10 @@ import math
 import random
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from taskinfer.synthgen import (
     CARRIER_PREFIX,
@@ -56,6 +59,17 @@ class TestCoreSizeAndRate:
             core_size_and_rate(100, 1.5)
 
 
+_INT_FIELDS = ("n_carriers", "tasks_per_carrier", "samples_per_family", "carrier_attr_pool",
+               "payload_attrs_per_task", "seed")
+
+
+def _assert_refused_by_name(name, value):
+    with pytest.raises(GenerationError) as exc:
+        GenSpec(**{name: value})
+    want = "an int" if name != "overlap_target" else "a real number"
+    assert str(exc.value) == f"{name} must be {want}, got {value!r}"
+
+
 class TestGenSpec:
     @pytest.mark.parametrize(
         "kwargs",
@@ -73,6 +87,31 @@ class TestGenSpec:
     def test_rejects_degenerate_specs(self, kwargs):
         with pytest.raises(GenerationError):
             GenSpec(**kwargs)
+
+    @given(name=st.sampled_from(_INT_FIELDS + ("overlap_target",)), data=st.data())
+    def test_an_ill_typed_field_is_refused_by_name(self, name, data):
+        # A count or seed that is not an int, and an overlap_target that is not
+        # a real number, raise before any comparison does; a bool is neither.
+        ill = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                        st.complex_numbers(allow_nan=False),
+                        st.lists(st.integers(), max_size=2),
+                        st.decimals(allow_nan=False, allow_infinity=False))
+        if name != "overlap_target":
+            ill |= st.floats() | st.fractions()
+        _assert_refused_by_name(name, data.draw(ill))
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_carriers", 2.5), ("samples_per_family", 3.0),         # a TypeError from range
+        ("carrier_attr_pool", "10"), ("payload_attrs_per_task", None),   # one from <
+        ("tasks_per_carrier", True), ("overlap_target", True), ("seed", 1.5)])  # accepted
+    def test_values_that_failed_late_or_passed_are_refused_by_name(self, name, value):
+        _assert_refused_by_name(name, value)
+
+    @pytest.mark.parametrize("kwargs", [{"n_carriers": np.int64(2)},
+                                        {"overlap_target": np.float32(0.5)},
+                                        {"overlap_target": 1}, {"seed": -3}])
+    def test_accepts_numpy_and_int_values(self, kwargs):
+        GenSpec(**kwargs)
 
 
 SMALL = GenSpec(n_carriers=5, tasks_per_carrier=3, samples_per_family=30,
