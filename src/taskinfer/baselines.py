@@ -32,8 +32,10 @@ Conventions shared across the baselines:
     tree that growing it alone would give; a node's candidates are drawn as
     positions among the attributes off its path, and the positions of every
     node of a step are mapped to columns in one batch;
-  - trees are flat node arrays, numbered tree by tree in preorder, and a
-    query walks every tree at once;
+  - trees are flat node arrays, numbered tree by tree in preorder (the
+    lockstep makes each tree's nodes in its preorder, so one stable sort by
+    tree numbers them), and a query walks every tree at once from the roots,
+    listed forest by forest;
   - logistic regression is full-batch gradient ascent on the mean
     log-likelihood with an L2 penalty on the weights (bias unpenalized);
     in direct mode one ascent fits every column's binary model at once.
@@ -165,9 +167,10 @@ def _best_splits(x: np.ndarray, rows: np.ndarray, sizes: np.ndarray, counts: np.
 
 def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray,
                  rngs: list, min_count: float, max_features: int) -> tuple:
-    """Grow trees in lockstep from their root rows, each grouped by class (a
-    subset keeps that order, as `_best_splits` needs); tree t's classes are
-    y[t], so the trees of several forests grow as one.
+    """Grow trees in lockstep from their root rows (row t of `roots`); tree
+    t's classes are y[t], so the trees of several forests grow as one.  Each
+    tree's root rows are first grouped by class, stably (a subset keeps that
+    order, as `_best_splits` needs).
 
     Each tree keeps its own depth-first stack (present child first); every
     step takes the next node of every tree still growing and tests, counts
@@ -182,13 +185,18 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
     _GAIN_TOL; a leaf is its own present and absent child.
 
     Returns (roots, split, present, absent, dist, depth) with the nodes
-    numbered tree by tree in preorder, so a split's present child follows it.
+    numbered tree by tree in preorder, so a split's present child follows it:
+    a tree makes its nodes in preorder, so a stable sort of the nodes, in the
+    order the steps made them, by tree numbers them.  Every tree makes its
+    root in the first step, so the first nodes made are the roots, in tree
+    order.
     """
     n_attrs = x.shape[1]
+    by_class = np.argsort(np.take_along_axis(y, roots, axis=1), axis=1, kind="stable")
     # A pending node: (rows, the columns split on along its path, the node it
     # is the absent child of, or -1).
-    stacks = [[(rows, (), -1)] for rows in roots]
-    made = np.zeros(len(roots), dtype=int)      # nodes each tree has made so far
+    stacks = [[(rows, (), -1)] for rows in np.take_along_axis(roots, by_class, axis=1)]
+    made = 0                                    # nodes made so far, by every tree
     steps = []
     trees = list(range(len(roots)))             # the trees still growing
     while trees:
@@ -200,7 +208,6 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
         node = np.repeat(np.arange(tree.size), sizes)
         counts = np.bincount(node * n_classes + y[tree[node], rows],
                              minlength=tree.size * n_classes).reshape(-1, n_classes)
-        first = int(made.sum())                 # the creation number of node 0
         is_inner = ((sizes >= min_count) & ((counts > 0).sum(axis=1) > 1)
                     & (depth < n_attrs))
         inner = np.flatnonzero(is_inner)
@@ -236,19 +243,18 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_classes: int, roots: np.ndarray
         go = np.flatnonzero(split >= 0)
         for b, c in zip(go.tolist(), split[go].tolist()):
             path = paths[b] + (c,)
-            stacks[trees[b]] += [(parted[bounds[2 * b]:bounds[2 * b + 1]], path, first + b),
+            stacks[trees[b]] += [(parted[bounds[2 * b]:bounds[2 * b + 1]], path, made + b),
                                  (parted[bounds[2 * b + 1]:bounds[2 * b + 2]], path, -1)]
-        steps.append((tree, made[tree], depth, counts / sizes[:, None], split,
-                      np.array(parent)))
-        made[tree] += 1
+        steps.append((tree, depth, counts / sizes[:, None], split, np.array(parent)))
+        made += tree.size
         trees = [t for t in trees if stacks[t]]
-    tree, local, depth, dist, split, parent = (np.concatenate(a) for a in zip(*steps))
-    start = np.cumsum(made) - made
-    at = start[tree] + local                    # each node's number, by creation order
+    tree, depth, dist, split, parent = (np.concatenate(a) for a in zip(*steps))
+    order = np.argsort(tree, kind="stable")
+    at = np.empty(made, dtype=int)              # each node's number, by creation order
+    at[order] = np.arange(made)
     absent = at.copy()
     absent[parent[parent >= 0]] = at[parent >= 0]
-    order = np.argsort(at)
-    return (start, np.maximum(split, 0)[order], (at + (split >= 0))[order],
+    return (at[:len(roots)], np.maximum(split, 0)[order], (at + (split >= 0))[order],
             absent[order], dist[order], depth[order])
 
 
@@ -285,6 +291,12 @@ class RfModel:
 
 def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
                   bootstrap: bool, max_features: int) -> RfModel:
+    """One forest over every label (family mode) or one binary forest per
+    label column (direct mode), n_trees trees each, every tree seeded from
+    the `seed` stream and rooted at a bootstrap of the rows or at every row.
+    Groups of forests grow through `_grow_forest` and their node arrays are
+    concatenated, so the nodes are numbered forest by forest, tree by tree,
+    in preorder, and the roots come in the same order."""
     space = label_space(corpus, mode)
     _, col, index = attribute_matrix(corpus)
     x = index.dense(bool)               # the trees test and gather dense columns
@@ -304,10 +316,8 @@ def _grow_forests(corpus: Corpus, mode: str, n_trees: int, seed: int,
         y = np.repeat(targets[first // n_trees:(first + group) // n_trees], n_trees, axis=0)
         roots = (np.stack([rng.integers(0, m, size=m) for rng in rngs]) if bootstrap
                  else np.tile(np.arange(m), (len(rngs), 1)))
-        by_class = np.argsort(np.take_along_axis(y, roots, axis=1), axis=1, kind="stable")
         roots, split, present, absent, dist, depth = _grow_forest(
-            x, y, n_classes, np.take_along_axis(roots, by_class, axis=1), rngs,
-            _MIN_LEAF_FRAC * m, max_features)
+            x, y, n_classes, roots, rngs, _MIN_LEAF_FRAC * m, max_features)
         forests.append((roots + size, split, present + size, absent + size, dist, depth))
         size += split.size
     roots, split, present, absent, dist, depth = (np.concatenate(a) for a in zip(*forests))

@@ -18,7 +18,6 @@ from . import evaluation, ingest, synthgen
 from .core import (
     MODES,
     ActrParams,
-    CorpusError,
     load_corpus,
     read_corpus_records,
     save_corpus,
@@ -306,7 +305,6 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 1
-    except (CorpusError, synthgen.GenerationError, ingest.ReportError,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:      # CorpusError and the others subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -361,8 +361,7 @@ def renumbering(size: int, rows: Sequence[int]) -> np.ndarray:
 class Corpus:
     """Immutable labeled sample collection with a lazily built attribute index.
 
-    Equality is order-insensitive: two corpora are equal when they hold the
-    same sample set and the same family map.
+    Corpora compare and hash by identity.
     """
 
     def __init__(self, samples: Sequence[Sample], families: Mapping[FamilyId, frozenset]):
@@ -428,14 +427,6 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self._samples)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            set(self._samples) == set(other._samples)
-            and self._families == other._families
-        )
 
     def __repr__(self) -> str:
         return (

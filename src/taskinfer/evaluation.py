@@ -15,10 +15,11 @@ prediction.  Every protocol takes each fold's predictor from
 whole corpus (or retrains without them); a split asks for it through
 `methods.train_method`, with the trial's seed and test rows.  A family whose
 samples perform no task is rejected before any training.
-Splits stratify per family and draw their randomness positionally from a
-master seed stream, so two methods evaluated with the same seed see
-byte-for-byte identical folds and their per-sample scores align for paired
-significance testing.
+Splits stratify per family (`stratified_split` gives a trial's sorted
+held-out rows; every other row trains) and draw their randomness
+positionally from a master seed stream, so two methods evaluated with the
+same seed see byte-for-byte identical folds and their per-sample scores
+align for paired significance testing.
 
 Reports serialize as one canonical JSON object per line, like the corpus
 format.  Wall-clock timings are kept out of the file (they are the one
@@ -171,16 +172,15 @@ def loocv(corpus: Corpus, method: str, mode: str = "family",
 
 
 def stratified_split(corpus: Corpus, train_frac: float,
-                     rng: random.Random) -> tuple:
-    """Per-family shuffle into (train indices, test indices).
+                     rng: random.Random) -> list:
+    """Per-family shuffle; returns the sorted held-out (test) rows.
 
-    Train counts are round(train_frac * |family|), clamped so both sides of
-    every family stay non-empty; families with fewer than 2 samples are
-    rejected.
+    Each family keeps round(train_frac * |family|) rows for training, clamped
+    so both sides of every family stay non-empty, and holds out the rest of
+    its shuffle; families with fewer than 2 samples are rejected.
     """
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must be in (0, 1), got {train_frac}")
-    train: list = []
     test: list = []
     for f in sorted(corpus.families):
         members = list(corpus.members(f))
@@ -192,9 +192,8 @@ def stratified_split(corpus: Corpus, train_frac: float,
         rng.shuffle(members)
         n_train = round(train_frac * len(members))
         n_train = max(1, min(len(members) - 1, n_train))
-        train.extend(members[:n_train])
         test.extend(members[n_train:])
-    return sorted(train), sorted(test)
+    return sorted(test)
 
 
 def combine(reports: Sequence[TrialReport], label: str = "aggregate") -> TrialReport:
@@ -231,7 +230,7 @@ def split_trials(corpus: Corpus, method: str, mode: str = "family",
     reports = []
     for t in range(n_trials):
         tseed = master.getrandbits(63)
-        _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
+        test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
         fit = lambda rows: train_method(method, corpus, mode, params, tseed, rows)
         reports.append(_scored(corpus, [test_ix], fit, method, mode, seed, "split", f"trial{t}"))
     return combine(reports)

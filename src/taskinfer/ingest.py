@@ -49,8 +49,10 @@ tmp<r>.tmp.  Every rule is idempotent, so normalizing twice is a no-op.
 Registry keys additionally get their hive shortened (hklm, hkcu, hkcr, hku,
 hkcc).  A scrub regex runs on an ASCII path only when the literal that each
 of its matches holds (\\users\\, \\documents and settings\\, {, tmp) is in the
-path's lower case; a non-ASCII path takes the full regex chain, since
-re.IGNORECASE also matches letters such as "ſ" and "ı" to ASCII ones.
+path's lower case, taken once before the scrubs (a scrub can remove a later
+step's literal but never add one); a non-ASCII path takes the full regex
+chain, since re.IGNORECASE also matches letters such as "ſ" and "ı" to ASCII
+ones.
 
 Each distinct entry is normalized once per `ingest` call: the command hands
 every report of the call one token table (`parse_report`'s `table`), which
@@ -154,15 +156,15 @@ def normalize_path(raw: str, config: ExtractionConfig | None = None) -> str:
     # On ASCII text re.IGNORECASE folds only ASCII letters, so a step's regex
     # can match only when its literal is in the lower case.  Other text runs
     # every enabled step: there re.IGNORECASE matches "ſ" to "s", "ı" and "İ"
-    # to "i" and "K" to "k", which neither lower() nor casefold() shows.  A
-    # folded string is its own lower case, and stays so through the scrubs,
-    # whose replacements are all lower case.
+    # to "i" and "K" to "k", which neither lower() nor casefold() shows.  The
+    # gates read the lower case from before the scrubs: a replacement holds
+    # no later step's literal, and its "<" and ">" edges join none, so a
+    # scrub can remove a later literal but never add one, and a stale gate
+    # at worst runs a regex that matches nothing.
     low = (s if fold else s.lower()) if s.isascii() else None
     for toggle, literal, pattern, replacement in _SCRUBS:
         if (low is None or literal in low) and getattr(config, toggle):
             s = pattern.sub(replacement, s)
-            if low is not None:
-                low = s if fold else s.lower()
     return s
 
 

@@ -12,6 +12,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from taskinfer.core import Corpus, Sample, build_corpus
 
 
+def corpus_content(c: Corpus) -> tuple:
+    """What a corpus holds, whatever its sample order: (sample set, family
+    map).  Corpora themselves compare by identity."""
+    return set(c.samples), c.families
+
+
 def make_corpus(rows, families) -> Corpus:
     """rows: iterable of (id, attrs, family). families: {name: tasks}."""
     samples = [

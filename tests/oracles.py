@@ -659,7 +659,7 @@ def reference_split_trials(corpus: Corpus, method: str, mode: str = "family",
     reports = []
     for t in range(n_trials):
         tseed = master.getrandbits(63)
-        _, test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
+        test_ix = stratified_split(corpus, train_frac, random.Random(tseed))
         trained = lambda _: train_method(method, corpus.without(test_ix), mode, params, tseed)
         reports.append(_scored(corpus, [test_ix], trained, method, mode, seed, "split",
                                f"trial{t}"))

@@ -945,6 +945,31 @@ class TestCompare:
         assert verdict == "t=+5.1686 dof=44 p=0.000006"
         assert res.p_value.hex() == reference_t_p_value(res.statistic, res.dof).hex()
 
+    @pytest.mark.parametrize("mode", ["family", "direct"])
+    @pytest.mark.parametrize("protocol", [["loocv"], ["split", "--trials", "2"], ["lofo"]],
+                             ids=["loocv", "split", "lofo"])
+    def test_compare_writes_what_eval_writes_per_method(self, tmp_path, protocol, mode):
+        # compare is eval run once per method: its report file is their report
+        # files concatenated, and its table one header and their rows, in
+        # method order.
+        corpus_path = run_gen(tmp_path, argv=["--samples-per-family", "6", "--seed", "2"])
+        common = ["--corpus", corpus_path, "--mode", mode, "--protocol", *protocol]
+        methods = ["nb", "rf", "actr-ib"]
+        out = tmp_path / "c.jsonl"
+        assert main(["compare", *common, *(a for m in methods for a in ("--method", m)),
+                     "--out", str(out)]) == 0
+        reports, tables = [], []
+        for m in methods:
+            each = tmp_path / f"e-{m}.jsonl"
+            assert main(["eval", *common, "--method", m, "--out", str(each)]) == 0
+            reports.append(each.read_bytes())
+            tables.append(Path(f"{each}.csv").read_bytes().splitlines(keepends=True))
+        assert out.read_bytes() == b"".join(reports)
+        header = tables[0][0]
+        assert all(t[0] == header for t in tables)
+        assert Path(f"{out}.csv").read_bytes() == header + b"".join(
+            b"".join(t[1:]) for t in tables)
+
     def test_identical_methods_are_deduplicated(self, tmp_path, capsys):
         corpus_path = run_gen(tmp_path)
         rc = main(["compare", "--method", "nb", "--method", "nb",

@@ -38,7 +38,7 @@ from taskinfer.evaluation import (
     stratified_split,
 )
 
-from conftest import make_corpus
+from conftest import corpus_content, make_corpus
 from oracles import random_corpus, random_params, reference_split_trials, reference_t_p_value
 
 task_sets = st.sets(st.sampled_from([f"t{i}" for i in range(8)]), max_size=8)
@@ -102,20 +102,30 @@ class TestStratifiedSplit:
         rows = [(f"a{i}", {f"x{i}"}, "F1") for i in range(10)]
         rows += [(f"b{i}", {f"y{i}"}, "F2") for i in range(4)]
         c = make_corpus(rows, {"F1": {"t1"}, "F2": {"t2"}})
-        train, test = stratified_split(c, 0.6, random.Random(0))
-        # round(0.6*10) = 6 and round(0.6*4) = 2 -> 8 train, 6 test.
-        assert len(train) == 8 and len(test) == 6
-        assert sorted(train + test) == list(range(14))
-        fam_train = [c.samples[i].family for i in train]
-        assert fam_train.count("F1") == 6 and fam_train.count("F2") == 2
+        test = stratified_split(c, 0.6, random.Random(0))
+        # F1 keeps round(0.6*10) = 6 and F2 round(0.6*4) = 2 -> 4 + 2 held out.
+        assert test == sorted(set(test)) and set(test) <= set(range(14))
+        fam_test = [c.samples[i].family for i in test]
+        assert fam_test.count("F1") == 4 and fam_test.count("F2") == 2
+
+    @given(sizes=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+           frac=st.floats(0.01, 0.99), seed=st.integers(0, 2**32))
+    @settings(max_examples=50, deadline=None)
+    def test_holds_out_the_unkept_rows_of_each_family_sorted(self, sizes, frac, seed):
+        rows = [(f"s{f}_{i}", {f"x{f}_{i}"}, f"F{f}")
+                for f, n in enumerate(sizes) for i in range(n)]
+        c = make_corpus(rows, {f"F{f}": {f"t{f}"} for f in range(len(sizes))})
+        test = stratified_split(c, frac, random.Random(seed))
+        assert test == sorted(set(test)) and set(test) <= set(range(c.size))
+        for f, n in enumerate(sizes):
+            kept = max(1, min(n - 1, round(frac * n)))
+            assert sum(c.samples[i].family == f"F{f}" for i in test) == n - kept
 
     def test_extreme_fractions_are_clamped_per_family(self):
         rows = [("a1", {"x"}, "F1"), ("a2", {"y"}, "F1")]
         c = make_corpus(rows, {"F1": {"t1"}})
-        train, test = stratified_split(c, 0.9, random.Random(0))
-        assert len(train) == 1 and len(test) == 1
-        train, test = stratified_split(c, 0.05, random.Random(0))
-        assert len(train) == 1 and len(test) == 1
+        assert len(stratified_split(c, 0.9, random.Random(0))) == 1
+        assert len(stratified_split(c, 0.05, random.Random(0))) == 1
 
     def test_rejects_singleton_families_and_bad_fractions(self, two_family_corpus):
         c = make_corpus([("a", {"x"}, "F1"), ("b", {"y"}, "F1"),
@@ -426,7 +436,7 @@ class TestFoldCorpus:
                 leave_one_family_out(c, "dt")
         for sub in trained_on:
             ref = build_corpus(sub.samples, sub.families)
-            assert sub == ref and sub.samples == ref.samples
+            assert corpus_content(sub) == corpus_content(ref) and sub.samples == ref.samples
             assert set(sub.families) == {s.family for s in sub.samples}
             vocab, col, x = attribute_matrix(sub)
             ref_vocab, ref_col, ref_x = attribute_matrix(ref)

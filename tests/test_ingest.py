@@ -95,6 +95,17 @@ _PATH_PIECES = ["ſ", "ı", "K", "İ", "s", "i", "k", "/", "\\", "{", "}", "-", 
                 "USERS", "documents and settings", "Documents And Settings",
                 "<user>", "<USER>", "bob", " ",
                 "{3A5B9E21-77C4-4D0A-8E11-92F2D34C81AB}"]
+# Profile directories whose user name holds a later scrub's literal ({, a
+# GUID, a tmp name): the user scrub removes it, so that scrub's gate, read
+# before the user scrub, passes on a path whose regex then matches nothing.
+_PROFILE_DIRS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["\\Users\\", "/users/", "\\Documents and Settings\\"]),
+    st.lists(st.sampled_from(["{", "}", "tmpab.tmp", "TMP3F2A.TMP", "bob",
+                              "{3A5B9E21-77C4-4D0A-8E11-92F2D34C81AB}"]),
+             min_size=1, max_size=3).map("".join),
+    st.sampled_from(["", "\\", "/"]))
+_GATED_PATHS = st.lists(st.sampled_from(_PATH_PIECES) | _PROFILE_DIRS, max_size=14).map("".join)
 # fold_case and the three scrub toggles, in all 16 combinations.
 _SCRUB_CONFIGS = [
     ExtractionConfig(fold_case=f, scrub_user_dirs=u, scrub_guids=g, scrub_temp_names=t)
@@ -178,14 +189,15 @@ class TestNormalizePath:
         assert normalize_path(once) == once
 
     @pytest.mark.parametrize("config", _SCRUB_CONFIGS, ids=_config_id)
-    @given(raw=st.lists(st.sampled_from(_PATH_PIECES), max_size=14).map("".join))
+    @given(raw=_GATED_PATHS)
     @example(raw="C:\\Documents and Settıngs\\bob\\x")
     @example(raw="C:\\Uſers\\bob\\x.txt")
     @example(raw="HKLM\\{3A5B9E21-77C4-4D0A-8E11-92F2D34C81AB}\\TMP3F2A.TMP")
     @settings(max_examples=150, deadline=None)
     def test_gated_regexes_give_the_full_chain(self, config, raw):
-        """A scrub regex skipped on an ASCII path whose lower case lacks its
-        literal changes nothing, and a non-ASCII path runs every regex: there
+        """A scrub regex skipped on an ASCII path whose lower case, read
+        before every scrub, lacks its literal changes nothing (no scrub adds
+        a later one's literal), and a non-ASCII path runs every regex: there
         re.IGNORECASE matches letters that no lower() or casefold() shows,
         "ı" to "i" although "ı".casefold() is "ı"."""
         assert normalize_path(raw, config) == reference_normalize_path(raw, config)

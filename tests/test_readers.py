@@ -18,6 +18,8 @@ from taskinfer.cli import main
 from taskinfer.core import CorpusFormatError, load_corpus, read_corpus_records
 from taskinfer.ingest import ExtractionConfig, ReportError, load_extraction_config
 
+from conftest import corpus_content
+
 LINE_ENDS = (b"\n", b"\r\n", b"\r")
 
 _JSON = st.recursive(
@@ -112,7 +114,8 @@ class TestCorpusFiles:
             path.write_bytes(end.join(lines) + (end if last_end and lines else b""))
             # load_corpus names the line of a label error too.
             seen.append([_outcome(read, path, len(lines))
-                         for read in (read_corpus_records, load_corpus)])
+                         for read in (read_corpus_records,
+                                      lambda p: corpus_content(load_corpus(p)))])
         assert seen[0] == seen[1] == seen[2]
 
 
